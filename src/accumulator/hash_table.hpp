@@ -36,9 +36,8 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
-#include <utility>
-#include <vector>
 
+#include "accumulator/row_sort.hpp"
 #include "common/types.hpp"
 #include "mem/workspace.hpp"
 
@@ -210,7 +209,7 @@ class HashAccumulator {
   /// Emit (cols, vals) ascending by column.
   void extract_sorted(IT* out_cols, VT* out_vals) {
     extract_unsorted(out_cols, out_vals);
-    sort_pairs(out_cols, out_vals, count_);
+    sort_row(out_cols, out_vals, count_);
   }
 
   /// Undo every touched slot; O(row nnz), not O(table size).
@@ -227,36 +226,6 @@ class HashAccumulator {
 
   /// Keys resolved (insert/accumulate requests), batched or not.
   [[nodiscard]] std::uint64_t keys_resolved() const { return keys_resolved_; }
-
-  /// Insertion-sort/std::sort hybrid on parallel key/value arrays.
-  static void sort_pairs(IT* cols, VT* vals, std::size_t n) {
-    if (n < 2) return;
-    if (n <= 32) {
-      for (std::size_t i = 1; i < n; ++i) {
-        const IT ck = cols[i];
-        const VT cv = vals[i];
-        std::size_t j = i;
-        while (j > 0 && cols[j - 1] > ck) {
-          cols[j] = cols[j - 1];
-          vals[j] = vals[j - 1];
-          --j;
-        }
-        cols[j] = ck;
-        vals[j] = cv;
-      }
-      return;
-    }
-    // Indirect sort for larger rows.
-    thread_local std::vector<std::pair<IT, VT>> buffer;
-    buffer.resize(n);
-    for (std::size_t i = 0; i < n; ++i) buffer[i] = {cols[i], vals[i]};
-    std::sort(buffer.begin(), buffer.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
-    for (std::size_t i = 0; i < n; ++i) {
-      cols[i] = buffer[i].first;
-      vals[i] = buffer[i].second;
-    }
-  }
 
  private:
   [[nodiscard]] std::size_t slot_of(IT key) const {

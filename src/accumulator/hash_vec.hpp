@@ -45,6 +45,7 @@
 #include <cstdint>
 
 #include "accumulator/hash_table.hpp"
+#include "accumulator/row_sort.hpp"
 #include "common/cpu_features.hpp"
 #include "common/types.hpp"
 #include "mem/workspace.hpp"
@@ -186,7 +187,7 @@ class HashVecAccumulator {
 
   void extract_sorted(IT* out_cols, VT* out_vals) {
     extract_unsorted(out_cols, out_vals);
-    HashAccumulator<IT, VT>::sort_pairs(out_cols, out_vals, count_);
+    sort_row(out_cols, out_vals, count_);
   }
 
   void reset() {

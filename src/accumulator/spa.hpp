@@ -10,6 +10,7 @@
 #include <cstdint>
 
 #include "accumulator/hash_table.hpp"
+#include "accumulator/row_sort.hpp"
 #include "common/types.hpp"
 #include "mem/workspace.hpp"
 
@@ -92,7 +93,7 @@ class SpaAccumulator {
   void extract_sorted(IT* out_cols, VT* out_vals) {
     // Sorting the touched-column list (not (col,val) pairs) lets the value
     // gather stay a dense-array read.
-    std::sort(touched_, touched_ + count_);
+    sort_row(touched_, count_);
     extract_unsorted(out_cols, out_vals);
   }
 

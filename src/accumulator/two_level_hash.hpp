@@ -14,6 +14,7 @@
 #include <cstdint>
 
 #include "accumulator/hash_table.hpp"
+#include "accumulator/row_sort.hpp"
 #include "common/types.hpp"
 #include "mem/workspace.hpp"
 
@@ -119,7 +120,7 @@ class TwoLevelHashAccumulator {
   /// is provided so the driver stays uniform; it costs an explicit sort.
   void extract_sorted(IT* out_cols, VT* out_vals) {
     extract_unsorted(out_cols, out_vals);
-    HashAccumulator<IT, VT>::sort_pairs(out_cols, out_vals, count_);
+    sort_row(out_cols, out_vals, count_);
   }
 
   void reset() {

@@ -52,6 +52,7 @@
 #include <variant>
 #include <vector>
 
+#include "accumulator/row_sort.hpp"
 #include "common/error.hpp"
 #include "common/fault_injection.hpp"
 #include "common/timer.hpp"
@@ -305,7 +306,6 @@ struct KernelPlan {
         tp.staged_cols.clear();
         mem::ThreadScratch<IT> key_scratch;
         mem::ThreadScratch<IT> count_slot_scratch;
-        std::vector<std::pair<IT, IT>> sort_buf;
         std::size_t cap_used = 0;
         std::size_t stage_off = 0;
         std::uint64_t captured_count = 0;
@@ -340,10 +340,8 @@ struct KernelPlan {
               const std::size_t nnz = acc.count();
               row.nnz = static_cast<IT>(nnz);
               tp.staged_cols.resize(stage_off + nnz);
-              record_gather<IT, VT>(acc, nnz, row.sorted,
-                                    cap + cap_used + ns,
-                                    tp.staged_cols.data() + stage_off,
-                                    sort_buf);
+              record_gather(acc, nnz, row.sorted, cap + cap_used + ns,
+                            tp.staged_cols.data() + stage_off);
               cap_used += ns + nnz;
               ++captured_count;
             } else {
@@ -362,7 +360,7 @@ struct KernelPlan {
               tp.staged_cols.resize(stage_off + nnz);
               IT* out_cols = tp.staged_cols.data() + stage_off;
               acc.extract_keys(out_cols);
-              if (row.sorted) std::sort(out_cols, out_cols + nnz);
+              if (row.sorted) sort_row(out_cols, nnz);
             }
             tp.rows.push_back(row);
             core.rpts[i] = static_cast<Offset>(row.nnz);

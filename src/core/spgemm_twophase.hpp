@@ -77,6 +77,7 @@
 #include <immintrin.h>
 #endif
 
+#include "accumulator/row_sort.hpp"
 #include "common/cpu_features.hpp"
 #include "common/timer.hpp"
 #include "common/types.hpp"
@@ -219,30 +220,16 @@ inline void count_row_batch(Acc& acc, const CsrMatrix<IT, VT>& a,
 
 /// Freeze the gather order of a captured row while the accumulator still
 /// holds it: writes `nnz` gather slots and the matching column indices
-/// (ascending by column when `sorted`).  `sort_buf` is caller scratch.
-template <IndexType IT, ValueType VT, typename Acc>
-inline void record_gather(Acc& acc, std::size_t nnz, bool sorted, IT* gather,
-                          IT* out_cols,
-                          std::vector<std::pair<IT, IT>>& sort_buf) {
-  if (sorted) {
-    sort_buf.resize(nnz);
-    for (std::size_t t = 0; t < nnz; ++t) {
-      const IT slot = acc.touched_slot(t);
-      sort_buf[t] = {acc.key_at_slot(slot), slot};
-    }
-    std::sort(sort_buf.begin(), sort_buf.end(),
-              [](const auto& x, const auto& y) { return x.first < y.first; });
-    for (std::size_t t = 0; t < nnz; ++t) {
-      out_cols[t] = sort_buf[t].first;
-      gather[t] = sort_buf[t].second;
-    }
-  } else {
-    for (std::size_t t = 0; t < nnz; ++t) {
-      const IT slot = acc.touched_slot(t);
-      out_cols[t] = acc.key_at_slot(slot);
-      gather[t] = slot;
-    }
+/// (ascending by column when `sorted`).
+template <IndexType IT, typename Acc>
+inline void record_gather(const Acc& acc, std::size_t nnz, bool sorted,
+                          IT* gather, IT* out_cols) {
+  for (std::size_t t = 0; t < nnz; ++t) {
+    const IT slot = acc.touched_slot(t);
+    out_cols[t] = acc.key_at_slot(slot);
+    gather[t] = slot;
   }
+  if (sorted) sort_row(out_cols, gather, nnz);
 }
 
 /// One stanza of the numeric replay: scatter SR::mul(av, bvals[l]) through
@@ -781,7 +768,6 @@ CsrMatrix<IT, VT> spgemm_two_phase(const CsrMatrix<IT, VT>& a,
       mem::ThreadScratch<IT> key_scratch;
       mem::ThreadScratch<IT> count_slot_scratch;
       std::vector<RowCapture<IT>> meta;
-      std::vector<std::pair<IT, IT>> sort_buf;  // (col, slot) for sorted rows
 
       std::uint64_t last_probes = acc.probes();
       std::uint64_t last_keys = keys_resolved_of(acc);
@@ -829,8 +815,8 @@ CsrMatrix<IT, VT> spgemm_two_phase(const CsrMatrix<IT, VT>& a,
             // Gather slots (and final column order) are fixed now, while
             // the accumulator still holds the row.
             scols.resize(stage_off + nnz);
-            record_gather<IT, VT>(acc, nnz, row.sorted, cap + cap_used + ns,
-                                  scols.data() + stage_off, sort_buf);
+            record_gather(acc, nnz, row.sorted, cap + cap_used + ns,
+                          scols.data() + stage_off);
             cap_used += ns + nnz;
             ++rows_captured;
           } else {

@@ -1345,6 +1345,16 @@ class SpGemmEngine {
                                       &out.stats);
           trace_span(tc, "numeric", t0);
         }
+        if (out.cache_hit) {
+          // A replay runs no setup or symbolic phase; the retained handle's
+          // plan-time figures belong to the request that planned it.
+          out.stats.setup_ms = 0.0;
+          out.stats.symbolic_ms = 0.0;
+          out.stats.symbolic_probes = 0;
+          out.stats.symbolic_keys = 0;
+          out.stats.plan_ms = 0.0;
+          out.stats.probes = out.stats.numeric_probes;
+        }
         if (opts.epilogue.enabled()) {
           out.epilogue = lease.handle().epilogue_result();
         }

@@ -58,6 +58,19 @@ struct FreeNode {
 
 std::size_t class_bytes(int cls) { return kMinClassBytes << cls; }
 
+/// Blocks one arena carve of class `cls` yields (at least one).
+std::size_t blocks_per_carve(int cls) {
+  const std::size_t count =
+      kCarveTargetBytes / (class_bytes(cls) + kHeaderBytes);
+  return count == 0 ? 1 : count;
+}
+
+/// Blocks a thread may cache per class before the excess is flushed to the
+/// arena: two carves' worth.  Blocks freed by another thread than the one
+/// that allocates them (a handle destroyed on the master thread releasing
+/// its workers' scratch) otherwise pile up where no allocation looks.
+std::size_t thread_cache_cap(int cls) { return 2 * blocks_per_carve(cls); }
+
 int class_for(std::size_t bytes) {
   if (bytes > kMaxClassBytes) return -1;
   const std::size_t want = bytes < kMinClassBytes ? kMinClassBytes : bytes;
@@ -139,9 +152,10 @@ class Arena {
   FreeNode* spill_[kNumClasses] = {};
 };
 
-/// Per-thread free lists, one per size class.
+/// Per-thread free lists, one per size class, with their lengths.
 struct ThreadCache {
   FreeNode* lists[kNumClasses] = {};
+  std::size_t counts[kNumClasses] = {};
 
   ~ThreadCache() {
     // Return everything to the arena so other threads can reuse it.
@@ -155,6 +169,33 @@ struct ThreadCache {
     while (tail->next != nullptr) tail = tail->next;
     Arena::instance().spill(cls, head, tail);
     lists[cls] = nullptr;
+    counts[cls] = 0;
+  }
+
+  /// Cache a freed block; past the class cap, keep the most recently freed
+  /// half and spill the colder rest to the arena.
+  void push(int cls, FreeNode* node) {
+    node->next = lists[cls];
+    lists[cls] = node;
+    if (++counts[cls] <= thread_cache_cap(cls)) return;
+    const std::size_t keep = counts[cls] / 2;
+    FreeNode* last_kept = lists[cls];
+    for (std::size_t i = 1; i < keep; ++i) last_kept = last_kept->next;
+    FreeNode* head = last_kept->next;
+    FreeNode* tail = head;
+    while (tail->next != nullptr) tail = tail->next;
+    last_kept->next = nullptr;
+    Arena::instance().spill(cls, head, tail);
+    counts[cls] = keep;
+  }
+
+  FreeNode* pop(int cls) {
+    FreeNode* node = lists[cls];
+    if (node != nullptr) {
+      lists[cls] = node->next;
+      --counts[cls];
+    }
+    return node;
   }
 };
 
@@ -187,17 +228,16 @@ void* pool_malloc(std::size_t bytes) {
   }
 
   ThreadCache& cache = thread_cache();
-  FreeNode* node = cache.lists[cls];
+  FreeNode* node = cache.pop(cls);
   if (node != nullptr) {
     g_stats.cache_hits.fetch_add(1, std::memory_order_relaxed);
-    cache.lists[cls] = node->next;
   } else {
     node = Arena::instance().try_pop(cls);
     if (node == nullptr) {
-      const std::size_t count =
-          kCarveTargetBytes / (class_bytes(cls) + kHeaderBytes);
-      node = Arena::instance().carve(cls, count == 0 ? 1 : count);
+      const std::size_t count = blocks_per_carve(cls);
+      node = Arena::instance().carve(cls, count);
       cache.lists[cls] = node->next;
+      cache.counts[cls] = count - 1;
       node->next = nullptr;
     }
   }
@@ -218,10 +258,16 @@ void pool_free(void* ptr) {
     return;
   }
   hdr->magic = kMagicFree;
-  ThreadCache& cache = thread_cache();
+  const int cls = hdr->size_class;
   auto* node = static_cast<FreeNode*>(ptr);
-  node->next = cache.lists[hdr->size_class];
-  cache.lists[hdr->size_class] = node;
+  if (blocks_per_carve(cls) == 1) {
+    // A single-block class goes straight back to the arena, where the next
+    // allocation of any thread finds it; in the freeing thread's cache it
+    // would be stranded whenever that thread is not the one that allocates.
+    Arena::instance().spill(cls, node, node);
+    return;
+  }
+  thread_cache().push(cls, node);
 }
 
 PoolStats pool_stats() {

@@ -16,6 +16,12 @@
 //   * each thread owns a ThreadCache (thread_local) of per-class free lists;
 //     blocks freed by a thread go to that thread's cache regardless of the
 //     allocating thread — safe because a block carries its class in a header.
+//     Each list is capped at two carves' worth; the excess spills to the
+//     arena, so blocks freed on one thread and allocated on another (a
+//     handle destroyed on the master thread) flow back to the allocator.
+//   * classes that carve a single block (>= 512 KiB) skip the thread cache:
+//     a freed block goes straight to the arena, where any thread's next
+//     allocation of that class finds it.
 //   * carving: when a class list is empty the cache carves a chunk from the
 //     global arena (lock-guarded bump region) and splits it into blocks.
 //

@@ -5,14 +5,19 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <limits>
 #include <map>
 #include <numeric>
+#include <set>
+#include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "accumulator/hash_table.hpp"
 #include "accumulator/hash_vec.hpp"
 #include "accumulator/heap.hpp"
+#include "accumulator/row_sort.hpp"
 #include "accumulator/spa.hpp"
 #include "accumulator/two_level_hash.hpp"
 #include "common/random.hpp"
@@ -109,28 +114,76 @@ TYPED_TEST(MapAccumulatorTest, ResetClearsState) {
   EXPECT_TRUE(acc.insert(1));  // key 1 must be forgotten
 }
 
+/// Widest key range a sorted-extraction test row spans: 2^30 keys, except
+/// for the SPA, whose dense arrays cover every column (2^20 there still
+/// spreads 1000 keys too thin for the bitmap-rank path).
+template <typename Acc>
+constexpr std::size_t kWideKeyRange = std::size_t{1} << 30;
+template <>
+constexpr std::size_t kWideKeyRange<SpaAccumulator<I, double>> =
+    std::size_t{1} << 20;
+
+/// `n` distinct keys drawn from [0, range), in random order.
+std::vector<I> distinct_keys(std::size_t n, std::size_t range,
+                             SplitMix64& rng) {
+  std::set<I> picked;
+  if (2 * n >= range) {
+    for (std::size_t k = 0; k < range; ++k) picked.insert(static_cast<I>(k));
+    while (picked.size() > n) {
+      picked.erase(static_cast<I>(rng.next_below(range)));
+    }
+  } else {
+    while (picked.size() < n) {
+      picked.insert(static_cast<I>(rng.next_below(range)));
+    }
+  }
+  std::vector<I> keys(picked.begin(), picked.end());
+  for (std::size_t i = keys.size(); i > 1; --i) {
+    std::swap(keys[i - 1], keys[rng.next_below(i)]);
+  }
+  return keys;
+}
+
 TYPED_TEST(MapAccumulatorTest, SortedExtractionAscends) {
-  TypeParam acc;
-  prepare_for(acc, 256, 1000);
+  // Rows of 1 to 1000 distinct keys over a narrow (bitmap-rank) and a wide
+  // (comparison) key range, every key accumulated once or twice.
   SplitMix64 rng(77);
-  std::map<I, double> oracle;
-  for (int i = 0; i < 150; ++i) {
-    const I key = static_cast<I>(rng.next_below(1000));
-    const double v = rng.next_double();
-    acc.accumulate(key, v);
-    oracle[key] += v;
+  int bitmap_rows = 0;
+  int comparison_rows = 0;
+  for (const std::size_t range :
+       {std::size_t{1000}, kWideKeyRange<TypeParam>}) {
+    for (const std::size_t n : {1, 31, 32, 33, 150, 1000}) {
+      const std::vector<I> keys = distinct_keys(n, range, rng);
+      TypeParam acc;
+      prepare_for(acc, 2 * n, range);
+      std::map<I, double> oracle;
+      for (const I key : keys) {
+        for (int rep = 0; rep < 1 + (key % 2); ++rep) {
+          const double v = rng.next_double();
+          acc.accumulate(key, v);
+          oracle[key] += v;
+        }
+      }
+      ASSERT_EQ(acc.count(), n);
+      if (row_sort_uses_bitmap(oracle.begin()->first,
+                               oracle.rbegin()->first, n)) {
+        ++bitmap_rows;
+      } else if (n > kRowSortInsertionMax) {
+        ++comparison_rows;
+      }
+      std::vector<I> cols(n);
+      std::vector<double> vals(n);
+      acc.extract_sorted(cols.data(), vals.data());
+      std::size_t idx = 0;
+      for (const auto& [key, val] : oracle) {
+        ASSERT_EQ(cols[idx], key) << "range " << range << " n " << n;
+        ASSERT_EQ(vals[idx], val) << "range " << range << " n " << n;
+        ++idx;
+      }
+    }
   }
-  ASSERT_EQ(acc.count(), oracle.size());
-  std::vector<I> cols(oracle.size());
-  std::vector<double> vals(oracle.size());
-  acc.extract_sorted(cols.data(), vals.data());
-  EXPECT_TRUE(std::is_sorted(cols.begin(), cols.end()));
-  std::size_t idx = 0;
-  for (const auto& [key, val] : oracle) {
-    EXPECT_EQ(cols[idx], key);
-    EXPECT_NEAR(vals[idx], val, 1e-12);
-    ++idx;
-  }
+  EXPECT_GT(bitmap_rows, 0);
+  EXPECT_GT(comparison_rows, 0);
 }
 
 TYPED_TEST(MapAccumulatorTest, ReuseAcrossManyRows) {
@@ -186,6 +239,136 @@ TYPED_TEST(MapAccumulatorTest, FillToBound) {
   for (I k = 0; k < 64; ++k) EXPECT_TRUE(acc.insert(k));
   for (I k = 0; k < 64; ++k) EXPECT_FALSE(acc.insert(k));
   EXPECT_EQ(acc.count(), 64u);
+}
+
+// ---------------------------------------------------------------------------
+// sort_row() against std::sort: distinct keys of either index width, narrow
+// and wide spans, spans at the bitmap gate, keys at both ends of the type.
+// ---------------------------------------------------------------------------
+
+template <typename K>
+class RowSortTest : public ::testing::Test {};
+
+using RowSortKeyTypes = ::testing::Types<std::int32_t, std::int64_t>;
+TYPED_TEST_SUITE(RowSortTest, RowSortKeyTypes);
+
+/// `n` distinct keys in [lo, lo + span], random order; lo and lo + span are
+/// always among them so the row's span is exactly `span`.
+template <typename K>
+std::vector<K> keys_spanning(K lo, std::uint64_t span, std::size_t n,
+                             SplitMix64& rng) {
+  using UK = std::make_unsigned_t<K>;
+  const auto at = [&](std::uint64_t off) {
+    return static_cast<K>(static_cast<UK>(lo) + static_cast<UK>(off));
+  };
+  std::set<K> picked{lo, at(span)};
+  while (picked.size() < n) picked.insert(at(rng.next_below(span + 1)));
+  std::vector<K> keys(picked.begin(), picked.end());
+  for (std::size_t i = keys.size(); i > 1; --i) {
+    std::swap(keys[i - 1], keys[rng.next_below(i)]);
+  }
+  return keys;
+}
+
+/// sort_row() with a value payload, with an index payload and keys-only
+/// must all agree with std::sort of (key, index) pairs.
+template <typename K>
+void expect_sort_row_matches_std_sort(const std::vector<K>& keys,
+                                      const std::string& label) {
+  const std::size_t n = keys.size();
+  std::vector<std::pair<K, std::int32_t>> expected(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    expected[i] = {keys[i], static_cast<std::int32_t>(i)};
+  }
+  std::sort(expected.begin(), expected.end());
+
+  std::vector<K> with_index = keys;
+  std::vector<std::int32_t> index(n);
+  std::iota(index.begin(), index.end(), 0);
+  sort_row(with_index.data(), index.data(), n);
+
+  std::vector<K> with_value = keys;
+  std::vector<double> value(n);
+  for (std::size_t i = 0; i < n; ++i) value[i] = 0.5 + static_cast<double>(i);
+  sort_row(with_value.data(), value.data(), n);
+
+  std::vector<K> keys_only = keys;
+  sort_row(keys_only.data(), n);
+
+  for (std::size_t i = 0; i < n; ++i) {
+    ASSERT_EQ(with_index[i], expected[i].first) << label << " at " << i;
+    ASSERT_EQ(index[i], expected[i].second) << label << " at " << i;
+    ASSERT_EQ(with_value[i], expected[i].first) << label << " at " << i;
+    ASSERT_EQ(value[i], 0.5 + expected[i].second) << label << " at " << i;
+    ASSERT_EQ(keys_only[i], expected[i].first) << label << " at " << i;
+  }
+}
+
+TYPED_TEST(RowSortTest, MatchesStdSortOnRandomRows) {
+  using K = TypeParam;
+  constexpr K kMax = std::numeric_limits<K>::max();
+  constexpr K kMin = std::numeric_limits<K>::min();
+  SplitMix64 rng(1804);
+  int bitmap_rows = 0;
+  int comparison_rows = 0;
+  // Many rows back to back on one thread: a row that left its bitmap
+  // words dirty would corrupt the next one.
+  for (int row = 0; row < 400; ++row) {
+    const std::size_t n = 1 + rng.next_below(row % 4 == 0 ? 2000 : 120);
+    // Spans from tight (every key in a few words) to far past the gate.
+    const std::uint64_t span =
+        n == 1 ? 0
+               : (n - 1) + rng.next_below(std::uint64_t{1}
+                                          << (rng.next_below(5) * 6));
+    K lo;
+    switch (row % 4) {
+      case 0: lo = 0; break;
+      case 1: lo = static_cast<K>(kMax - static_cast<K>(span)); break;
+      case 2: lo = static_cast<K>(rng.next_below(1u << 20)); break;
+      default: lo = static_cast<K>(kMin + static_cast<K>(rng.next_below(64)));
+    }
+    const std::vector<K> keys = keys_spanning(lo, span, n, rng);
+    const auto [lo_it, hi_it] = std::minmax_element(keys.begin(), keys.end());
+    if (row_sort_uses_bitmap(*lo_it, *hi_it, n)) {
+      ++bitmap_rows;
+    } else if (n > kRowSortInsertionMax) {
+      ++comparison_rows;
+    }
+    expect_sort_row_matches_std_sort(keys, "row " + std::to_string(row));
+  }
+  EXPECT_GT(bitmap_rows, 50);
+  EXPECT_GT(comparison_rows, 50);
+}
+
+TYPED_TEST(RowSortTest, GateBoundaryAndTypeExtremes) {
+  using K = TypeParam;
+  constexpr K kMax = std::numeric_limits<K>::max();
+  constexpr K kMin = std::numeric_limits<K>::min();
+  SplitMix64 rng(4);
+  constexpr std::size_t n = 64;
+  // The last span the bitmap takes, and the first it refuses.
+  const std::uint64_t fits = kRowSortSpanFactor * n * 64 - 1;
+  for (const K lo : {K{0}, static_cast<K>(kMax - static_cast<K>(fits + 1)),
+                     kMin}) {
+    const std::vector<K> tight = keys_spanning(lo, fits, n, rng);
+    const std::vector<K> wide = keys_spanning(lo, fits + 1, n, rng);
+    EXPECT_TRUE(row_sort_uses_bitmap(lo, static_cast<K>(lo + fits), n));
+    EXPECT_FALSE(
+        row_sort_uses_bitmap(lo, static_cast<K>(lo + fits + 1), n));
+    expect_sort_row_matches_std_sort(tight, "at the gate");
+    expect_sort_row_matches_std_sort(wide, "past the gate");
+  }
+  // Rows holding the type's extreme keys, and one spanning all of it.
+  expect_sort_row_matches_std_sort(
+      keys_spanning(static_cast<K>(kMax - 100), 100, 101, rng), "top 101");
+  expect_sort_row_matches_std_sort(keys_spanning(kMin, 100, 50, rng),
+                                   "bottom 50");
+  std::vector<K> extremes{kMax, kMin, 0, -1, 1, static_cast<K>(kMax - 1)};
+  for (K k = 2; extremes.size() < 40; ++k) extremes.push_back(k * 1000);
+  expect_sort_row_matches_std_sort(extremes, "full type span");
+  // Trivial rows.
+  expect_sort_row_matches_std_sort(std::vector<K>{}, "empty");
+  expect_sort_row_matches_std_sort(std::vector<K>{kMax}, "single");
 }
 
 // ---------------------------------------------------------------------------

@@ -109,6 +109,37 @@ TEST(EngineCacheHit, BitIdenticalToFreshPlanAcrossKernels) {
   }
 }
 
+TEST(EngineCacheHit, StatsReportReplayWorkOnly) {
+  // A hit replays the retained plan: it reports the numeric work it did and
+  // none of the symbolic work the planning request already reported.
+  const Matrix a = unit_valued_rmat(8, 8, 23);
+  engine::EngineOptions eo;
+  eo.plan.algorithm = Algorithm::kHash;
+  Engine eng(eo);
+  const Engine::Product miss = eng.multiply(a, a);
+  const Engine::Product hit = eng.multiply(a, a);
+  ASSERT_FALSE(miss.cache_hit);
+  ASSERT_TRUE(hit.cache_hit);
+
+  EXPECT_GT(miss.stats.symbolic_probes, 0u);
+  EXPECT_GT(miss.stats.symbolic_keys, 0u);
+  EXPECT_GT(miss.stats.plan_ms, 0.0);
+  EXPECT_EQ(miss.stats.probes,
+            miss.stats.symbolic_probes + miss.stats.numeric_probes);
+
+  EXPECT_EQ(hit.stats.setup_ms, 0.0);
+  EXPECT_EQ(hit.stats.symbolic_ms, 0.0);
+  EXPECT_EQ(hit.stats.symbolic_probes, 0u);
+  EXPECT_EQ(hit.stats.symbolic_keys, 0u);
+  EXPECT_EQ(hit.stats.plan_ms, 0.0);
+  EXPECT_EQ(hit.stats.probes, hit.stats.numeric_probes);
+  // The replayed numeric pass does the same work as the planning request's.
+  EXPECT_EQ(hit.stats.numeric_probes, miss.stats.numeric_probes);
+  EXPECT_EQ(hit.stats.numeric_keys, miss.stats.numeric_keys);
+  EXPECT_EQ(hit.stats.flop, miss.stats.flop);
+  EXPECT_EQ(hit.stats.nnz_out, miss.stats.nnz_out);
+}
+
 // ---------------------------------------------------------------------------
 // LRU eviction under the byte budget.
 // ---------------------------------------------------------------------------

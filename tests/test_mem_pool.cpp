@@ -91,6 +91,36 @@ TEST(PoolAllocator, CrossThreadFreeIsSafe) {
   }
 }
 
+/// Rounds in which worker thread 1 allocates `count` blocks of `bytes` and
+/// the master thread frees them; returns the arena carves made after the
+/// first `warmup` rounds.
+std::uint64_t carves_after_warmup(std::size_t bytes, int count, int warmup) {
+  constexpr int kRounds = 12;
+  std::uint64_t carves_before = 0;
+  for (int round = 0; round < kRounds; ++round) {
+    if (round == warmup) carves_before = pool_stats().carves;
+    std::vector<void*> blocks;
+#pragma omp parallel num_threads(2)
+    {
+      if (omp_get_thread_num() == 1) {
+        for (int i = 0; i < count; ++i) blocks.push_back(pool_malloc(bytes));
+      }
+    }
+    for (void* p : blocks) pool_free(p);
+  }
+  return pool_stats().carves - carves_before;
+}
+
+TEST(PoolAllocator, WorkerAllocMasterFreeStaysFlat) {
+  // A handle destroyed on the master thread frees scratch its OpenMP
+  // workers allocated; the workers must get that memory back instead of
+  // carving fresh chunks on every call.  A single-block class (a 16 MiB
+  // capture buffer) is reusable from the next round on; a many-block
+  // class once the master's capped cache has filled.
+  EXPECT_EQ(carves_after_warmup(std::size_t{16} << 20, 1, 1), 0u);
+  EXPECT_EQ(carves_after_warmup(1024, 4096, 4), 0u);
+}
+
 TEST(PoolAllocator, FlushThenRefill) {
   void* a = pool_malloc(2048);
   pool_free(a);

@@ -10,9 +10,14 @@
 #include <gtest/gtest.h>
 
 #include <cctype>
+#include <set>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
+#include "accumulator/row_sort.hpp"
+#include "common/random.hpp"
 #include "core/multiply.hpp"
 #include "core/spgemm_handle.hpp"
 #include "core/spgemm_hash.hpp"
@@ -159,6 +164,100 @@ std::vector<ReuseParam> build_reuse_sweep() {
 INSTANTIATE_TEST_SUITE_P(DriverKernels, ReuseSweep,
                          ::testing::ValuesIn(build_reuse_sweep()),
                          reuse_name);
+
+// ---------------------------------------------------------------------------
+// Sorted emission over a 2^20-column space: one product whose rows take
+// every sort_row() path (accumulator/row_sort.hpp) stays bit-identical to
+// the reference whichever driver, capture mode and thread count emits it.
+// ---------------------------------------------------------------------------
+
+/// A (240 x 96) and B (96 x 2^20), unit-valued.  B rows 0-63 form 16 groups
+/// of 4 whose columns share one 2048-column window; rows 64-79 scatter 40
+/// columns over the whole space; rows 80-95 scatter 12.  A's rows combine
+/// three rows of one group (clustered: bitmap-rank sort), three scattered
+/// rows (comparison sort) or two short rows (insertion sort).
+std::pair<Matrix, Matrix> wide_column_operands() {
+  constexpr I kCols = I{1} << 20;
+  constexpr I kInner = 96;
+  SplitMix64 rng(2020);
+  std::vector<std::tuple<I, I, double>> bt;
+  for (I r = 0; r < kInner; ++r) {
+    const std::size_t len = r < 80 ? 40 : 12;
+    std::set<I> cols;
+    while (cols.size() < len) {
+      const I window = (r / 4) * 65536;
+      cols.insert(r < 64 ? window + static_cast<I>(rng.next_below(2048))
+                         : static_cast<I>(rng.next_below(kCols)));
+    }
+    for (const I c : cols) bt.emplace_back(r, c, 1.0);
+  }
+  std::vector<std::tuple<I, I, double>> at;
+  for (I i = 0; i < 240; ++i) {
+    for (I k = 0; k < 3; ++k) {
+      switch (i % 3) {
+        case 0:
+          at.emplace_back(i, i / 3 % 16 * 4 + k, 1.0);
+          break;
+        case 1:
+          at.emplace_back(i, 64 + (i + 5 * k) % 16, 1.0);
+          break;
+        default:
+          if (k < 2) at.emplace_back(i, 80 + (i + 7 * k) % 16, 1.0);
+      }
+    }
+  }
+  return {csr_from_triplets<I, double>(240, kInner, at),
+          csr_from_triplets<I, double>(kInner, kCols, bt)};
+}
+
+TEST(ReuseSortPaths, WideColumnSpaceBitIdenticalAcrossThreads) {
+  const auto [a, b] = wide_column_operands();
+  const Matrix expected = spgemm_reference(a, b);
+
+  int insertion_rows = 0;
+  int bitmap_rows = 0;
+  int comparison_rows = 0;
+  for (I i = 0; i < expected.nrows; ++i) {
+    const auto n = static_cast<std::size_t>(expected.row_nnz(i));
+    const auto begin = static_cast<std::size_t>(expected.row_begin(i));
+    if (n <= kRowSortInsertionMax) {
+      ++insertion_rows;
+    } else if (row_sort_uses_bitmap(expected.cols[begin],
+                                    expected.cols[begin + n - 1], n)) {
+      ++bitmap_rows;
+    } else {
+      ++comparison_rows;
+    }
+  }
+  EXPECT_EQ(insertion_rows, 80);
+  EXPECT_EQ(bitmap_rows, 80);
+  EXPECT_EQ(comparison_rows, 80);
+
+  for (const Algorithm algo :
+       {Algorithm::kHash, Algorithm::kHashVector, Algorithm::kSpa,
+        Algorithm::kKkHash}) {
+    for (const int threads : {1, 2, 4}) {
+      const std::string label =
+          algorithm_name(algo) + std::string(" t") + std::to_string(threads);
+      SpGemmOptions opts;
+      opts.algorithm = algo;
+      opts.sort_output = SortOutput::kYes;
+      opts.threads = threads;
+      for (const StructureReuse reuse :
+           {StructureReuse::kOn, StructureReuse::kOff}) {
+        opts.reuse = reuse;
+        const std::string mode =
+            label + (reuse == StructureReuse::kOn ? " capture" : " re-probe");
+        expect_bitwise_equal(multiply(a, b, opts), expected,
+                             mode + " one-shot");
+        SpGemmHandle<I, double> handle(a, b, opts);
+        Matrix planned;
+        handle.execute_into(a, b, planned);
+        expect_bitwise_equal(planned, expected, mode + " handle");
+      }
+    }
+  }
+}
 
 // ---------------------------------------------------------------------------
 // Budget fallback: dense rows exceeding the capture budget re-probe, and
