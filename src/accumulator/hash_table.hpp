@@ -199,13 +199,6 @@ class HashAccumulator {
     }
   }
 
-  /// Emit keys only, insertion order (symbolic phase never needs values).
-  void extract_keys(IT* out_cols) const {
-    for (std::size_t i = 0; i < count_; ++i) {
-      out_cols[i] = keys_[static_cast<std::size_t>(touched_[i])];
-    }
-  }
-
   /// Emit (cols, vals) ascending by column.
   void extract_sorted(IT* out_cols, VT* out_vals) {
     extract_unsorted(out_cols, out_vals);

@@ -179,12 +179,6 @@ class HashVecAccumulator {
     }
   }
 
-  void extract_keys(IT* out_cols) const {
-    for (std::size_t i = 0; i < count_; ++i) {
-      out_cols[i] = keys_[static_cast<std::size_t>(touched_[i])];
-    }
-  }
-
   void extract_sorted(IT* out_cols, VT* out_vals) {
     extract_unsorted(out_cols, out_vals);
     sort_row(out_cols, out_vals, count_);

@@ -86,10 +86,6 @@ class SpaAccumulator {
     }
   }
 
-  void extract_keys(IT* out_cols) const {
-    std::copy(touched_, touched_ + count_, out_cols);
-  }
-
   void extract_sorted(IT* out_cols, VT* out_vals) {
     // Sorting the touched-column list (not (col,val) pairs) lets the value
     // gather stay a dense-array read.

@@ -112,10 +112,6 @@ class TwoLevelHashAccumulator {
     std::copy(vals_, vals_ + count_, out_vals);
   }
 
-  void extract_keys(IT* out_cols) const {
-    std::copy(keys_, keys_ + count_, out_cols);
-  }
-
   /// Sorted extraction is not native to kkmem (Table 1: unsorted only) but
   /// is provided so the driver stays uniform; it costs an explicit sort.
   void extract_sorted(IT* out_cols, VT* out_vals) {

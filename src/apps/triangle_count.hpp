@@ -60,12 +60,10 @@ TriangleCountResult<IT, VT> count_triangles_fused(
   for (auto& v : pattern.vals) v = VT{1};
   TriangularSplit<IT, VT> split = prepare_triangle_split(pattern);
 
-  if (opts.algorithm == Algorithm::kAuto) {
-    opts.algorithm = recipe::select_for(
-        split.lower, split.upper, recipe::Operation::kTriangular,
-        opts.sort_output, recipe::DataOrigin::kReal);
-    if (!is_two_phase(opts.algorithm)) opts.algorithm = Algorithm::kHash;
-  }
+  opts.algorithm =
+      recipe::resolve(opts.algorithm, split.lower, split.upper,
+                      opts.sort_output, recipe::Operation::kTriangular,
+                      is_two_phase);
   opts.epilogue.kind = EpilogueKind::kMaskReduce;
 
   TriangleCountResult<IT, VT> out;
@@ -87,11 +85,9 @@ TriangleCountResult<IT, VT> count_triangles(const CsrMatrix<IT, VT>& a,
 
   TriangularSplit<IT, VT> split = prepare_triangle_split(pattern);
 
-  if (opts.algorithm == Algorithm::kAuto) {
-    opts.algorithm = recipe::select_for(
-        split.lower, split.upper, recipe::Operation::kTriangular,
-        opts.sort_output, recipe::DataOrigin::kReal);
-  }
+  opts.algorithm =
+      recipe::resolve(opts.algorithm, split.lower, split.upper,
+                      opts.sort_output, recipe::Operation::kTriangular);
   TriangleCountResult<IT, VT> out;
   out.wedges =
       multiply(split.lower, split.upper, opts, &out.spgemm_stats);

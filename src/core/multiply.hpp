@@ -1,16 +1,16 @@
 // multiply(): the public one-shot SpGEMM entry point.
 //
-// Dispatches to the requested kernel (or the Table 4 recipe when kAuto) and
-// enforces input-sortedness preconditions.  Every TWO-PHASE kernel (hash,
-// hashvec, SPA, kkhash, adaptive) runs the TILE-FUSED driver
-// (core/spgemm_twophase.hpp): symbolic and numeric execute back to back per
+// Dispatches to the requested kernel (or the Table 4 recipe when kAuto,
+// through recipe::resolve) and enforces input-sortedness preconditions.
+// Every TWO-PHASE kernel (hash, hashvec, SPA, kkhash, adaptive) runs the
+// row pipeline's one-shot pass (KernelPlan::multiply_once in
+// core/spgemm_twophase.hpp): symbolic and numeric execute back to back per
 // tile of the ExecutionSchedule, while the A/B rows and accumulator state
 // are still cache-hot — the right shape for a product that is computed
-// exactly once.  Repeated products should plan a SpGemmHandle instead; the
-// fused driver and the handle share the same row-level primitives, kernel
-// policies and schedule cuts, so their outputs are bit-identical.
-// One-phase kernels (heap, merge, ikj, spa1p) and the reference oracle keep
-// their direct implementations.
+// exactly once.  Repeated products should plan a SpGemmHandle instead; it
+// runs the same row loops, kernel policies and schedule cuts, so their
+// outputs are bit-identical.  One-phase kernels (heap, merge, ikj, spa1p)
+// and the reference oracle keep their direct implementations.
 #pragma once
 
 #include <stdexcept>
@@ -40,20 +40,19 @@ constexpr bool supports_semiring(Algorithm algo) {
   return algo == Algorithm::kHeap || is_two_phase(algo);
 }
 
-/// One-shot tile-fused multiply for any two-phase kernel: the fused driver
-/// with the kernel's planning policy (with_plan_policy — the same mapping
-/// SpGemmHandle plans with).  The adaptive kernel flows through the same
-/// driver via its dual accumulator, so every two-phase algorithm shares one
-/// fused code path.
+/// One-shot multiply for any two-phase kernel: the row pipeline with the
+/// kernel's planning policy (with_plan_policy — the same mapping
+/// SpGemmHandle plans with).  The adaptive kernel flows through it via its
+/// dual accumulator.  `epi` carries a fused epilogue's operands.
 template <typename SR, IndexType IT, ValueType VT>
 CsrMatrix<IT, VT> multiply_fused(const CsrMatrix<IT, VT>& a,
                                  const CsrMatrix<IT, VT>& b,
-                                 const SpGemmOptions& opts,
-                                 SpGemmStats* stats) {
+                                 const SpGemmOptions& opts, SpGemmStats* stats,
+                                 const EpilogueContext<IT, VT>* epi = nullptr) {
   return with_plan_policy<IT, VT>(
       opts.algorithm, opts.probe, b.ncols, [&](auto policy) {
         return spgemm_two_phase<IT, VT>(a, b, opts, std::move(policy), stats,
-                                        SR{});
+                                        SR{}, epi);
       });
 }
 
@@ -71,16 +70,11 @@ CsrMatrix<IT, VT> multiply_over(const CsrMatrix<IT, VT>& a,
   if (a.ncols != b.nrows) {
     throw std::invalid_argument("multiply_over: inner dimensions disagree");
   }
-  if (opts.algorithm == Algorithm::kAuto) {
-    // Same recipe as multiply(); kernels that cannot fold through a custom
-    // semiring (merge, ikj, spa1p, reference) fall back to Hash.
-    opts.algorithm = recipe::select_for(
-        a, b, recipe::Operation::kSquare, opts.sort_output,
-        recipe::DataOrigin::kReal);
-    if (!detail::supports_semiring(opts.algorithm)) {
-      opts.algorithm = Algorithm::kHash;
-    }
-  }
+  // Same recipe as multiply(); kernels that cannot fold through a custom
+  // semiring (merge, ikj, spa1p, reference) fall back to Hash.
+  opts.algorithm =
+      recipe::resolve(opts.algorithm, a, b, opts.sort_output,
+                      recipe::Operation::kSquare, detail::supports_semiring);
   if (requires_sorted_input(opts.algorithm) &&
       (!a.claims_sorted() || !b.claims_sorted())) {
     throw std::invalid_argument(
@@ -97,8 +91,8 @@ CsrMatrix<IT, VT> multiply_over(const CsrMatrix<IT, VT>& a,
 }
 
 /// One-shot SpGEMM with a fused per-row epilogue (opts.epilogue): the
-/// epilogue runs on each output row inside the tile loop, while the row is
-/// cache-hot, and only the kept entries are ever staged — the full
+/// epilogue runs on each output row inside the numeric row loop, while the
+/// row is cache-hot, and only the kept entries are ever staged — the full
 /// intermediate never materializes.  Two-phase kernels only (kAuto resolves
 /// to one, falling back to kHash).  `mask` is the kMaskReduce operand;
 /// `result` receives the scalar outputs (reduction, column sums).  kRap
@@ -118,22 +112,14 @@ CsrMatrix<IT, VT> multiply_with_epilogue(
     throw std::invalid_argument(
         "multiply_with_epilogue: kRap runs through multiply_rap()");
   }
-  if (opts.algorithm == Algorithm::kAuto) {
-    opts.algorithm = recipe::select_for(
-        a, b, recipe::Operation::kSquare, opts.sort_output,
-        recipe::DataOrigin::kReal);
-    if (!is_two_phase(opts.algorithm)) opts.algorithm = Algorithm::kHash;
-  }
+  opts.algorithm = recipe::resolve(opts.algorithm, a, b, opts.sort_output,
+                                   recipe::Operation::kSquare, is_two_phase);
   if (!is_two_phase(opts.algorithm)) {
     throw std::invalid_argument(
         "multiply_with_epilogue: fused epilogues need a two-phase kernel");
   }
   const detail::EpilogueContext<IT, VT> ectx{mask, result};
-  return detail::with_plan_policy<IT, VT>(
-      opts.algorithm, opts.probe, b.ncols, [&](auto policy) {
-        return detail::spgemm_two_phase<IT, VT>(
-            a, b, opts, std::move(policy), stats, PlusTimes{}, &ectx);
-      });
+  return detail::multiply_fused<PlusTimes>(a, b, opts, stats, &ectx);
 }
 
 template <IndexType IT, ValueType VT>
@@ -145,11 +131,7 @@ CsrMatrix<IT, VT> multiply(const CsrMatrix<IT, VT>& a,
     throw std::invalid_argument("multiply: inner dimensions disagree");
   }
 
-  if (opts.algorithm == Algorithm::kAuto) {
-    opts.algorithm = recipe::select_for(
-        a, b, recipe::Operation::kSquare, opts.sort_output,
-        recipe::DataOrigin::kReal);
-  }
+  opts.algorithm = recipe::resolve(opts.algorithm, a, b, opts.sort_output);
   if (requires_sorted_input(opts.algorithm) && !a.claims_sorted()) {
     throw std::invalid_argument(
         "multiply: kernel requires sorted inputs but A is unsorted");

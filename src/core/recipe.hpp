@@ -65,4 +65,18 @@ Algorithm select_for(const CsrMatrix<IT, VT>& a, const CsrMatrix<IT, VT>& b,
   return select(s);
 }
 
+/// The one kAuto resolution every entry point shares: an explicit
+/// algorithm passes through; kAuto takes the Table 4 pick for `op` on real
+/// data, or kHash when `runs` says the calling entry point cannot run that
+/// pick (no symbolic phase to plan, no semiring fold, ...).
+template <IndexType IT, ValueType VT>
+Algorithm resolve(Algorithm algo, const CsrMatrix<IT, VT>& a,
+                  const CsrMatrix<IT, VT>& b, SortOutput sorted,
+                  Operation op = Operation::kSquare,
+                  bool (*runs)(Algorithm) = nullptr) {
+  if (algo != Algorithm::kAuto) return algo;
+  const Algorithm pick = select_for(a, b, op, sorted);
+  return runs == nullptr || runs(pick) ? pick : Algorithm::kHash;
+}
+
 }  // namespace spgemm::recipe

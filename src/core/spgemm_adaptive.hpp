@@ -13,8 +13,6 @@
 // where one accumulator cannot fit all regimes.
 #pragma once
 
-#include <omp.h>
-
 #include <algorithm>
 #include <cstddef>
 
@@ -112,49 +110,46 @@ CsrMatrix<IT, VT> spgemm_adaptive(const CsrMatrix<IT, VT>& a,
   // ---- Symbolic ----------------------------------------------------------
   timer.reset();
 #pragma omp parallel num_threads(nthreads)
-  {
-    const int tid = omp_get_thread_num();
-    if (tid < part.threads()) {
-      HashAccumulator<IT, VT> hash;
-      SpaAccumulator<IT, VT> spa;
-      bool spa_ready = false;
-      hash.prepare(hash_table_size_for(
-          std::min<Offset>(part.max_row_flop(tid), dense_cut),
-          static_cast<std::size_t>(b.ncols)));
-      for (std::size_t i = part.offsets[static_cast<std::size_t>(tid)];
-           i < part.offsets[static_cast<std::size_t>(tid) + 1]; ++i) {
-        const Offset row_flop = part.flop_prefix[i + 1] - part.flop_prefix[i];
-        if (row_flop >= dense_cut) {
-          if (!spa_ready) {
-            spa.prepare(static_cast<std::size_t>(b.ncols));
-            spa_ready = true;
-          }
-          for (Offset j = a.rpts[i]; j < a.rpts[i + 1]; ++j) {
-            const auto k = static_cast<std::size_t>(
-                a.cols[static_cast<std::size_t>(j)]);
-            for (Offset l = b.rpts[k]; l < b.rpts[k + 1]; ++l) {
-              spa.insert(b.cols[static_cast<std::size_t>(l)]);
-            }
-          }
-          c.rpts[i + 1] = static_cast<Offset>(spa.count());
-          spa.reset();
-        } else {
-          // Tiny rows share the hash path in the symbolic phase: counting
-          // distinct keys is all that matters and flop <= 16 is cheap
-          // either way.
-          for (Offset j = a.rpts[i]; j < a.rpts[i + 1]; ++j) {
-            const auto k = static_cast<std::size_t>(
-                a.cols[static_cast<std::size_t>(j)]);
-            for (Offset l = b.rpts[k]; l < b.rpts[k + 1]; ++l) {
-              hash.insert(b.cols[static_cast<std::size_t>(l)]);
-            }
-          }
-          c.rpts[i + 1] = static_cast<Offset>(hash.count());
-          hash.reset();
+  parallel::for_each_owner(part.threads(), [&](int tid) {
+    HashAccumulator<IT, VT> hash;
+    SpaAccumulator<IT, VT> spa;
+    bool spa_ready = false;
+    hash.prepare(hash_table_size_for(
+        std::min<Offset>(part.max_row_flop(tid), dense_cut),
+        static_cast<std::size_t>(b.ncols)));
+    for (std::size_t i = part.offsets[static_cast<std::size_t>(tid)];
+         i < part.offsets[static_cast<std::size_t>(tid) + 1]; ++i) {
+      const Offset row_flop = part.flop_prefix[i + 1] - part.flop_prefix[i];
+      if (row_flop >= dense_cut) {
+        if (!spa_ready) {
+          spa.prepare(static_cast<std::size_t>(b.ncols));
+          spa_ready = true;
         }
+        for (Offset j = a.rpts[i]; j < a.rpts[i + 1]; ++j) {
+          const auto k = static_cast<std::size_t>(
+              a.cols[static_cast<std::size_t>(j)]);
+          for (Offset l = b.rpts[k]; l < b.rpts[k + 1]; ++l) {
+            spa.insert(b.cols[static_cast<std::size_t>(l)]);
+          }
+        }
+        c.rpts[i + 1] = static_cast<Offset>(spa.count());
+        spa.reset();
+      } else {
+        // Tiny rows share the hash path in the symbolic phase: counting
+        // distinct keys is all that matters and flop <= 16 is cheap
+        // either way.
+        for (Offset j = a.rpts[i]; j < a.rpts[i + 1]; ++j) {
+          const auto k = static_cast<std::size_t>(
+              a.cols[static_cast<std::size_t>(j)]);
+          for (Offset l = b.rpts[k]; l < b.rpts[k + 1]; ++l) {
+            hash.insert(b.cols[static_cast<std::size_t>(l)]);
+          }
+        }
+        c.rpts[i + 1] = static_cast<Offset>(hash.count());
+        hash.reset();
       }
     }
-  }
+  });
   for (std::size_t i = 0; i < nrows; ++i) c.rpts[i + 1] += c.rpts[i];
   if (stats != nullptr) stats->symbolic_ms = timer.millis();
   c.cols.resize(static_cast<std::size_t>(c.nnz()));
@@ -163,80 +158,77 @@ CsrMatrix<IT, VT> spgemm_adaptive(const CsrMatrix<IT, VT>& a,
   // ---- Numeric ------------------------------------------------------------
   timer.reset();
 #pragma omp parallel num_threads(nthreads)
-  {
-    const int tid = omp_get_thread_num();
-    if (tid < part.threads()) {
-      detail::TinyRowAccumulator<IT, VT, SR> tiny;
-      HashAccumulator<IT, VT> hash;
-      SpaAccumulator<IT, VT> spa;
-      bool spa_ready = false;
-      hash.prepare(hash_table_size_for(
-          std::min<Offset>(part.max_row_flop(tid), dense_cut),
-          static_cast<std::size_t>(b.ncols)));
-      const auto fold = [](VT& acc, VT v) { SR::add_into(acc, v); };
+  parallel::for_each_owner(part.threads(), [&](int tid) {
+    detail::TinyRowAccumulator<IT, VT, SR> tiny;
+    HashAccumulator<IT, VT> hash;
+    SpaAccumulator<IT, VT> spa;
+    bool spa_ready = false;
+    hash.prepare(hash_table_size_for(
+        std::min<Offset>(part.max_row_flop(tid), dense_cut),
+        static_cast<std::size_t>(b.ncols)));
+    const auto fold = [](VT& acc, VT v) { SR::add_into(acc, v); };
 
-      for (std::size_t i = part.offsets[static_cast<std::size_t>(tid)];
-           i < part.offsets[static_cast<std::size_t>(tid) + 1]; ++i) {
-        const Offset row_flop = part.flop_prefix[i + 1] - part.flop_prefix[i];
-        IT* out_cols = c.cols.data() + c.rpts[i];
-        VT* out_vals = c.vals.data() + c.rpts[i];
+    for (std::size_t i = part.offsets[static_cast<std::size_t>(tid)];
+         i < part.offsets[static_cast<std::size_t>(tid) + 1]; ++i) {
+      const Offset row_flop = part.flop_prefix[i + 1] - part.flop_prefix[i];
+      IT* out_cols = c.cols.data() + c.rpts[i];
+      VT* out_vals = c.vals.data() + c.rpts[i];
 
-        if (row_flop <= tiny_cut) {
-          tiny.begin();
-          for (Offset j = a.rpts[i]; j < a.rpts[i + 1]; ++j) {
-            const auto k = static_cast<std::size_t>(
-                a.cols[static_cast<std::size_t>(j)]);
-            const VT av = a.vals[static_cast<std::size_t>(j)];
-            for (Offset l = b.rpts[k]; l < b.rpts[k + 1]; ++l) {
-              tiny.accumulate(b.cols[static_cast<std::size_t>(l)],
-                              SR::mul(av, b.vals[static_cast<std::size_t>(l)]));
-            }
+      if (row_flop <= tiny_cut) {
+        tiny.begin();
+        for (Offset j = a.rpts[i]; j < a.rpts[i + 1]; ++j) {
+          const auto k = static_cast<std::size_t>(
+              a.cols[static_cast<std::size_t>(j)]);
+          const VT av = a.vals[static_cast<std::size_t>(j)];
+          for (Offset l = b.rpts[k]; l < b.rpts[k + 1]; ++l) {
+            tiny.accumulate(b.cols[static_cast<std::size_t>(l)],
+                            SR::mul(av, b.vals[static_cast<std::size_t>(l)]));
           }
-          tiny.emit(out_cols, out_vals);  // always sorted
-        } else if (row_flop >= dense_cut) {
-          if (!spa_ready) {
-            spa.prepare(static_cast<std::size_t>(b.ncols));
-            spa_ready = true;
-          }
-          for (Offset j = a.rpts[i]; j < a.rpts[i + 1]; ++j) {
-            const auto k = static_cast<std::size_t>(
-                a.cols[static_cast<std::size_t>(j)]);
-            const VT av = a.vals[static_cast<std::size_t>(j)];
-            for (Offset l = b.rpts[k]; l < b.rpts[k + 1]; ++l) {
-              spa.accumulate(b.cols[static_cast<std::size_t>(l)],
-                             SR::mul(av,
-                                     b.vals[static_cast<std::size_t>(l)]),
-                             fold);
-            }
-          }
-          if (opts.sort_output == SortOutput::kYes) {
-            spa.extract_sorted(out_cols, out_vals);
-          } else {
-            spa.extract_unsorted(out_cols, out_vals);
-          }
-          spa.reset();
-        } else {
-          for (Offset j = a.rpts[i]; j < a.rpts[i + 1]; ++j) {
-            const auto k = static_cast<std::size_t>(
-                a.cols[static_cast<std::size_t>(j)]);
-            const VT av = a.vals[static_cast<std::size_t>(j)];
-            for (Offset l = b.rpts[k]; l < b.rpts[k + 1]; ++l) {
-              hash.accumulate(b.cols[static_cast<std::size_t>(l)],
-                              SR::mul(av,
-                                      b.vals[static_cast<std::size_t>(l)]),
-                              fold);
-            }
-          }
-          if (opts.sort_output == SortOutput::kYes) {
-            hash.extract_sorted(out_cols, out_vals);
-          } else {
-            hash.extract_unsorted(out_cols, out_vals);
-          }
-          hash.reset();
         }
+        tiny.emit(out_cols, out_vals);  // always sorted
+      } else if (row_flop >= dense_cut) {
+        if (!spa_ready) {
+          spa.prepare(static_cast<std::size_t>(b.ncols));
+          spa_ready = true;
+        }
+        for (Offset j = a.rpts[i]; j < a.rpts[i + 1]; ++j) {
+          const auto k = static_cast<std::size_t>(
+              a.cols[static_cast<std::size_t>(j)]);
+          const VT av = a.vals[static_cast<std::size_t>(j)];
+          for (Offset l = b.rpts[k]; l < b.rpts[k + 1]; ++l) {
+            spa.accumulate(b.cols[static_cast<std::size_t>(l)],
+                           SR::mul(av,
+                                   b.vals[static_cast<std::size_t>(l)]),
+                           fold);
+          }
+        }
+        if (opts.sort_output == SortOutput::kYes) {
+          spa.extract_sorted(out_cols, out_vals);
+        } else {
+          spa.extract_unsorted(out_cols, out_vals);
+        }
+        spa.reset();
+      } else {
+        for (Offset j = a.rpts[i]; j < a.rpts[i + 1]; ++j) {
+          const auto k = static_cast<std::size_t>(
+              a.cols[static_cast<std::size_t>(j)]);
+          const VT av = a.vals[static_cast<std::size_t>(j)];
+          for (Offset l = b.rpts[k]; l < b.rpts[k + 1]; ++l) {
+            hash.accumulate(b.cols[static_cast<std::size_t>(l)],
+                            SR::mul(av,
+                                    b.vals[static_cast<std::size_t>(l)]),
+                            fold);
+          }
+        }
+        if (opts.sort_output == SortOutput::kYes) {
+          hash.extract_sorted(out_cols, out_vals);
+        } else {
+          hash.extract_unsorted(out_cols, out_vals);
+        }
+        hash.reset();
       }
     }
-  }
+  });
   if (stats != nullptr) {
     stats->numeric_ms = timer.millis();
     stats->nnz_out = c.nnz();

@@ -17,8 +17,6 @@
 // through the scalable pool.
 #pragma once
 
-#include <omp.h>
-
 #include <algorithm>
 #include <cstddef>
 #include <type_traits>
@@ -139,39 +137,36 @@ CsrMatrix<IT, VT> spgemm_heap(const CsrMatrix<IT, VT>& a,
 
   if (balanced) {
 #pragma omp parallel num_threads(nthreads)
-    {
-      const int tid = omp_get_thread_num();
-      if (tid < part.threads()) {
-        const std::size_t row_begin =
-            part.offsets[static_cast<std::size_t>(tid)];
-        const std::size_t row_end =
-            part.offsets[static_cast<std::size_t>(tid) + 1];
-        const Offset base = part.flop_prefix[row_begin];
-        IT* cols_out;
-        VT* vals_out;
-        if (per_thread_staging) {
-          const auto mine = static_cast<std::size_t>(
-              part.flop_prefix[row_end] - base);
-          cols_out = static_cast<IT*>(
-              mem::pool_malloc(std::max<std::size_t>(mine, 1) * sizeof(IT)));
-          vals_out = static_cast<VT*>(
-              mem::pool_malloc(std::max<std::size_t>(mine, 1) * sizeof(VT)));
-          t_cols[static_cast<std::size_t>(tid)] = cols_out;
-          t_vals[static_cast<std::size_t>(tid)] = vals_out;
-        } else {
-          cols_out = staging_cols + base;
-          vals_out = staging_vals + base;
-        }
-        StreamHeap<IT, VT> heap;
-        for (std::size_t i = row_begin; i < row_end; ++i) {
-          const auto at = static_cast<std::size_t>(
-              part.flop_prefix[i] - base);
-          c.rpts[i + 1] =
-              static_cast<Offset>(detail::heap_merge_row<IT, VT, SR>(
-                  a, b, i, heap, cols_out + at, vals_out + at));
-        }
+    parallel::for_each_owner(part.threads(), [&](int tid) {
+      const std::size_t row_begin =
+          part.offsets[static_cast<std::size_t>(tid)];
+      const std::size_t row_end =
+          part.offsets[static_cast<std::size_t>(tid) + 1];
+      const Offset base = part.flop_prefix[row_begin];
+      IT* cols_out;
+      VT* vals_out;
+      if (per_thread_staging) {
+        const auto mine = static_cast<std::size_t>(
+            part.flop_prefix[row_end] - base);
+        cols_out = static_cast<IT*>(
+            mem::pool_malloc(std::max<std::size_t>(mine, 1) * sizeof(IT)));
+        vals_out = static_cast<VT*>(
+            mem::pool_malloc(std::max<std::size_t>(mine, 1) * sizeof(VT)));
+        t_cols[static_cast<std::size_t>(tid)] = cols_out;
+        t_vals[static_cast<std::size_t>(tid)] = vals_out;
+      } else {
+        cols_out = staging_cols + base;
+        vals_out = staging_vals + base;
       }
-    }
+      StreamHeap<IT, VT> heap;
+      for (std::size_t i = row_begin; i < row_end; ++i) {
+        const auto at = static_cast<std::size_t>(
+            part.flop_prefix[i] - base);
+        c.rpts[i + 1] =
+            static_cast<Offset>(detail::heap_merge_row<IT, VT, SR>(
+                a, b, i, heap, cols_out + at, vals_out + at));
+      }
+    });
   } else {
     // Plain OpenMP scheduling over rows; every row writes into the global
     // staging buffer at its flop-prefix offset, so any schedule is safe.
@@ -220,39 +215,36 @@ CsrMatrix<IT, VT> spgemm_heap(const CsrMatrix<IT, VT>& a,
   c.vals.resize(nnz_c);
 
 #pragma omp parallel num_threads(nthreads)
-  {
-    const int tid = omp_get_thread_num();
-    if (tid < part.threads()) {
-      const std::size_t row_begin =
-          part.offsets[static_cast<std::size_t>(tid)];
-      const std::size_t row_end =
-          part.offsets[static_cast<std::size_t>(tid) + 1];
-      const Offset base = balanced ? part.flop_prefix[row_begin] : 0;
-      const IT* src_cols =
-          per_thread_staging ? t_cols[static_cast<std::size_t>(tid)]
-                             : staging_cols;
-      const VT* src_vals =
-          per_thread_staging ? t_vals[static_cast<std::size_t>(tid)]
-                             : staging_vals;
-      for (std::size_t i = row_begin; i < row_end; ++i) {
-        const auto at = static_cast<std::size_t>(
-            part.flop_prefix[i] - (per_thread_staging ? base : 0));
-        const auto len =
-            static_cast<std::size_t>(c.rpts[i + 1] - c.rpts[i]);
-        const auto dst = static_cast<std::size_t>(c.rpts[i]);
-        for (std::size_t j = 0; j < len; ++j) {
-          c.cols[dst + j] = src_cols[at + j];
-          c.vals[dst + j] = src_vals[at + j];
-        }
-      }
-      // Free per-thread staging inside the owning thread (the point of the
-      // "parallel" scheme).
-      if (per_thread_staging) {
-        mem::pool_free(t_cols[static_cast<std::size_t>(tid)]);
-        mem::pool_free(t_vals[static_cast<std::size_t>(tid)]);
+  parallel::for_each_owner(part.threads(), [&](int tid) {
+    const std::size_t row_begin =
+        part.offsets[static_cast<std::size_t>(tid)];
+    const std::size_t row_end =
+        part.offsets[static_cast<std::size_t>(tid) + 1];
+    const Offset base = balanced ? part.flop_prefix[row_begin] : 0;
+    const IT* src_cols =
+        per_thread_staging ? t_cols[static_cast<std::size_t>(tid)]
+                           : staging_cols;
+    const VT* src_vals =
+        per_thread_staging ? t_vals[static_cast<std::size_t>(tid)]
+                           : staging_vals;
+    for (std::size_t i = row_begin; i < row_end; ++i) {
+      const auto at = static_cast<std::size_t>(
+          part.flop_prefix[i] - (per_thread_staging ? base : 0));
+      const auto len =
+          static_cast<std::size_t>(c.rpts[i + 1] - c.rpts[i]);
+      const auto dst = static_cast<std::size_t>(c.rpts[i]);
+      for (std::size_t j = 0; j < len; ++j) {
+        c.cols[dst + j] = src_cols[at + j];
+        c.vals[dst + j] = src_vals[at + j];
       }
     }
-  }
+    // Free per-thread staging inside the owning thread (the point of the
+    // "parallel" scheme).
+    if (per_thread_staging) {
+      mem::pool_free(t_cols[static_cast<std::size_t>(tid)]);
+      mem::pool_free(t_vals[static_cast<std::size_t>(tid)]);
+    }
+  });
   if (!per_thread_staging) {
     ::operator delete(staging_cols);
     ::operator delete(staging_vals);

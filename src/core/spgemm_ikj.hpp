@@ -8,8 +8,6 @@
 // faithful historical baseline for tests and ablation on small inputs.
 #pragma once
 
-#include <omp.h>
-
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
@@ -44,8 +42,7 @@ CsrMatrix<IT, VT> spgemm_ikj(const CsrMatrix<IT, VT>& a,
 
   Offset flop = 0;
 #pragma omp parallel num_threads(nthreads) reduction(+ : flop)
-  {
-    const int tid = omp_get_thread_num();
+  parallel::for_each_owner(nthreads, [&](int tid) {
     const std::size_t chunk =
         (nrows + static_cast<std::size_t>(nthreads) - 1) /
         static_cast<std::size_t>(nthreads);
@@ -101,7 +98,7 @@ CsrMatrix<IT, VT> spgemm_ikj(const CsrMatrix<IT, VT>& a,
         present[k] = 0;
       }
     }
-  }
+  });
 
   for (std::size_t i = 0; i < nrows; ++i) c.rpts[i + 1] += c.rpts[i];
   c.cols.resize(static_cast<std::size_t>(c.rpts[nrows]));

@@ -10,8 +10,6 @@
 // counting literature the paper builds on (Azad et al. [4]).
 #pragma once
 
-#include <omp.h>
-
 #include <algorithm>
 #include <cstdint>
 #include <stdexcept>
@@ -65,63 +63,60 @@ CsrMatrix<IT, VT> multiply_masked(const CsrMatrix<IT, VT>& a,
 
   timer.reset();
 #pragma omp parallel num_threads(nthreads)
-  {
-    const int tid = omp_get_thread_num();
-    if (tid < part.threads()) {
-      mem::ThreadScratch<std::uint8_t> flags_scratch;
-      auto* flags =
-          flags_scratch.ensure(static_cast<std::size_t>(b.ncols));
-      std::fill(flags, flags + static_cast<std::size_t>(b.ncols),
-                std::uint8_t{0});
-      HashAccumulator<IT, VT> acc;
-      Offset max_mask_row = 0;
-      for (std::size_t i = part.offsets[static_cast<std::size_t>(tid)];
-           i < part.offsets[static_cast<std::size_t>(tid) + 1]; ++i) {
-        max_mask_row = std::max(max_mask_row,
-                                mask.rpts[i + 1] - mask.rpts[i]);
-      }
-      acc.prepare(hash_table_size_for(
-          max_mask_row, static_cast<std::size_t>(b.ncols)));
+  parallel::for_each_owner(part.threads(), [&](int tid) {
+    mem::ThreadScratch<std::uint8_t> flags_scratch;
+    auto* flags =
+        flags_scratch.ensure(static_cast<std::size_t>(b.ncols));
+    std::fill(flags, flags + static_cast<std::size_t>(b.ncols),
+              std::uint8_t{0});
+    HashAccumulator<IT, VT> acc;
+    Offset max_mask_row = 0;
+    for (std::size_t i = part.offsets[static_cast<std::size_t>(tid)];
+         i < part.offsets[static_cast<std::size_t>(tid) + 1]; ++i) {
+      max_mask_row = std::max(max_mask_row,
+                              mask.rpts[i + 1] - mask.rpts[i]);
+    }
+    acc.prepare(hash_table_size_for(
+        max_mask_row, static_cast<std::size_t>(b.ncols)));
 
-      for (std::size_t i = part.offsets[static_cast<std::size_t>(tid)];
-           i < part.offsets[static_cast<std::size_t>(tid) + 1]; ++i) {
-        // Scatter the mask row.
-        for (Offset j = mask.rpts[i]; j < mask.rpts[i + 1]; ++j) {
-          flags[static_cast<std::size_t>(
-              mask.cols[static_cast<std::size_t>(j)])] = 1;
-        }
-        // Accumulate only in-mask products.
-        for (Offset j = a.rpts[i]; j < a.rpts[i + 1]; ++j) {
-          const auto k = static_cast<std::size_t>(
-              a.cols[static_cast<std::size_t>(j)]);
-          const VT av = a.vals[static_cast<std::size_t>(j)];
-          for (Offset l = b.rpts[k]; l < b.rpts[k + 1]; ++l) {
-            const IT col = b.cols[static_cast<std::size_t>(l)];
-            if (flags[static_cast<std::size_t>(col)] != 0) {
-              acc.accumulate(
-                  col, SR::mul(av, b.vals[static_cast<std::size_t>(l)]),
-                  [](VT& fold_acc, VT v) { SR::add_into(fold_acc, v); });
-            }
+    for (std::size_t i = part.offsets[static_cast<std::size_t>(tid)];
+         i < part.offsets[static_cast<std::size_t>(tid) + 1]; ++i) {
+      // Scatter the mask row.
+      for (Offset j = mask.rpts[i]; j < mask.rpts[i + 1]; ++j) {
+        flags[static_cast<std::size_t>(
+            mask.cols[static_cast<std::size_t>(j)])] = 1;
+      }
+      // Accumulate only in-mask products.
+      for (Offset j = a.rpts[i]; j < a.rpts[i + 1]; ++j) {
+        const auto k = static_cast<std::size_t>(
+            a.cols[static_cast<std::size_t>(j)]);
+        const VT av = a.vals[static_cast<std::size_t>(j)];
+        for (Offset l = b.rpts[k]; l < b.rpts[k + 1]; ++l) {
+          const IT col = b.cols[static_cast<std::size_t>(l)];
+          if (flags[static_cast<std::size_t>(col)] != 0) {
+            acc.accumulate(
+                col, SR::mul(av, b.vals[static_cast<std::size_t>(l)]),
+                [](VT& fold_acc, VT v) { SR::add_into(fold_acc, v); });
           }
         }
-        // Emit into the mask-structure slot for this row.
-        IT* out_cols = c.cols.data() + mask.rpts[i];
-        VT* out_vals = c.vals.data() + mask.rpts[i];
-        if (opts.sort_output == SortOutput::kYes) {
-          acc.extract_sorted(out_cols, out_vals);
-        } else {
-          acc.extract_unsorted(out_cols, out_vals);
-        }
-        c.rpts[i + 1] = static_cast<Offset>(acc.count());
-        acc.reset();
-        // Un-scatter the mask row.
-        for (Offset j = mask.rpts[i]; j < mask.rpts[i + 1]; ++j) {
-          flags[static_cast<std::size_t>(
-              mask.cols[static_cast<std::size_t>(j)])] = 0;
-        }
+      }
+      // Emit into the mask-structure slot for this row.
+      IT* out_cols = c.cols.data() + mask.rpts[i];
+      VT* out_vals = c.vals.data() + mask.rpts[i];
+      if (opts.sort_output == SortOutput::kYes) {
+        acc.extract_sorted(out_cols, out_vals);
+      } else {
+        acc.extract_unsorted(out_cols, out_vals);
+      }
+      c.rpts[i + 1] = static_cast<Offset>(acc.count());
+      acc.reset();
+      // Un-scatter the mask row.
+      for (Offset j = mask.rpts[i]; j < mask.rpts[i + 1]; ++j) {
+        flags[static_cast<std::size_t>(
+            mask.cols[static_cast<std::size_t>(j)])] = 0;
       }
     }
-  }
+  });
 
   // Compact: rows were staged at mask.rpts offsets; squeeze them together.
   std::vector<Offset> staged(c.rpts.begin(), c.rpts.end());

@@ -262,8 +262,8 @@ struct SpGemmStats {
   /// Inspector-executor amortization probes: wall time of the last plan()
   /// (symbolic + partition + capture + skeleton) and of the last execute()
   /// (numeric-only), plus how many executes the plan has served.  Zero for
-  /// one-shot multiplies, whose tile-fused driver interleaves the phases
-  /// and has no plan/execute split to report.
+  /// one-shot multiplies, whose pass interleaves the phases per tile and
+  /// has no plan/execute split to report.
   double plan_ms = 0.0;
   double execute_ms = 0.0;
   std::uint64_t executions = 0;

@@ -3,10 +3,10 @@
 // A policy supplies the accumulator type, its construction/sizing, and the
 // per-row hook begin_row() which may switch regimes and force sorted
 // emission (Adaptive's tiny rows).  All other kernels compile the hook
-// away.  The SAME policy instances drive both the fused one-shot driver
-// (core/spgemm_twophase.hpp) and the persistent inspector-executor handle
-// (core/spgemm_handle.hpp), so the two paths size and probe their
-// accumulators identically — a prerequisite for their bit-identical
+// away.  The SAME policy instances drive every pass of the row pipeline
+// (core/spgemm_twophase.hpp): the one-shot product, the handle's plan and
+// execute, and multiply_rap — so all of them size and probe their
+// accumulators identically, a prerequisite for their bit-identical
 // outputs.
 #pragma once
 
@@ -69,13 +69,6 @@ class AdaptiveDualAccumulator {
   }
   [[nodiscard]] std::size_t count() const {
     return dense_ ? spa_.count() : hash_.count();
-  }
-  void extract_keys(IT* out_cols) const {
-    if (dense_) {
-      spa_.extract_keys(out_cols);
-    } else {
-      hash_.extract_keys(out_cols);
-    }
   }
   void extract_unsorted(IT* out_cols, VT* out_vals) const {
     if (dense_) {
@@ -200,10 +193,10 @@ struct AdaptivePlanPolicy {
 };
 
 /// The ONE algorithm-to-policy mapping: invoke `fn` with the policy object
-/// for `algo`.  Both the fused one-shot dispatch (core/multiply.hpp) and
-/// SpGemmHandle's kernel emplacement go through here, so the two paths
-/// cannot drift apart in how they configure a kernel — a prerequisite for
-/// their bit-identical outputs.
+/// for `algo`.  The one-shot dispatch (core/multiply.hpp), SpGemmHandle's
+/// kernel emplacement and multiply_rap all go through here, so they cannot
+/// drift apart in how they configure a kernel — a prerequisite for their
+/// bit-identical outputs.
 template <IndexType IT, ValueType VT, typename Fn>
 decltype(auto) with_plan_policy(Algorithm algo, ProbeKind probe, IT ncols_b,
                                 Fn&& fn) {

@@ -19,9 +19,13 @@
 // consumer.  With an aggregation prolongator every fine row feeds exactly
 // one coarse row (R's columns partition the fine rows), so nothing is
 // recomputed and the fused pass does strictly less memory traffic.
+//
+// Scheduling: the coarse rows run on the row pipeline's PlanCore — a flop-
+// balanced owner split of the R*(A*P) flop prefix (parallel::
+// partition_from_prefix), cut into tiles by the ExecutionSchedule, so
+// opts.tile_schedule and the tile options apply — and land through the
+// pipeline's staging and place_tiles().
 #pragma once
-
-#include <omp.h>
 
 #include <algorithm>
 #include <cstddef>
@@ -38,38 +42,12 @@
 #include "core/spgemm_twophase.hpp"
 #include "matrix/csr.hpp"
 #include "mem/workspace.hpp"
+#include "model/cost_model.hpp"
 #include "parallel/omp_utils.hpp"
-#include "parallel/prefix_sum.hpp"
+#include "parallel/rows_to_threads.hpp"
 #include "telemetry/span.hpp"
 
 namespace spgemm {
-
-namespace detail {
-
-/// Balanced contiguous row ranges over a monotone flop prefix: thread t
-/// gets rows [cuts[t], cuts[t+1]) with roughly total/nthreads flop each.
-inline std::vector<std::size_t> balanced_row_cuts(
-    const std::vector<Offset>& prefix, int nthreads) {
-  const std::size_t nrows = prefix.size() - 1;
-  const Offset total = prefix.back();
-  std::vector<std::size_t> cuts(static_cast<std::size_t>(nthreads) + 1, 0);
-  cuts.back() = nrows;
-  for (int t = 1; t < nthreads; ++t) {
-    const Offset target =
-        static_cast<Offset>((static_cast<double>(total) * t) / nthreads);
-    const auto it =
-        std::lower_bound(prefix.begin(), prefix.end() - 1, target);
-    cuts[static_cast<std::size_t>(t)] =
-        static_cast<std::size_t>(it - prefix.begin());
-  }
-  for (int t = 1; t <= nthreads; ++t) {
-    cuts[static_cast<std::size_t>(t)] = std::max(
-        cuts[static_cast<std::size_t>(t)], cuts[static_cast<std::size_t>(t) - 1]);
-  }
-  return cuts;
-}
-
-}  // namespace detail
 
 /// Fused Galerkin triple product C = R * (A * P) without materializing the
 /// intermediate.  Two-phase kernels only (kAuto resolves to kHash); the
@@ -99,90 +77,64 @@ CsrMatrix<IT, VT> multiply_rap(const CsrMatrix<IT, VT>& r,
   const auto nf = static_cast<std::size_t>(a.nrows);   // fine rows
   const auto nc = static_cast<std::size_t>(r.nrows);   // coarse rows
 
-  // flop of each on-demand A*P row, then the per-coarse-row totals that
-  // drive accumulator sizing and the balanced thread split.
-  std::vector<Offset> flop_ap(nf, 0);
-#pragma omp parallel for schedule(static) num_threads(nthreads)
-  for (std::size_t k = 0; k < nf; ++k) {
-    Offset f = 0;
-    for (Offset j = a.rpts[k]; j < a.rpts[k + 1]; ++j) {
-      const auto col =
-          static_cast<std::size_t>(a.cols[static_cast<std::size_t>(j)]);
-      f += p.rpts[col + 1] - p.rpts[col];
-    }
-    flop_ap[k] = f;
-  }
-  std::vector<Offset> prefix(nc + 1, 0);
-#pragma omp parallel for schedule(static) num_threads(nthreads)
-  for (std::size_t i = 0; i < nc; ++i) {
-    Offset f = 0;
-    for (Offset j = r.rpts[i]; j < r.rpts[i + 1]; ++j) {
-      f += flop_ap[static_cast<std::size_t>(
-          r.cols[static_cast<std::size_t>(j)])];
-    }
-    prefix[i + 1] = f;
-  }
-  for (std::size_t i = 0; i < nc; ++i) prefix[i + 1] += prefix[i];
-  const Offset total_flop = prefix[nc];
+  // The flop prefix of the on-demand A*P rows doubles as their "row
+  // pointers" when counting the R*(A*P) flop of each coarse row, which
+  // drives accumulator sizing and the balanced owner split.
+  const std::vector<Offset> ap_prefix = parallel::flop_prefix(
+      nf, a.rpts.data(), a.cols.data(), p.rpts.data());
+  std::vector<Offset> prefix = parallel::flop_prefix(
+      nc, r.rpts.data(), r.cols.data(), ap_prefix.data());
   Offset max_flop_ap = 0;
   for (std::size_t k = 0; k < nf; ++k) {
-    max_flop_ap = std::max(max_flop_ap, flop_ap[k]);
+    max_flop_ap = std::max(max_flop_ap, ap_prefix[k + 1] - ap_prefix[k]);
   }
-  const std::vector<std::size_t> cuts =
-      detail::balanced_row_cuts(prefix, nthreads);
+  detail::PlanCore<IT, VT> core;
+  core.configure(parallel::partition_from_prefix(std::move(prefix), nthreads),
+                 p.ncols, opts, model::kDefaultReuseBudgetBytes);
   if (stats != nullptr) {
     *stats = SpGemmStats{};
     stats->setup_ms = timer.millis();
-    stats->flop = total_flop;
+    stats->flop = core.part.total_flop();
   }
 
   CsrMatrix<IT, VT> c(r.nrows, p.ncols);
-  std::vector<mem::Buffer<IT>> staged_cols(
-      static_cast<std::size_t>(nthreads));
-  std::vector<mem::Buffer<VT>> staged_vals(
-      static_cast<std::size_t>(nthreads));
-
   timer.reset();
+  std::uint64_t tiles = 0;
   detail::with_plan_policy<IT, VT>(
       opts.algorithm, opts.probe, p.ncols, [&](auto policy) {
-#pragma omp parallel num_threads(nthreads)
-        {
-          const int tid = omp_get_thread_num();
-          if (tid < nthreads) {
-            const auto utid = static_cast<std::size_t>(tid);
-            const std::size_t r0 = cuts[utid];
-            const std::size_t r1 = cuts[utid + 1];
-            Offset max_rap_flop = 0;
-            for (std::size_t i = r0; i < r1; ++i) {
-              max_rap_flop = std::max(max_rap_flop, prefix[i + 1] - prefix[i]);
-            }
-            auto inner = policy.make();
-            auto outer = policy.make();
-            policy.prepare(inner, max_flop_ap, p.ncols);
-            policy.prepare(outer, max_rap_flop, p.ncols);
-            mem::ThreadScratch<IT> ap_cols;
-            mem::ThreadScratch<VT> ap_vals;
-            IT* apc = ap_cols.ensure(
-                static_cast<std::size_t>(max_flop_ap) + 1);
-            VT* apv = ap_vals.ensure(
-                static_cast<std::size_t>(max_flop_ap) + 1);
-            auto& scols = staged_cols[utid];
-            auto& svals = staged_vals[utid];
-            std::size_t stage_off = 0;
-
-            for (std::size_t i = r0; i < r1; ++i) {
+        detail::KernelPlan<IT, VT, decltype(policy)> plan(policy);
+        plan.ensure_threads(core.nthreads);
+        plan.run_owners(core, [&](auto& tp, int owner) {
+          auto inner = policy.make();
+          auto outer = policy.make();
+          policy.prepare(inner, max_flop_ap, p.ncols);
+          policy.prepare(outer, core.schedule.sizing_max_row_flop(owner),
+                         p.ncols);
+          mem::ThreadScratch<IT> ap_cols;
+          mem::ThreadScratch<VT> ap_vals;
+          IT* apc = ap_cols.ensure(static_cast<std::size_t>(max_flop_ap) + 1);
+          VT* apv = ap_vals.ensure(static_cast<std::size_t>(max_flop_ap) + 1);
+          core.schedule.for_each_tile(owner, [&](std::size_t /*index*/,
+                                                 const parallel::TileRange&
+                                                     tile,
+                                                 bool /*stolen*/) {
+            tp.out_tiles.push_back(
+                {tile.row_begin, tile.row_end, tp.out_cols.size()});
+            ++tp.tally.tiles;
+            for (std::size_t i = tile.row_begin; i < tile.row_end; ++i) {
               const bool force_sorted =
-                  policy.begin_row(outer, prefix[i + 1] - prefix[i]);
+                  policy.begin_row(outer, core.row_flop(i));
               const bool sorted =
                   opts.sort_output == SortOutput::kYes || force_sorted;
               for (Offset j = r.rpts[i]; j < r.rpts[i + 1]; ++j) {
                 const auto k = static_cast<std::size_t>(
                     r.cols[static_cast<std::size_t>(j)]);
                 const VT rv = r.vals[static_cast<std::size_t>(j)];
-                if (flop_ap[k] == 0) continue;
+                const Offset flop_ap = ap_prefix[k + 1] - ap_prefix[k];
+                if (flop_ap == 0) continue;
                 // Expand A*P row k while R's row is hot, sorted extraction
                 // to match the two-step intermediate's storage order.
-                policy.begin_row(inner, flop_ap[k]);
+                policy.begin_row(inner, flop_ap);
                 detail::probe_row<SR>(inner, a, p, k);
                 const std::size_t apn = inner.count();
                 inner.extract_sorted(apc, apv);
@@ -195,50 +147,31 @@ CsrMatrix<IT, VT> multiply_rap(const CsrMatrix<IT, VT>& r,
                 }
               }
               const std::size_t nnz = outer.count();
-              scols.resize(stage_off + nnz);
-              svals.resize(stage_off + nnz);
+              const std::size_t stage = tp.out_cols.size();
+              tp.out_cols.resize(stage + nnz);
+              tp.out_vals.resize(stage + nnz);
               if (sorted) {
-                outer.extract_sorted(scols.data() + stage_off,
-                                     svals.data() + stage_off);
+                outer.extract_sorted(tp.out_cols.data() + stage,
+                                     tp.out_vals.data() + stage);
               } else {
-                outer.extract_unsorted(scols.data() + stage_off,
-                                       svals.data() + stage_off);
+                outer.extract_unsorted(tp.out_cols.data() + stage,
+                                       tp.out_vals.data() + stage);
               }
               outer.reset();
               c.rpts[i] = static_cast<Offset>(nnz);
-              stage_off += nnz;
             }
-          }
-        }
+          });
+        });
+        plan.place_output(core, c, /*adopt=*/true);
+        tiles = plan.tally().tiles;
       });
-
-  c.rpts[nc] = 0;
-  parallel::exclusive_scan_inplace(c.rpts.data(), nc + 1);
-  if (nthreads == 1) {
-    c.cols = std::move(staged_cols[0]);
-    c.vals = std::move(staged_vals[0]);
-  } else {
-    const auto nnz_c = static_cast<std::size_t>(c.rpts[nc]);
-    c.cols.resize(nnz_c);
-    c.vals.resize(nnz_c);
-#pragma omp parallel num_threads(nthreads)
-    {
-      const int tid = omp_get_thread_num();
-      if (tid < nthreads) {
-        const auto utid = static_cast<std::size_t>(tid);
-        const auto dst = static_cast<std::size_t>(c.rpts[cuts[utid]]);
-        const auto len =
-            static_cast<std::size_t>(c.rpts[cuts[utid + 1]]) - dst;
-        std::copy_n(staged_cols[utid].data(), len, c.cols.data() + dst);
-        std::copy_n(staged_vals[utid].data(), len, c.vals.data() + dst);
-      }
-    }
-  }
 
   if (stats != nullptr) {
     stats->numeric_ms = timer.millis();
     stats->nnz_out = c.rpts[nc];
     stats->epilogue_rows = nc;
+    stats->tile_count = tiles;
+    stats->tile_steals = core.schedule.steals();
   }
   if (telemetry::enabled()) {
     detail::EpilogueTelemetry::get().rap_rows.add(nc);

@@ -1,71 +1,64 @@
-// Tiled, structure-reusing two-phase (symbolic + numeric) SpGEMM machinery.
+// The two-phase (symbolic + numeric) SpGEMM row pipeline.
 //
-// This header holds two things:
+// Gustavson's algorithm (paper Fig. 1) parallelized over rows with the
+// paper's architecture-specific structure:
+//   * a flop-balanced row partition (Fig. 6) cut into tiles by a
+//     parallel::ExecutionSchedule (static, dynamic or work-stealing),
+//   * one accumulator per owner, allocated inside the thread that runs it
+//     ("parallel" memory scheme, §3.2) and reinitialized per row,
+//   * a symbolic phase that counts nnz per output row, an exclusive scan
+//     that sizes the output exactly, and a numeric phase that fills it
+//     (§2, two-phase strategy).
+// The accumulator type is a policy parameter (core/spgemm_policies.hpp):
+// Hash, HashVector, SPA, the two-level hash map and the adaptive dual
+// accumulator all flow through the same code, so the kernels differ only
+// in their accumulation data structure — exactly the framing of the paper.
 //
-//   1. The ROW-LEVEL capture/replay primitives (capture_row, count_row,
-//      record_gather, replay_row, gather_values, probe_row).  They are the
-//      single implementation of the slot-stream protocol shared by the fused
-//      one-shot driver below AND by the persistent inspector-executor handle
-//      (core/spgemm_handle.hpp) — plan/execute and one-shot multiplies run
-//      the exact same per-row code, so their outputs are bit-identical.
-//
-//   2. The fused one-shot driver spgemm_two_phase(): Gustavson's algorithm
-//      (paper Fig. 1) parallelized over rows with the paper's
-//      architecture-specific structure:
-//        * flop-balanced static row partition (Fig. 6) by default, or a
-//          flop-balanced dynamic tile pool for skewed matrices,
-//        * one accumulator per thread, allocated inside the owning thread
-//          ("parallel" memory scheme, §3.2) and reinitialized per row,
-//        * symbolic phase counts nnz per output row, a parallel exclusive
-//          scan sizes the output exactly, the numeric phase fills it in
-//          place (§2, two-phase strategy).
-//      The accumulator type is a template parameter: Hash, HashVector, SPA
-//      and the two-level hash map all flow through this one driver, so the
-//      kernels differ only in their accumulation data structure — exactly
-//      the framing of the paper.
+// There is ONE row pipeline, KernelPlan below, and every two-phase entry
+// point drives it:
+//   * multiply_once() — the one-shot product (multiply, multiply_over,
+//     multiply_with_epilogue): symbolic then numeric per tile, while the
+//     tile's A rows, B rows and accumulator state are still cache-hot;
+//   * build() / execute() — SpGemmHandle's plan and its numeric replays;
+//   * multiply_rap() (core/spgemm_rap.hpp) — an on-demand A*P row source
+//     on the same PlanCore, schedule and placement.
+// They share symbolic_row(), numeric_row() and place_tiles(), so one-shot
+// and plan/execute products are bit-identical by construction.
 //
 // ---- Slot-stream capture protocol -----------------------------------------
 //
-// capture_row() runs the symbolic insertion loop with insert_tagged(),
-// recording slot s (new key) or ~s (duplicate) per scalar product into a
-// caller-provided stream.  record_gather() then freezes the per-output-entry
-// gather slots (sorted by column when requested) while the accumulator still
-// holds the row, and emits the row's column indices.  replay_row() re-reads
-// the stream in the numeric phase: one sequential pass, value scattered to
+// The symbolic pass of a captured row runs insert_tagged(), recording slot
+// s (new key) or ~s (duplicate) per scalar product into the owner's
+// capture buffer.  record_gather() then freezes the per-output-entry gather
+// slots (sorted by column when requested) while the accumulator still
+// holds the row, and emits the row's column indices.  The numeric pass
+// replays the stream: one sequential read, value scattered to
 // slot_values()[s] (store when s >= 0, fold when tagged ~s) — zero hash
-// probing — and gather_values() pulls the folded row out through the
-// recorded slots.  Rows that do not fit the capture budget use count_row()/
-// probe_row(): the classic re-probing symbolic/numeric passes.
+// probing — and the folded row is gathered out through the recorded slots.
+// Rows that do not fit the capture budget are only counted in the symbolic
+// pass and re-probed (probe_row) in the numeric pass.
 //
 // The replayed value stream folds contributions in exactly the traversal
-// order of the classic numeric pass, so captured and re-probed products are
+// order of the re-probing pass, so captured and re-probed products are
 // bit-identical, sorted or unsorted.
 //
-// ---- Fused tile loop of the one-shot driver -------------------------------
+// ---- Staging and placement ------------------------------------------------
 //
-// Rows are processed in contiguous row *tiles* under a parallel::
-// ExecutionSchedule (tile cuts from SpGemmOptions::tile_rows or the budget
-// source; assignment static, dynamic or work-stealing).  For each tile the
-// running thread executes the symbolic and numeric passes back to back,
-// while the A rows, B rows and the accumulator state for those rows are
-// still cache-hot.  Because global row offsets are unknown until every row
-// is counted, the numeric pass writes into per-thread staging buffers;
-// after a parallel exclusive scan over the per-row counts, a bulk copy
-// places each tile's rows at their final offsets.  The staging and final
-// arrays are mem::Buffer (default-init), so sizing C costs no zeroing pass
-// and each thread's placement copy is the first touch of its pages — the
-// multi-thread placement writes nnz(C) once instead of zero-fill + copy.
+// A pass whose output offsets are unknown until every row is counted (the
+// one-shot product, fused-epilogue executes, RAP) computes each tile into
+// its owner's staging buffers; after an exclusive scan over the per-row
+// counts, place_tiles() copies each tile to its final offset.  Staging and
+// output arrays are mem::Buffer (default-init), so sizing C costs no
+// zeroing pass and each placement copy is the first touch of its pages, in
+// the thread that staged them.  An unfused execute knows its offsets from
+// the plan and writes values in place.
 //
-// The driver is a thin client of the schedule: it no longer owns tile cuts
-// or claim logic, and it takes the same per-kernel policy objects
-// (core/spgemm_policies.hpp) the persistent handle plans with, so one-shot
-// and plan/execute products are bit-identical by construction.
+// Every per-owner region runs its owners through parallel::for_each_owner,
+// so a team shorter than requested (OMP_THREAD_LIMIT, a call from inside a
+// caller's parallel region) still computes every row.
 #pragma once
 
-#include <omp.h>
-
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
@@ -204,20 +197,6 @@ inline std::size_t capture_row_batch(Acc& acc, const CsrMatrix<IT, VT>& a,
   return ns;
 }
 
-/// Batched variant of count_row(): the resolved slots go to thread scratch
-/// (rows over the capture budget need only the count).  insert() and
-/// insert_tagged() mutate the table identically, so counts agree.
-template <IndexType IT, ValueType VT, typename Acc>
-  requires BatchProbe<Acc, IT>
-inline void count_row_batch(Acc& acc, const CsrMatrix<IT, VT>& a,
-                            const CsrMatrix<IT, VT>& b, std::size_t i,
-                            Offset row_flop,
-                            mem::ThreadScratch<IT>& key_scratch,
-                            mem::ThreadScratch<IT>& slot_scratch) {
-  IT* slots = slot_scratch.ensure(static_cast<std::size_t>(row_flop));
-  capture_row_batch(acc, a, b, i, row_flop, slots, key_scratch);
-}
-
 /// Freeze the gather order of a captured row while the accumulator still
 /// holds it: writes `nnz` gather slots and the matching column indices
 /// (ascending by column when `sorted`).
@@ -333,15 +312,6 @@ inline std::size_t replay_row(Acc& acc, const CsrMatrix<IT, VT>& a,
   return ns;
 }
 
-/// Pull a replayed row out of the slot array through its gather list.
-template <IndexType IT, ValueType VT>
-inline void gather_values(const VT* slot_vals, const IT* gather,
-                          std::size_t nnz, VT* out_vals) {
-  for (std::size_t t = 0; t < nnz; ++t) {
-    out_vals[t] = slot_vals[static_cast<std::size_t>(gather[t])];
-  }
-}
-
 /// Classic re-probing numeric pass over row i (capture fallback).
 template <typename SR, IndexType IT, ValueType VT, typename Acc>
 inline void probe_row(Acc& acc, const CsrMatrix<IT, VT>& a,
@@ -375,10 +345,10 @@ struct EpilogueContext {
   EpilogueResult* result = nullptr;         ///< optional scalar-output sink
 };
 
-/// Per-thread epilogue scratch and partial results.  mask_dense mirrors
+/// Per-owner epilogue scratch and partial results.  mask_dense mirrors
 /// matrix/ops.hpp masked_sum's dense scatter row (restored to zero after
-/// every row); reduce/col_sums are partials folded in thread order after the
-/// parallel region.
+/// every row); reduce/col_sums are partials folded in owner order after the
+/// parallel region (KernelPlan::fold_epilogue).
 struct EpilogueState {
   std::vector<double> mask_dense;
   std::vector<double> col_sums;
@@ -498,50 +468,14 @@ inline std::size_t apply_row_epilogue(const EpilogueSpec& spec,
   }
 }
 
-/// Fold per-thread epilogue partials in ascending thread order — under the
-/// static partition that is ascending row-range order, so the fold is
-/// deterministic for a fixed thread count.  It is NOT bitwise equal to a
-/// sequential scan of the output (floating-point addition is not
-/// associative); see README "Fused epilogues" for the caveat.  `state_of(t)`
-/// returns thread t's EpilogueState.
-template <typename GetState>
-inline void fold_epilogue_partials(const EpilogueSpec& spec, int nthreads,
-                                   std::size_t ncols, GetState&& state_of,
-                                   EpilogueResult* result,
-                                   std::uint64_t& rows_out,
-                                   double& max_seconds_out) {
-  rows_out = 0;
-  max_seconds_out = 0.0;
-  for (int t = 0; t < nthreads; ++t) {
-    const EpilogueState& st = state_of(t);
-    rows_out += st.rows;
-    max_seconds_out = std::max(max_seconds_out, st.seconds);
-  }
-  if (result == nullptr) return;
-  result->reset(spec.kind == EpilogueKind::kPruneScale &&
-                        spec.collect_column_sums
-                    ? ncols
-                    : 0);
-  result->rows = rows_out;
-  for (int t = 0; t < nthreads; ++t) {
-    const EpilogueState& st = state_of(t);
-    result->reduce += st.reduce;
-    if (!result->col_sums.empty() && !st.col_sums.empty()) {
-      for (std::size_t cidx = 0; cidx < result->col_sums.size(); ++cidx) {
-        result->col_sums[cidx] += st.col_sums[cidx];
-      }
-    }
-  }
-}
-
-/// True when the spec's kind runs through the per-row hook of the two-phase
-/// paths (kRap is executed by multiply_rap(), not the hook).
+/// True when the spec's kind runs through the per-row hook of the row
+/// pipeline (kRap is executed by multiply_rap(), not the hook).
 inline bool epilogue_fuses_rows(const EpilogueSpec& spec) {
   return spec.kind == EpilogueKind::kPruneScale ||
          spec.kind == EpilogueKind::kMaskReduce;
 }
 
-/// Shared argument validation of the two fused paths.
+/// Argument validation of the fused-epilogue entry points.
 template <IndexType IT, ValueType VT>
 inline void validate_epilogue(const EpilogueSpec& spec,
                               const EpilogueContext<IT, VT>& ctx,
@@ -558,100 +492,607 @@ inline void validate_epilogue(const EpilogueSpec& spec,
   }
 }
 
-// ---- Shared tiling/capture configuration ----------------------------------
+// ---- Plan state ------------------------------------------------------------
 
-/// Resolved tiling and capture-budget configuration.  One resolution serves
-/// both the fused one-shot driver below and SpGemmHandle::plan(), so the
-/// two paths can never disagree on tile cuts or capture gating.
-struct TileConfig {
-  std::size_t budget_entries = 0;  ///< capture slots per thread
+/// The owner split of A*B's rows: flop-balanced (paper Fig. 6) or equal
+/// rows, per opts.schedule.
+template <IndexType IT, ValueType VT>
+parallel::RowPartition partition_rows(const CsrMatrix<IT, VT>& a,
+                                      const CsrMatrix<IT, VT>& b,
+                                      parallel::SchedulePolicy schedule,
+                                      int nthreads) {
+  const auto nrows = static_cast<std::size_t>(a.nrows);
+  return parallel::is_balanced(schedule)
+             ? parallel::rows_to_threads(nrows, a.rpts.data(), a.cols.data(),
+                                         b.rpts.data(), nthreads)
+             : parallel::rows_equal(nrows, a.rpts.data(), a.cols.data(),
+                                    b.rpts.data(), nthreads);
+}
+
+/// Kernel-independent plan state: the owner partition, the tile schedule
+/// cut from it and the capture budget, plus the handle's output skeleton.
+template <IndexType IT, ValueType VT>
+struct PlanCore {
+  SpGemmOptions opts;  ///< resolved: algorithm is a concrete two-phase one
+  int nthreads = 1;    ///< owners of the partition
+  IT nrows = 0;
+  IT ncols = 0;
+  parallel::RowPartition part;
+  parallel::ExecutionSchedule schedule;  ///< persisted tile plan + policy
+  std::size_t tile_rows = 0;
   bool capture_enabled = false;
-  /// Requested batching mode for the symbolic/capture path; kAuto defers
-  /// to each thread accumulator's table-size gate (thread_batches()).
-  ProbeBatch probe_batching = ProbeBatch::kAuto;
-  std::size_t tile_rows = 0;     ///< row cap per tile
-  Offset tile_flop_target = 0;   ///< flop cut target; 0 = row cap only
+  std::size_t budget_entries = 0;  ///< capture slots per owner
+  /// Resolved execution tier of the vectorized numeric replay.
+  ProbeKind replay_kind = ProbeKind::kScalar;
+  mem::Buffer<Offset> rpts;  ///< output skeleton row pointers (scanned)
+  std::uint64_t symbolic_probes = 0;
+  std::uint64_t symbolic_keys = 0;
+  std::uint64_t tile_count = 0;
+  std::uint64_t rows_captured = 0;
+
+  /// Adopt `partition` for a product into `ncols_out` columns, resolve the
+  /// tiling and capture budget, and cut the schedule.  The one resolution
+  /// every entry point shares, so they can never disagree on tile cuts or
+  /// capture gating.  `default_budget_bytes` distinguishes the one-shot
+  /// (cache-resident) from the persistent-plan capture economics; an
+  /// explicit opts.reuse_budget_bytes overrides either, and
+  /// BudgetSource::kMemoryModel derives both the budget and the tile size
+  /// from the modeled fast tier.
+  void configure(parallel::RowPartition partition, IT ncols_out,
+                 const SpGemmOptions& o, std::size_t default_budget_bytes) {
+    opts = o;
+    part = std::move(partition);
+    nthreads = part.threads();
+    const std::size_t rows = part.flop_prefix.size() - 1;
+    nrows = static_cast<IT>(rows);
+    ncols = ncols_out;
+    std::size_t budget_bytes = opts.reuse_budget_bytes;
+    if (opts.budget_source == BudgetSource::kMemoryModel) {
+      const model::ScheduleBudgets budgets = model::derive_schedule_budgets(
+          opts.fast_tier, nthreads, part.total_flop(), rows, sizeof(IT));
+      if (budget_bytes == 0) budget_bytes = budgets.capture_budget_bytes;
+      tile_rows = budgets.tile_rows;
+    } else {
+      if (budget_bytes == 0) budget_bytes = default_budget_bytes;
+      tile_rows = model::choose_tile_rows(part.total_flop(), rows,
+                                          budget_bytes, sizeof(IT));
+    }
+    // kAuto decides before any symbolic pass has run, so it uses the model's
+    // a-priori collision factor; plan-driven callers (SpGemmHandle::
+    // reuse_pays) substitute the measured value instead.
+    capture_enabled =
+        opts.reuse == StructureReuse::kOn ||
+        (opts.reuse == StructureReuse::kAuto &&
+         model::reuse_pays(model::kDefaultCollisionFactor, budget_bytes));
+    budget_entries = budget_bytes / sizeof(IT);
+    replay_kind = resolve_probe_kind(opts.probe);
+    Offset tile_flop = 0;  // 0 = row cap only
+    if (opts.tile_rows > 0) {
+      // An explicit tile_rows is a user contract: exact row cuts, no flop cut.
+      tile_rows = opts.tile_rows;
+    } else {
+      // Budget-derived tiles are additionally flop-balanced so one dense row
+      // cannot stall a tile's runner for long (the row cap still bounds the
+      // bookkeeping of tiles full of empty rows).
+      const double avg_row_flop =
+          rows > 0 ? static_cast<double>(part.total_flop()) /
+                         static_cast<double>(rows)
+                   : 0.0;
+      tile_flop = static_cast<Offset>(
+          std::max(1.0, avg_row_flop * static_cast<double>(tile_rows)));
+    }
+    schedule.build(part, opts.tile_schedule, tile_rows, tile_flop);
+  }
+
+  /// Capture slots owner `t` needs (0 with capture off): a tile never
+  /// records more than 2 * its flop in slots, so small products need far
+  /// less scratch than the full budget.
+  [[nodiscard]] std::size_t capture_entries(int t) const {
+    if (!capture_enabled) return 0;
+    const auto bound =
+        static_cast<std::size_t>(schedule.capture_flop_bound(t));
+    return std::min(budget_entries, 2 * bound + 16);
+  }
+
+  [[nodiscard]] Offset row_flop(std::size_t i) const {
+    return part.flop_prefix[i + 1] - part.flop_prefix[i];
+  }
 };
 
-/// `default_budget_bytes` distinguishes the one-shot (cache-resident) from
-/// the persistent-plan capture economics; an explicit
-/// opts.reuse_budget_bytes overrides either, and BudgetSource::kMemoryModel
-/// derives both the budget and the tile size from the modeled fast tier.
-inline TileConfig resolve_tile_config(const parallel::RowPartition& part,
-                                      const SpGemmOptions& opts,
-                                      std::size_t nrows,
-                                      std::size_t default_budget_bytes,
-                                      std::size_t bytes_per_slot) {
-  TileConfig cfg;
-  cfg.probe_batching = opts.probe_batching;
-  std::size_t budget_bytes = opts.reuse_budget_bytes;
-  std::size_t derived_tile_rows = 0;
-  if (opts.budget_source == BudgetSource::kMemoryModel) {
-    const model::ScheduleBudgets budgets = model::derive_schedule_budgets(
-        opts.fast_tier, part.threads(), part.total_flop(), nrows,
-        bytes_per_slot);
-    if (budget_bytes == 0) budget_bytes = budgets.capture_budget_bytes;
-    derived_tile_rows = budgets.tile_rows;
-  } else {
-    if (budget_bytes == 0) budget_bytes = default_budget_bytes;
-    derived_tile_rows = model::choose_tile_rows(part.total_flop(), nrows,
-                                                budget_bytes, bytes_per_slot);
-  }
-  // kAuto decides before any symbolic pass has run, so it uses the model's
-  // a-priori collision factor; plan-driven callers (SpGemmHandle::
-  // reuse_pays) substitute the measured value instead.
-  cfg.capture_enabled =
-      opts.reuse == StructureReuse::kOn ||
-      (opts.reuse == StructureReuse::kAuto &&
-       model::reuse_pays(model::kDefaultCollisionFactor, budget_bytes));
-  cfg.budget_entries = budget_bytes / bytes_per_slot;
-  if (opts.tile_rows > 0) {
-    // An explicit tile_rows is a user contract: exact row cuts, no flop cut.
-    cfg.tile_rows = opts.tile_rows;
-  } else {
-    cfg.tile_rows = derived_tile_rows;
-    // Budget-derived tiles are additionally flop-balanced so one dense row
-    // cannot stall a tile's runner for long (the row cap still bounds the
-    // bookkeeping of tiles full of empty rows).
-    const double avg_row_flop =
-        nrows > 0 ? static_cast<double>(part.total_flop()) /
-                        static_cast<double>(nrows)
-                  : 0.0;
-    cfg.tile_flop_target = static_cast<Offset>(std::max(
-        1.0, avg_row_flop * static_cast<double>(cfg.tile_rows)));
-  }
-  return cfg;
-}
-
-/// Build the ExecutionSchedule for one resolved configuration.
-inline void build_schedule(parallel::ExecutionSchedule& schedule,
-                           const parallel::RowPartition& part,
-                           const SpGemmOptions& opts, const TileConfig& cfg) {
-  schedule.build(part, opts.tile_schedule, cfg.tile_rows,
-                 cfg.tile_flop_target);
-}
-
-// ---- Fused one-shot driver ------------------------------------------------
-
-/// Per-row capture record within the current tile.
+/// One symbolic row: where its slot stream lives and how to emit it.
 template <IndexType IT>
-struct RowCapture {
-  std::size_t stage_off = 0;  ///< row start in the thread staging buffers
-  std::size_t cap_off = 0;    ///< slot-stream start in the capture buffer
+struct PlannedRow {
+  std::size_t cap_off = 0;  ///< slot-stream start in the capture buffer
   IT nnz = 0;
-  bool captured = false;
-  bool sorted = false;  ///< columns emitted in ascending order
+  bool captured = false;  ///< replayable; otherwise the numeric pass re-probes
+  bool sorted = false;    ///< columns emitted in ascending order
 };
 
-/// One processed tile, remembered for the final placement copy.
-struct TileRecord {
+/// A row-range tile run by one owner, with its offset into the owner's
+/// staged buffers.
+struct PlannedTile {
   std::size_t row_begin = 0;
   std::size_t row_end = 0;
   std::size_t stage_begin = 0;
 };
 
+/// One owner's work in the current pass, folded after the parallel region.
+struct PassTally {
+  std::uint64_t sym_probes = 0;
+  std::uint64_t sym_keys = 0;
+  std::uint64_t num_probes = 0;
+  std::uint64_t num_keys = 0;
+  std::uint64_t tiles = 0;
+  std::uint64_t captured = 0;
+  double sym_s = 0.0;
+  double num_s = 0.0;
+};
+
+/// Everything one owner keeps between passes.  The handle persists the
+/// accumulator (prepared, keys clean), the captured slot streams, the tile
+/// list, the row records and the skeleton columns.  The out_* staging holds
+/// the rows of a pass whose offsets are known only after it, until
+/// place_tiles() copies them out.  All of it is recycled grow-only.
+template <IndexType IT, ValueType VT, typename Acc>
+struct ThreadPlan {
+  explicit ThreadPlan(Acc a) : acc(std::move(a)) {}
+  Acc acc;
+  mem::ThreadScratch<IT> capture;
+  std::vector<PlannedTile> tiles;
+  std::vector<PlannedRow<IT>> rows;  ///< tile processing order
+  mem::Buffer<IT> staged_cols;       ///< skeleton cols, processing order
+  std::vector<PlannedTile> out_tiles;
+  mem::Buffer<IT> out_cols;
+  mem::Buffer<VT> out_vals;
+  EpilogueState epi;
+  PassTally tally;
+};
+
+/// Pass-local scratch of the batched probe pipeline: a row's stanza keys,
+/// and the slot sink of a row that is counted rather than captured.
+template <IndexType IT>
+struct BatchScratch {
+  mem::ThreadScratch<IT> keys;
+  mem::ThreadScratch<IT> slots;
+};
+
+// ---- The row pipeline -------------------------------------------------------
+
+/// Symbolic probe of row i: records the row's tagged slot stream at
+/// `stream` and returns its length, or only counts the row when `stream` is
+/// null.  A non-null `batch` routes the probes through the accumulator's
+/// batched pipeline; table state and stream are the same either way.  A
+/// counted row's batched slots go to scratch: insert() and insert_tagged()
+/// mutate the table identically, so the count agrees.
+template <IndexType IT, ValueType VT, typename Acc>
+inline std::size_t symbolic_row(Acc& acc, const CsrMatrix<IT, VT>& a,
+                                const CsrMatrix<IT, VT>& b, std::size_t i,
+                                Offset row_flop, IT* stream,
+                                BatchScratch<IT>* batch) {
+  if constexpr (BatchProbe<Acc, IT>) {
+    if (batch != nullptr) {
+      if (stream == nullptr) {
+        stream = batch->slots.ensure(static_cast<std::size_t>(row_flop));
+      }
+      return capture_row_batch(acc, a, b, i, row_flop, stream, batch->keys);
+    }
+  }
+  if (stream == nullptr) {
+    count_row(acc, a, b, i);
+    return 0;
+  }
+  return capture_row(acc, a, b, i, stream);
+}
+
+/// Numeric pass over one symbolic row.  A captured row replays its slot
+/// stream and gathers its values to `out_vals` (its columns were fixed at
+/// capture); any other row re-probes and extracts columns and values.
+template <typename SR, IndexType IT, ValueType VT, typename Acc>
+inline void numeric_row(Acc& acc, const CsrMatrix<IT, VT>& a,
+                        const CsrMatrix<IT, VT>& b, std::size_t i,
+                        const PlannedRow<IT>& row, const IT* stream,
+                        ProbeKind kind, IT* out_cols, VT* out_vals) {
+  if (row.captured) {
+    const IT* gather = stream + replay_row<SR>(acc, a, b, i, stream, kind);
+    const VT* slot_vals = acc.slot_values();
+    for (std::size_t t = 0; t < static_cast<std::size_t>(row.nnz); ++t) {
+      out_vals[t] = slot_vals[static_cast<std::size_t>(gather[t])];
+    }
+    return;
+  }
+  probe_row<SR>(acc, a, b, i);
+  if (row.sorted) {
+    acc.extract_sorted(out_cols, out_vals);
+  } else {
+    acc.extract_unsorted(out_cols, out_vals);
+  }
+  acc.reset();
+}
+
+/// Kernel-specific plan state and the passes of the row pipeline.
 /// Policy: one of the per-kernel accumulator policies of
 /// core/spgemm_policies.hpp (make / prepare / begin_row).
+template <IndexType IT, ValueType VT, typename Policy>
+struct KernelPlan {
+  using Acc = typename Policy::Acc;
+  using Thread = ThreadPlan<IT, VT, Acc>;
+
+  Policy policy;
+  std::vector<Thread> threads;
+
+  explicit KernelPlan(Policy p) : policy(std::move(p)) {}
+
+  /// One ThreadPlan per owner.  A live plan with the same owner count keeps
+  /// its per-owner state, so re-planning recycles it grow-only.
+  void ensure_threads(int owners) {
+    if (threads.size() == static_cast<std::size_t>(owners)) return;
+    threads.clear();
+    threads.reserve(static_cast<std::size_t>(owners));
+    for (int t = 0; t < owners; ++t) threads.emplace_back(policy.make());
+  }
+
+  /// Run fn(owner's ThreadPlan, owner) for every owner in one parallel
+  /// region, whatever team size OpenMP delivers.  Each owner's tally
+  /// restarts at zero and its share of the pass ends with worker_done().
+  template <typename Fn>
+  void run_owners(const PlanCore<IT, VT>& core, Fn&& fn) {
+#pragma omp parallel num_threads(core.nthreads)
+    parallel::for_each_owner(core.nthreads, [&](int owner) {
+      Thread& tp = threads[static_cast<std::size_t>(owner)];
+      tp.tally = PassTally{};
+      fn(tp, owner);
+      core.schedule.worker_done();
+    });
+  }
+
+  /// Size `acc` for the rows `owner` may run, then decide whether its
+  /// symbolic probes batch (kAuto defers to the prepared table's size gate,
+  /// see thread_batches()).  Returns the batch scratch or null.
+  BatchScratch<IT>* prepare(const PlanCore<IT, VT>& core, Acc& acc, int owner,
+                            BatchScratch<IT>& scratch) const {
+    policy.prepare(acc, core.schedule.sizing_max_row_flop(owner), core.ncols);
+    if constexpr (BatchProbe<Acc, IT>) {
+      if (thread_batches(core.opts.probe_batching, acc)) return &scratch;
+    }
+    return nullptr;
+  }
+
+  /// The symbolic row loop, over one tile.  A row is captured into `cap`
+  /// when its slot stream and gather slots fit the entries left after
+  /// `cap_used`; other rows are only counted.  Appends one PlannedRow per
+  /// row to tp.rows, and to `cols` each row's columns (captured rows) or
+  /// room for them (counted rows, whose numeric pass extracts them);
+  /// counts[i] receives the row's nnz.
+  void symbolic_tile(const PlanCore<IT, VT>& core, Thread& tp, Acc& acc,
+                     BatchScratch<IT>* batch, const CsrMatrix<IT, VT>& a,
+                     const CsrMatrix<IT, VT>& b,
+                     const parallel::TileRange& tile, IT* cap,
+                     std::size_t cap_entries, std::size_t& cap_used,
+                     mem::Buffer<IT>& cols, Offset* counts) {
+    const Timer timer;
+    const std::uint64_t probes0 = acc.probes();
+    const std::uint64_t keys0 = keys_resolved_of(acc);
+    for (std::size_t i = tile.row_begin; i < tile.row_end; ++i) {
+      const Offset row_flop = core.row_flop(i);
+      const bool force_sorted = policy.begin_row(acc, row_flop);
+      PlannedRow<IT> row;
+      row.sorted = core.opts.sort_output == SortOutput::kYes || force_sorted;
+      row.cap_off = cap_used;
+      row.captured = cap != nullptr &&
+                     cap_used + 2 * static_cast<std::size_t>(row_flop) <=
+                         cap_entries;
+      const std::size_t ns =
+          symbolic_row(acc, a, b, i, row_flop,
+                       row.captured ? cap + cap_used : nullptr, batch);
+      const std::size_t nnz = acc.count();
+      row.nnz = static_cast<IT>(nnz);
+      const std::size_t stage = cols.size();
+      cols.resize(stage + nnz);
+      if (row.captured) {
+        // Gather slots (and final column order) are fixed now, while the
+        // accumulator still holds the row.
+        record_gather(acc, nnz, row.sorted, cap + cap_used + ns,
+                      cols.data() + stage);
+        cap_used += ns + nnz;
+        ++tp.tally.captured;
+      }
+      acc.reset();
+      tp.rows.push_back(row);
+      counts[i] = static_cast<Offset>(nnz);
+    }
+    ++tp.tally.tiles;
+    tp.tally.sym_probes += acc.probes() - probes0;
+    tp.tally.sym_keys += keys_resolved_of(acc) - keys0;
+    tp.tally.sym_s += timer.seconds();
+  }
+
+  /// The numeric row loop, over one tile whose row records start at `rows`
+  /// and whose captured columns start at cols[tile.stage_begin].  With
+  /// `in_place`, values (and re-probed columns) land at their final offsets
+  /// core.rpts[i] in c.  Otherwise each row is computed at `out` in the
+  /// owner's staging, compacted there by the fused epilogue `epi` if any,
+  /// and its kept count goes to c.rpts[i].
+  template <typename SR>
+  void numeric_tile(const PlanCore<IT, VT>& core, Thread& tp, Acc& acc,
+                    const IT* cap, const CsrMatrix<IT, VT>& a,
+                    const CsrMatrix<IT, VT>& b, const PlannedTile& tile,
+                    const PlannedRow<IT>* rows, const mem::Buffer<IT>& cols,
+                    CsrMatrix<IT, VT>& c, bool in_place,
+                    const EpilogueContext<IT, VT>* epi, std::size_t out) {
+    const Timer timer;
+    const std::uint64_t probes0 = acc.probes();
+    const std::uint64_t keys0 = keys_resolved_of(acc);
+    std::size_t stage = tile.stage_begin;
+    for (std::size_t i = tile.row_begin; i < tile.row_end; ++i) {
+      const PlannedRow<IT>& row = *rows++;
+      policy.begin_row(acc, core.row_flop(i));
+      const auto nnz = static_cast<std::size_t>(row.nnz);
+      const IT* stream = row.captured ? cap + row.cap_off : nullptr;
+      if (in_place) {
+        const auto at = static_cast<std::size_t>(core.rpts[i]);
+        numeric_row<SR>(acc, a, b, i, row, stream, core.replay_kind,
+                        c.cols.data() + at, c.vals.data() + at);
+      } else {
+        if (tp.out_vals.size() < out + nnz) {
+          tp.out_cols.resize(out + nnz);
+          tp.out_vals.resize(out + nnz);
+        }
+        IT* dst_cols = tp.out_cols.data() + out;
+        VT* dst_vals = tp.out_vals.data() + out;
+        numeric_row<SR>(acc, a, b, i, row, stream, core.replay_kind, dst_cols,
+                        dst_vals);
+        std::size_t kept = nnz;
+        if (epi != nullptr) {
+          // Forward compaction in place: `out` never passes the row's
+          // staged columns, so only read entries are overwritten.
+          const std::uint64_t t0 = monotonic_ns();
+          kept = apply_row_epilogue(
+              core.opts.epilogue, *epi, tp.epi, i,
+              row.captured ? cols.data() + stage : dst_cols, dst_vals, nnz,
+              dst_cols, dst_vals);
+          tp.epi.seconds += static_cast<double>(monotonic_ns() - t0) * 1e-9;
+        }
+        c.rpts[i] = static_cast<Offset>(kept);
+        out += kept;
+      }
+      stage += nnz;
+    }
+    if (!in_place) {
+      tp.out_cols.resize(out);
+      tp.out_vals.resize(out);
+    }
+    tp.tally.num_probes += acc.probes() - probes0;
+    tp.tally.num_keys += keys_resolved_of(acc) - keys0;
+    tp.tally.num_s += timer.seconds();
+  }
+
+  /// The placement loop: copy every owner's staged tiles to their final
+  /// offsets in c (sized here), in the thread that staged them.  `skeleton`
+  /// copies the plan's columns (tiles over staged_cols) and leaves c.vals
+  /// alone; a counted row's columns arrive unwritten, and every execute
+  /// extracts them in place.  Otherwise the out_* staging moves, columns
+  /// and values.
+  void place_tiles(const PlanCore<IT, VT>& core, const Offset* rpts,
+                   CsrMatrix<IT, VT>& c, bool skeleton) const {
+    const auto nnz = static_cast<std::size_t>(rpts[core.nrows]);
+    c.cols.resize(nnz);
+    if (!skeleton) c.vals.resize(nnz);
+#pragma omp parallel num_threads(core.nthreads)
+    parallel::for_each_owner(core.nthreads, [&](int owner) {
+      const Thread& tp = threads[static_cast<std::size_t>(owner)];
+      for (const PlannedTile& tile : skeleton ? tp.tiles : tp.out_tiles) {
+        const auto dst = static_cast<std::size_t>(rpts[tile.row_begin]);
+        const auto len = static_cast<std::size_t>(rpts[tile.row_end]) - dst;
+        const IT* src = (skeleton ? tp.staged_cols : tp.out_cols).data();
+        std::copy_n(src + tile.stage_begin, len, c.cols.data() + dst);
+        if (!skeleton) {
+          std::copy_n(tp.out_vals.data() + tile.stage_begin, len,
+                      c.vals.data() + dst);
+        }
+      }
+    });
+  }
+
+  /// Scan the per-row counts in c.rpts and place the staged output.  With
+  /// `adopt` and a single owner, that owner ran every tile in row order, so
+  /// its staging IS the output: it is moved in without a copy.
+  void place_output(const PlanCore<IT, VT>& core, CsrMatrix<IT, VT>& c,
+                    bool adopt) {
+    const auto nrows = static_cast<std::size_t>(core.nrows);
+    c.rpts[nrows] = 0;
+    parallel::exclusive_scan_inplace(c.rpts.data(), nrows + 1);
+    if (adopt && core.nthreads == 1) {
+      c.cols = std::move(threads[0].out_cols);
+      c.vals = std::move(threads[0].out_vals);
+      return;
+    }
+    place_tiles(core, c.rpts.data(), c, /*skeleton=*/false);
+  }
+
+  /// The owners' tallies of the last pass: counters summed, phase seconds
+  /// of the slowest owner (phases interleave per tile, so per-owner sums
+  /// are the only attribution available).
+  [[nodiscard]] PassTally tally() const {
+    PassTally sum;
+    for (const Thread& tp : threads) {
+      const PassTally& t = tp.tally;
+      sum.sym_probes += t.sym_probes;
+      sum.sym_keys += t.sym_keys;
+      sum.num_probes += t.num_probes;
+      sum.num_keys += t.num_keys;
+      sum.tiles += t.tiles;
+      sum.captured += t.captured;
+      sum.sym_s = std::max(sum.sym_s, t.sym_s);
+      sum.num_s = std::max(sum.num_s, t.num_s);
+    }
+    return sum;
+  }
+
+  /// Fold the owners' epilogue partials in ascending owner order — under
+  /// the static schedule that is ascending row-range order, so the fold is
+  /// deterministic for a fixed thread count.  It is NOT bitwise equal to a
+  /// sequential scan of the output (floating-point addition is not
+  /// associative); see README "Fused epilogues".  Writes `result` when set,
+  /// publishes telemetry, and records rows and the slowest owner's seconds
+  /// in `stats`.
+  void fold_epilogue(const PlanCore<IT, VT>& core, EpilogueResult* result,
+                     SpGemmStats& stats) const {
+    const EpilogueSpec& spec = core.opts.epilogue;
+    std::uint64_t rows = 0;
+    double seconds = 0.0;
+    for (const Thread& tp : threads) {
+      rows += tp.epi.rows;
+      seconds = std::max(seconds, tp.epi.seconds);
+    }
+    stats.epilogue_rows = rows;
+    stats.epilogue_ms = seconds * 1e3;
+    if (telemetry::enabled()) {
+      EpilogueTelemetry::get().for_kind(spec.kind).add(rows);
+      telemetry::phase_observe("epilogue", seconds);
+    }
+    if (result == nullptr) return;
+    const bool sums =
+        spec.kind == EpilogueKind::kPruneScale && spec.collect_column_sums;
+    result->reset(sums ? static_cast<std::size_t>(core.ncols) : 0);
+    result->rows = rows;
+    for (const Thread& tp : threads) {
+      result->reduce += tp.epi.reduce;
+      if (!result->col_sums.empty() && !tp.epi.col_sums.empty()) {
+        for (std::size_t j = 0; j < result->col_sums.size(); ++j) {
+          result->col_sums[j] += tp.epi.col_sums[j];
+        }
+      }
+    }
+  }
+
+  /// Plan: the symbolic pass over every tile, capturing slot streams and
+  /// staging the skeleton columns; per-row counts go to core.rpts, scanned.
+  /// The tile assignment this pass settles on (steals included) is frozen
+  /// into each owner's tile list, which execute() replays with perfect
+  /// affinity.
+  void build(PlanCore<IT, VT>& core, const CsrMatrix<IT, VT>& a,
+             const CsrMatrix<IT, VT>& b) {
+    const auto nrows = static_cast<std::size_t>(core.nrows);
+    ensure_threads(core.nthreads);
+    core.rpts.resize(nrows + 1);
+    core.schedule.begin_pass();
+    run_owners(core, [&](Thread& tp, int owner) {
+      BatchScratch<IT> scratch;
+      BatchScratch<IT>* batch = prepare(core, tp.acc, owner, scratch);
+      const std::size_t cap_entries = core.capture_entries(owner);
+      IT* cap = cap_entries > 0 ? tp.capture.ensure(cap_entries) : nullptr;
+      tp.tiles.clear();
+      tp.rows.clear();
+      tp.staged_cols.clear();
+      std::size_t cap_used = 0;
+      core.schedule.for_each_tile(
+          owner, [&](std::size_t /*index*/, const parallel::TileRange& tile,
+                     bool /*stolen*/) {
+            tp.tiles.push_back(
+                {tile.row_begin, tile.row_end, tp.staged_cols.size()});
+            symbolic_tile(core, tp, tp.acc, batch, a, b, tile, cap,
+                          cap_entries, cap_used, tp.staged_cols,
+                          core.rpts.data());
+          });
+    });
+    core.rpts[nrows] = 0;
+    parallel::exclusive_scan_inplace(core.rpts.data(), nrows + 1);
+    const PassTally t = tally();
+    core.symbolic_probes = t.sym_probes;
+    core.symbolic_keys = t.sym_keys;
+    core.tile_count = t.tiles;
+    core.rows_captured = t.captured;
+  }
+
+  /// Execute the plan's numeric phase.  Unfused (`epi` null), values and
+  /// re-probed columns land straight at their final offsets in c, whose
+  /// skeleton the caller placed.  With a fused epilogue, each row is
+  /// computed into its owner's staging and compacted there while cache-hot;
+  /// c is sized to the kept entries only, so the intermediate product never
+  /// materializes (c.rpts doubles as the kept-count scratch).
+  template <typename SR>
+  PassTally execute(const PlanCore<IT, VT>& core, const CsrMatrix<IT, VT>& a,
+                    const CsrMatrix<IT, VT>& b, CsrMatrix<IT, VT>& c,
+                    const EpilogueContext<IT, VT>* epi) {
+    if (epi != nullptr) c.rpts.resize(static_cast<std::size_t>(core.nrows) + 1);
+    core.schedule.reset_occupancy();
+    run_owners(core, [&](Thread& tp, int /*owner*/) {
+      if (epi != nullptr) {
+        tp.epi.begin_pass(core.opts.epilogue,
+                          static_cast<std::size_t>(core.ncols));
+        tp.out_tiles.clear();
+        tp.out_cols.clear();
+        tp.out_vals.clear();
+      }
+      const PlannedRow<IT>* rows = tp.rows.data();
+      for (const PlannedTile& tile : tp.tiles) {
+        const std::size_t out = tp.out_cols.size();
+        numeric_tile<SR>(core, tp, tp.acc, tp.capture.data(), a, b, tile,
+                         rows, tp.staged_cols, c, epi == nullptr, epi, out);
+        if (epi != nullptr) {
+          tp.out_tiles.push_back({tile.row_begin, tile.row_end, out});
+        }
+        rows += tile.row_end - tile.row_begin;
+      }
+    });
+    if (epi != nullptr) place_output(core, c, /*adopt=*/false);
+    return tally();
+  }
+
+  /// The one-shot product: each owner runs symbolic then numeric per tile
+  /// while the tile's rows are cache-hot, capturing into a buffer rewound
+  /// per tile and staging its rows (compacted by the fused epilogue `epi`,
+  /// if any) for place_output().  The accumulator and scratch live inside
+  /// the owner's share of the pass, so the pool takes them back on the
+  /// thread that allocated them.
+  template <typename SR>
+  CsrMatrix<IT, VT> multiply_once(PlanCore<IT, VT>& core,
+                                  const CsrMatrix<IT, VT>& a,
+                                  const CsrMatrix<IT, VT>& b,
+                                  const EpilogueContext<IT, VT>* epi) {
+    CsrMatrix<IT, VT> c(a.nrows, b.ncols);
+    ensure_threads(core.nthreads);
+    run_owners(core, [&](Thread& tp, int owner) {
+      Acc acc = policy.make();
+      BatchScratch<IT> scratch;
+      BatchScratch<IT>* batch = prepare(core, acc, owner, scratch);
+      const std::size_t cap_entries = core.capture_entries(owner);
+      mem::ThreadScratch<IT> capture;
+      IT* cap = cap_entries > 0 ? capture.ensure(cap_entries) : nullptr;
+      if (epi != nullptr) {
+        tp.epi.begin_pass(core.opts.epilogue,
+                          static_cast<std::size_t>(core.ncols));
+      }
+      if (core.opts.tile_schedule == parallel::TileSchedule::kStatic) {
+        // Reserve at an optimistic compression ratio to limit regrowth.
+        const auto flop =
+            static_cast<std::size_t>(core.schedule.capture_flop_bound(owner));
+        tp.out_cols.reserve(flop / 4 + 64);
+        tp.out_vals.reserve(flop / 4 + 64);
+      }
+      core.schedule.for_each_tile(
+          owner, [&](std::size_t /*index*/, const parallel::TileRange& range,
+                     bool /*stolen*/) {
+            const PlannedTile tile{range.row_begin, range.row_end,
+                                   tp.out_cols.size()};
+            std::size_t cap_used = 0;
+            tp.rows.clear();
+            symbolic_tile(core, tp, acc, batch, a, b, range, cap, cap_entries,
+                          cap_used, tp.out_cols, c.rpts.data());
+            tp.out_vals.resize(tp.out_cols.size());
+            numeric_tile<SR>(core, tp, acc, cap, a, b, tile, tp.rows.data(),
+                             tp.out_cols, c, /*in_place=*/false, epi,
+                             tile.stage_begin);
+            tp.out_tiles.push_back(tile);
+          });
+    });
+    return c;
+  }
+};
+
+// ---- One-shot entry ---------------------------------------------------------
+
+/// The one-shot two-phase product with an explicit accumulator policy.
 /// SR: the semiring policy (core/semiring.hpp); PlusTimes is ordinary
 /// SpGEMM.  The symbolic phase is algebra-independent.
 template <IndexType IT, ValueType VT, typename Policy,
@@ -668,361 +1109,56 @@ CsrMatrix<IT, VT> spgemm_two_phase(const CsrMatrix<IT, VT>& a,
   parallel::ScopedNumThreads scoped(opts.threads);
 
   Timer timer;
-  const auto nrows = static_cast<std::size_t>(a.nrows);
-  parallel::RowPartition part =
-      parallel::is_balanced(opts.schedule)
-          ? parallel::rows_to_threads(nrows, a.rpts.data(), a.cols.data(),
-                                      b.rpts.data(), nthreads)
-          : parallel::rows_equal(nrows, a.rpts.data(), a.cols.data(),
-                                 b.rpts.data(), nthreads);
-
-  // ---- Resolve the tiling/reuse configuration and cut the schedule. ------
-  const TileConfig cfg = resolve_tile_config(
-      part, opts, nrows, model::kDefaultReuseBudgetBytes, sizeof(IT));
-  const bool reuse_enabled = cfg.capture_enabled;
-  const std::size_t budget_entries = cfg.budget_entries;
-  // Resolve the replay execution tier ONCE (env + ISA clamping); the
-  // parallel loops below dispatch on plain values.  The batching decision
-  // is per thread (its accumulator's table size is not known until
-  // prepare()).
-  constexpr bool kPolicyBatches = BatchProbe<typename Policy::Acc, IT>;
-  const ProbeKind replay_kind = resolve_probe_kind(opts.probe);
-  parallel::ExecutionSchedule schedule;
-  build_schedule(schedule, part, opts, cfg);
-  const bool static_tiles =
-      opts.tile_schedule == parallel::TileSchedule::kStatic;
-
-  // ---- Fused epilogue wiring (see "Fused row epilogues" above). ----------
-  const EpilogueSpec& espec = opts.epilogue;
-  const bool fused = epilogue_fuses_rows(espec);
-  const EpilogueContext<IT, VT> no_epi_ctx{};
-  const EpilogueContext<IT, VT>& ectx = epi != nullptr ? *epi : no_epi_ctx;
-  if (fused) validate_epilogue(espec, ectx, a, b);
-  std::vector<EpilogueState> epi_states(
-      fused ? static_cast<std::size_t>(nthreads) : 0);
-
+  PlanCore<IT, VT> core;
+  core.configure(partition_rows(a, b, opts.schedule, nthreads), b.ncols, opts,
+                 model::kDefaultReuseBudgetBytes);
+  const bool fused = epilogue_fuses_rows(opts.epilogue);
+  const EpilogueContext<IT, VT> ectx =
+      epi != nullptr ? *epi : EpilogueContext<IT, VT>{};
+  if (fused) validate_epilogue(opts.epilogue, ectx, a, b);
   const double setup_s = timer.seconds();
-  if (stats != nullptr) {
-    stats->setup_ms = setup_s * 1e3;
-    stats->flop = part.total_flop();
-  }
 
-  CsrMatrix<IT, VT> c(a.nrows, b.ncols);
-
-  // Per-thread staging (cols/vals in processing order) and tile records for
-  // the placement copy; inner buffers grow inside the owning thread.
-  std::vector<mem::Buffer<IT>> staged_cols(
-      static_cast<std::size_t>(nthreads));
-  std::vector<mem::Buffer<VT>> staged_vals(
-      static_cast<std::size_t>(nthreads));
-  std::vector<std::vector<TileRecord>> records(
-      static_cast<std::size_t>(nthreads));
-  std::vector<double> sym_seconds(static_cast<std::size_t>(nthreads), 0.0);
-  std::vector<double> num_seconds(static_cast<std::size_t>(nthreads), 0.0);
-
-  std::atomic<std::uint64_t> total_sym_probes{0};
-  std::atomic<std::uint64_t> total_num_probes{0};
-  std::atomic<std::uint64_t> total_sym_keys{0};
-  std::atomic<std::uint64_t> total_num_keys{0};
-  std::atomic<std::uint64_t> total_tiles{0};
-  std::atomic<std::uint64_t> total_rows_captured{0};
-
+  KernelPlan<IT, VT, Policy> plan(std::move(policy));
+  CsrMatrix<IT, VT> c =
+      plan.template multiply_once<SR>(core, a, b, fused ? &ectx : nullptr);
   timer.reset();
-#pragma omp parallel num_threads(nthreads)
-  {
-    const int tid = omp_get_thread_num();
-    if (tid < part.threads()) {
-      const auto utid = static_cast<std::size_t>(tid);
-      auto acc = policy.make();
-      policy.prepare(acc, schedule.sizing_max_row_flop(tid), b.ncols);
-      const bool batch_probes =
-          kPolicyBatches && thread_batches(cfg.probe_batching, acc);
+  plan.place_output(core, c, /*adopt=*/true);
+  const double place_s = timer.seconds();
 
-      auto& scols = staged_cols[utid];
-      auto& svals = staged_vals[utid];
-      auto& recs = records[utid];
-      EpilogueState* est = fused ? &epi_states[utid] : nullptr;
-      if (est != nullptr) {
-        est->begin_pass(espec, static_cast<std::size_t>(b.ncols));
-      }
-      if (static_tiles) {
-        // Reserve at an optimistic compression ratio to limit regrowth.
-        const std::size_t thread_flop = static_cast<std::size_t>(
-            part.flop_prefix[part.offsets[utid + 1]] -
-            part.flop_prefix[part.offsets[utid]]);
-        scols.reserve(thread_flop / 4 + 64);
-        svals.reserve(thread_flop / 4 + 64);
-      }
-
-      // A tile never records more than 2 * its flop in slots, so small
-      // products need far less scratch than the full budget.
-      const auto capture_flop_bound =
-          static_cast<std::size_t>(schedule.capture_flop_bound(tid));
-      const std::size_t capture_entries =
-          std::min(budget_entries, 2 * capture_flop_bound + 16);
-      mem::ThreadScratch<IT> capture_scratch;
-      IT* cap =
-          reuse_enabled ? capture_scratch.ensure(capture_entries) : nullptr;
-      // Stanza key buffer (and count-path slot sink) of the batched probing
-      // pipeline; grow-only per row.
-      mem::ThreadScratch<IT> key_scratch;
-      mem::ThreadScratch<IT> count_slot_scratch;
-      std::vector<RowCapture<IT>> meta;
-
-      std::uint64_t last_probes = acc.probes();
-      std::uint64_t last_keys = keys_resolved_of(acc);
-      std::uint64_t sym_probes = 0;
-      std::uint64_t num_probes = 0;
-      std::uint64_t sym_keys = 0;
-      std::uint64_t num_keys = 0;
-      std::uint64_t tiles_done = 0;
-      std::uint64_t rows_captured = 0;
-      Timer tile_timer;
-
-      const auto process_tile = [&](std::size_t r0, std::size_t r1) {
-        meta.assign(r1 - r0, RowCapture<IT>{});
-        const std::size_t stage_begin = scols.size();
-        std::size_t cap_used = 0;
-        std::size_t stage_off = stage_begin;
-
-        // ---- Symbolic over the tile. ---------------------------------
-        tile_timer.reset();
-        for (std::size_t i = r0; i < r1; ++i) {
-          RowCapture<IT>& row = meta[i - r0];
-          const Offset row_flop =
-              part.flop_prefix[i + 1] - part.flop_prefix[i];
-          const bool force_sorted = policy.begin_row(acc, row_flop);
-          row.sorted =
-              opts.sort_output == SortOutput::kYes || force_sorted;
-          row.captured =
-              reuse_enabled &&
-              cap_used + 2 * static_cast<std::size_t>(row_flop) <=
-                  capture_entries;
-          row.stage_off = stage_off;
-          row.cap_off = cap_used;
-          if (row.captured) {
-            std::size_t ns;
-            if constexpr (kPolicyBatches) {
-              ns = batch_probes
-                       ? capture_row_batch(acc, a, b, i, row_flop,
-                                           cap + cap_used, key_scratch)
-                       : capture_row(acc, a, b, i, cap + cap_used);
-            } else {
-              ns = capture_row(acc, a, b, i, cap + cap_used);
-            }
-            const std::size_t nnz = acc.count();
-            row.nnz = static_cast<IT>(nnz);
-            // Gather slots (and final column order) are fixed now, while
-            // the accumulator still holds the row.
-            scols.resize(stage_off + nnz);
-            record_gather(acc, nnz, row.sorted, cap + cap_used + ns,
-                          scols.data() + stage_off);
-            cap_used += ns + nnz;
-            ++rows_captured;
-          } else {
-            if constexpr (kPolicyBatches) {
-              if (batch_probes) {
-                count_row_batch(acc, a, b, i, row_flop, key_scratch,
-                                count_slot_scratch);
-              } else {
-                count_row(acc, a, b, i);
-              }
-            } else {
-              count_row(acc, a, b, i);
-            }
-            row.nnz = static_cast<IT>(acc.count());
-            scols.resize(stage_off + static_cast<std::size_t>(row.nnz));
-          }
-          c.rpts[i] = static_cast<Offset>(row.nnz);
-          stage_off += static_cast<std::size_t>(row.nnz);
-          acc.reset();
-        }
-        sym_seconds[utid] += tile_timer.seconds();
-        {
-          const std::uint64_t cur = acc.probes();
-          sym_probes += cur - last_probes;
-          last_probes = cur;
-          const std::uint64_t cur_keys = keys_resolved_of(acc);
-          sym_keys += cur_keys - last_keys;
-          last_keys = cur_keys;
-        }
-
-        // ---- Numeric over the tile (A/B rows still cache-hot). -------
-        tile_timer.reset();
-        svals.resize(scols.size());
-        // Fused epilogues compact each finished row forward to `compact`,
-        // so only the kept entries survive the tile (the full row lives
-        // exactly as long as it is cache-hot).
-        std::size_t compact = stage_begin;
-        for (std::size_t i = r0; i < r1; ++i) {
-          const RowCapture<IT>& row = meta[i - r0];
-          const Offset row_flop =
-              part.flop_prefix[i + 1] - part.flop_prefix[i];
-          policy.begin_row(acc, row_flop);
-          if (row.captured) {
-            const IT* slot_stream = cap + row.cap_off;
-            const std::size_t ns =
-                replay_row<SR>(acc, a, b, i, slot_stream, replay_kind);
-            gather_values(static_cast<const VT*>(acc.slot_values()),
-                          slot_stream + ns,
-                          static_cast<std::size_t>(row.nnz),
-                          svals.data() + row.stage_off);
-          } else {
-            probe_row<SR>(acc, a, b, i);
-            IT* out_cols = scols.data() + row.stage_off;
-            VT* out_vals = svals.data() + row.stage_off;
-            if (row.sorted) {
-              acc.extract_sorted(out_cols, out_vals);
-            } else {
-              acc.extract_unsorted(out_cols, out_vals);
-            }
-            acc.reset();
-          }
-          if (est != nullptr) {
-            const std::uint64_t t0 = monotonic_ns();
-            const std::size_t kept = apply_row_epilogue(
-                espec, ectx, *est, i, scols.data() + row.stage_off,
-                svals.data() + row.stage_off,
-                static_cast<std::size_t>(row.nnz), scols.data() + compact,
-                svals.data() + compact);
-            est->seconds +=
-                static_cast<double>(monotonic_ns() - t0) * 1e-9;
-            c.rpts[i] = static_cast<Offset>(kept);
-            compact += kept;
-          }
-        }
-        if (est != nullptr) {
-          scols.resize(compact);
-          svals.resize(compact);
-        }
-        num_seconds[utid] += tile_timer.seconds();
-        {
-          const std::uint64_t cur = acc.probes();
-          num_probes += cur - last_probes;
-          last_probes = cur;
-          const std::uint64_t cur_keys = keys_resolved_of(acc);
-          num_keys += cur_keys - last_keys;
-          last_keys = cur_keys;
-        }
-
-        recs.push_back({r0, r1, stage_begin});
-        ++tiles_done;
-      };
-
-      schedule.for_each_tile(
-          tid, [&](std::size_t /*index*/, const parallel::TileRange& tile,
-                   bool /*stolen*/) {
-            process_tile(tile.row_begin, tile.row_end);
-          });
-
-      total_sym_probes.fetch_add(sym_probes, std::memory_order_relaxed);
-      total_num_probes.fetch_add(num_probes, std::memory_order_relaxed);
-      total_sym_keys.fetch_add(sym_keys, std::memory_order_relaxed);
-      total_num_keys.fetch_add(num_keys, std::memory_order_relaxed);
-      total_tiles.fetch_add(tiles_done, std::memory_order_relaxed);
-      total_rows_captured.fetch_add(rows_captured,
-                                    std::memory_order_relaxed);
-    }
-  }
-
-  // ---- Size the output: parallel exclusive scan over per-row counts. -----
-  Timer place_timer;
-  c.rpts[nrows] = 0;
-  parallel::exclusive_scan_inplace(c.rpts.data(), nrows + 1);
-
-  if (nthreads == 1) {
-    // One thread processes every tile in row order, so its staging buffers
-    // ARE the final cols/vals: adopt them and skip the placement copy
-    // entirely.
-    c.cols = std::move(staged_cols[0]);
-    c.vals = std::move(staged_vals[0]);
-  } else {
-    const auto nnz_c = static_cast<std::size_t>(c.rpts[nrows]);
-    // Default-init resize: no zeroing pass; the placement copies below are
-    // the first touch of every page, in the thread that owns the tile.
-    c.cols.resize(nnz_c);
-    c.vals.resize(nnz_c);
-
-    // ---- Place every staged tile at its final offset (bulk copies). ------
-#pragma omp parallel num_threads(nthreads)
-    {
-      const int tid = omp_get_thread_num();
-      if (tid < part.threads()) {
-        const auto utid = static_cast<std::size_t>(tid);
-        for (const TileRecord& rec : records[utid]) {
-          const auto dst = static_cast<std::size_t>(c.rpts[rec.row_begin]);
-          const auto len =
-              static_cast<std::size_t>(c.rpts[rec.row_end]) - dst;
-          std::copy_n(staged_cols[utid].data() + rec.stage_begin, len,
-                      c.cols.data() + dst);
-          std::copy_n(staged_vals[utid].data() + rec.stage_begin, len,
-                      c.vals.data() + dst);
-        }
-      }
-    }
-  }
-  const double place_ms = place_timer.millis();
-
-  // Slowest thread's share of each interleaved phase (the phases fuse per
-  // tile, so per-thread accumulation is the only attribution available).
-  double sym_s = 0.0;
-  double num_s = 0.0;
-  for (int t = 0; t < nthreads; ++t) {
-    sym_s = std::max(sym_s, sym_seconds[static_cast<std::size_t>(t)]);
-    num_s = std::max(num_s, num_seconds[static_cast<std::size_t>(t)]);
-  }
-
-  // ---- Fold per-thread epilogue partials (ascending thread order, which
-  // is ascending row-range order under the static partition). ------------
-  double epi_s = 0.0;
-  std::uint64_t epi_rows = 0;
-  if (fused) {
-    fold_epilogue_partials(
-        espec, nthreads, static_cast<std::size_t>(b.ncols),
-        [&](int t) -> const EpilogueState& {
-          return epi_states[static_cast<std::size_t>(t)];
-        },
-        ectx.result, epi_rows, epi_s);
-    if (telemetry::enabled()) {
-      EpilogueTelemetry::get().for_kind(espec.kind).add(epi_rows);
-      telemetry::phase_observe("epilogue", epi_s);
-    }
-  }
-
+  const PassTally t = plan.tally();
+  SpGemmStats epi_stats;
+  if (fused) plan.fold_epilogue(core, ectx.result, epi_stats);
   if (telemetry::enabled()) {
-    // The symbolic/numeric phases were already timed per tile above — feed
-    // the measured spans rather than re-timing (capture shows up as the
-    // reuse_rows counters, not a separate wall phase).
+    // The symbolic/numeric phases were timed per tile — feed the measured
+    // spans rather than re-timing (capture shows up as the reuse_rows
+    // counters, not a separate wall phase).
     telemetry::phase_observe("oneshot.setup", setup_s);
-    telemetry::phase_observe("oneshot.symbolic", sym_s);
-    telemetry::phase_observe("oneshot.numeric", num_s);
-    telemetry::phase_observe("oneshot.placement", place_ms * 1e-3);
+    telemetry::phase_observe("oneshot.symbolic", t.sym_s);
+    telemetry::phase_observe("oneshot.numeric", t.num_s);
+    telemetry::phase_observe("oneshot.placement", place_s);
   }
-
   if (stats != nullptr) {
-    // Report the slowest thread's share of each phase and fold the scan +
-    // placement copy into the numeric side.
-    stats->symbolic_ms = sym_s * 1e3;
-    stats->numeric_ms = num_s * 1e3 + place_ms;
-    stats->nnz_out = c.rpts[nrows];
-    stats->symbolic_probes =
-        total_sym_probes.load(std::memory_order_relaxed);
-    stats->numeric_probes = total_num_probes.load(std::memory_order_relaxed);
-    stats->probes = stats->symbolic_probes + stats->numeric_probes;
-    stats->symbolic_keys = total_sym_keys.load(std::memory_order_relaxed);
-    stats->numeric_keys = total_num_keys.load(std::memory_order_relaxed);
-    stats->tile_count = total_tiles.load(std::memory_order_relaxed);
-    stats->tile_steals = schedule.steals();
-    stats->reuse_rows_captured =
-        total_rows_captured.load(std::memory_order_relaxed);
-    stats->reuse_rows_total = nrows;
-    stats->epilogue_rows = epi_rows;
-    stats->epilogue_ms = epi_s * 1e3;
+    // The slowest owner's share of each phase; the scan + placement copy
+    // fold into the numeric side.
+    stats->setup_ms = setup_s * 1e3;
+    stats->flop = core.part.total_flop();
+    stats->symbolic_ms = t.sym_s * 1e3;
+    stats->numeric_ms = (t.num_s + place_s) * 1e3;
+    stats->nnz_out = c.rpts[static_cast<std::size_t>(a.nrows)];
+    stats->symbolic_probes = t.sym_probes;
+    stats->numeric_probes = t.num_probes;
+    stats->probes = t.sym_probes + t.num_probes;
+    stats->symbolic_keys = t.sym_keys;
+    stats->numeric_keys = t.num_keys;
+    stats->tile_count = t.tiles;
+    stats->tile_steals = core.schedule.steals();
+    stats->reuse_rows_captured = t.captured;
+    stats->reuse_rows_total = static_cast<std::size_t>(a.nrows);
+    stats->epilogue_rows = epi_stats.epilogue_rows;
+    stats->epilogue_ms = epi_stats.epilogue_ms;
   }
-
-  c.sortedness = opts.sort_output == SortOutput::kYes
-                     ? Sortedness::kSorted
-                     : Sortedness::kUnsorted;
+  c.sortedness = opts.sort_output == SortOutput::kYes ? Sortedness::kSorted
+                                                      : Sortedness::kUnsorted;
   return c;
 }
 

@@ -7,8 +7,6 @@
 // before committing to a kernel), and load-balancing studies.
 #pragma once
 
-#include <omp.h>
-
 #include <cstddef>
 #include <vector>
 
@@ -48,26 +46,23 @@ SymbolicResult symbolic_nnz(const CsrMatrix<IT, VT>& a,
   out.row_nnz.assign(nrows, 0);
 
 #pragma omp parallel num_threads(nthreads)
-  {
-    const int tid = omp_get_thread_num();
-    if (tid < part.threads()) {
-      HashAccumulator<IT, VT> acc;
-      acc.prepare(hash_table_size_for(part.max_row_flop(tid),
-                                      static_cast<std::size_t>(b.ncols)));
-      for (std::size_t i = part.offsets[static_cast<std::size_t>(tid)];
-           i < part.offsets[static_cast<std::size_t>(tid) + 1]; ++i) {
-        for (Offset j = a.rpts[i]; j < a.rpts[i + 1]; ++j) {
-          const auto k = static_cast<std::size_t>(
-              a.cols[static_cast<std::size_t>(j)]);
-          for (Offset l = b.rpts[k]; l < b.rpts[k + 1]; ++l) {
-            acc.insert(b.cols[static_cast<std::size_t>(l)]);
-          }
+  parallel::for_each_owner(part.threads(), [&](int tid) {
+    HashAccumulator<IT, VT> acc;
+    acc.prepare(hash_table_size_for(part.max_row_flop(tid),
+                                    static_cast<std::size_t>(b.ncols)));
+    for (std::size_t i = part.offsets[static_cast<std::size_t>(tid)];
+         i < part.offsets[static_cast<std::size_t>(tid) + 1]; ++i) {
+      for (Offset j = a.rpts[i]; j < a.rpts[i + 1]; ++j) {
+        const auto k = static_cast<std::size_t>(
+            a.cols[static_cast<std::size_t>(j)]);
+        for (Offset l = b.rpts[k]; l < b.rpts[k + 1]; ++l) {
+          acc.insert(b.cols[static_cast<std::size_t>(l)]);
         }
-        out.row_nnz[i] = static_cast<Offset>(acc.count());
-        acc.reset();
       }
+      out.row_nnz[i] = static_cast<Offset>(acc.count());
+      acc.reset();
     }
-  }
+  });
   for (const Offset c : out.row_nnz) out.nnz += c;
   return out;
 }

@@ -725,6 +725,25 @@ class SpGemmEngine {
   /// cache purge, 2 re-plans degraded, 3 adds the single-thread fallback.
   static constexpr int kMaxAttempts = 3;
   static constexpr std::size_t kTenantShards = 16;
+  /// Stored entries the admission pass must hash outside a batch's largest
+  /// request before a second admission thread is worth waking: ~0.1 ms of
+  /// fingerprinting at ~1-2 ns per entry.
+  static constexpr std::size_t kAdmissionSplitNnz = std::size_t{1} << 16;
+
+  /// Entries the admission pass hashes outside the batch's largest request
+  /// (the share a second admission thread could take off the first).
+  static std::size_t admission_spare_nnz(const Request* reqs, std::size_t n) {
+    std::size_t total = 0;
+    std::size_t largest = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (reqs[i].a == nullptr || reqs[i].b == nullptr) continue;
+      const auto entries =
+          static_cast<std::size_t>(reqs[i].a->nnz() + reqs[i].b->nnz());
+      total += entries;
+      largest = std::max(largest, entries);
+    }
+    return total - largest;
+  }
 
   /// Lane-occupancy handshake between the large lane and the overlay: the
   /// lane stores how many workers its current pass occupies, the handle's
@@ -758,7 +777,8 @@ class SpGemmEngine {
   /// few probed entries — stable across value updates, and a rare
   /// collision merely co-locates two structures on one pool.  Hashing the
   /// full structure here would put an O(nnz) pass on every producer
-  /// thread; the batch admission pass keeps doing that in parallel.
+  /// thread; the batch admission pass keeps doing that, in parallel when
+  /// the batch carries enough work to split.
   [[nodiscard]] std::size_t route_pool(const Request& r) const {
     if (npools_ <= 1 || r.a == nullptr || r.b == nullptr) return 0;
     std::uint64_t key = 0;
@@ -914,8 +934,16 @@ class SpGemmEngine {
     std::vector<std::uint64_t> fp_b(n, 0);
 
     // Admission pass: validate, count flop, fingerprint.  All O(nnz) per
-    // request and embarrassingly parallel across requests.
-#pragma omp parallel for schedule(dynamic) num_threads(width)
+    // request and embarrassingly parallel across requests — but a team
+    // only pays when the requests beyond the largest one carry real work.
+    // Otherwise one thread hashes the batch in about the time the largest
+    // request alone takes, and no second OpenMP thread is woken: under CPU
+    // contention its wake-up stalls every product of the batch, and after
+    // the region it spins on a core the overlay workers are starting on.
+    const bool split_admission =
+        admission_spare_nnz(reqs, n) >= kAdmissionSplitNnz;
+#pragma omp parallel for schedule(dynamic) num_threads(width) \
+    if (split_admission)
     for (std::size_t i = 0; i < n; ++i) {
       const Request& r = reqs[i];
       try {
@@ -945,8 +973,10 @@ class SpGemmEngine {
           fp_a[i] = r.fp_a;
           fp_b[i] = r.fp_b;
         } else {
+          // A*A hashes its one operand once: every product of the batch
+          // waits for the admission pass.
           fp_a[i] = structure_fingerprint(*r.a);
-          fp_b[i] = structure_fingerprint(*r.b);
+          fp_b[i] = r.b == r.a ? fp_a[i] : structure_fingerprint(*r.b);
         }
       } catch (...) {
         errors[i] = classify(std::current_exception());
@@ -1049,14 +1079,19 @@ class SpGemmEngine {
       // overlay workers pack smalls onto whatever the lane is not holding
       // RIGHT NOW — width minus (occupied - exited), which grows as lane
       // workers finish their share of a pass and jumps to the full width
-      // between lane products.  Overlay worker w only draws work while
-      // w < allowed, so lane + overlay never oversubscribe the width.
+      // between lane products.  Overlay workers rank themselves in the
+      // order the OS starts them, and rank r only draws work while
+      // r < allowed, so lane + overlay never oversubscribe the width and a
+      // thread that starts late never holds the smalls back.
       std::atomic<std::size_t> small_next{0};
       std::atomic<int> lane_occupied{0};
       std::atomic<int> lane_exited{0};
+      std::atomic<int> overlay_started{0};
       LaneHooks hooks{&lane_occupied, &lane_exited};
 
       const auto overlay_worker = [&](int w) {
+        const int rank =
+            overlay_started.fetch_add(1, std::memory_order_relaxed);
         for (;;) {
           if (small_next.load(std::memory_order_relaxed) >= small.size()) {
             break;
@@ -1064,7 +1099,7 @@ class SpGemmEngine {
           const int held =
               std::max(0, lane_occupied.load(std::memory_order_relaxed) -
                               lane_exited.load(std::memory_order_relaxed));
-          if (w >= width - held) {
+          if (rank >= width - held) {
             std::this_thread::sleep_for(std::chrono::microseconds(100));
             continue;
           }

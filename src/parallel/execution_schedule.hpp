@@ -4,10 +4,10 @@
 // WHO runs WHICH rows: the flop-balanced tile plan (parallel/tiles.hpp cuts
 // inside each thread's RowPartition range, so tile ownership is aligned with
 // the Fig. 6 partition), the assignment policy, and the per-pass claim state.
-// The fused one-shot driver (core/spgemm_twophase.hpp) and the persistent
-// inspector-executor handle (core/spgemm_handle.hpp) traverse the SAME
-// schedule object, so the two paths can never disagree on tile cuts,
-// ownership, or accumulator sizing.
+// Every pass of the two-phase row pipeline (core/spgemm_twophase.hpp) —
+// the one-shot product, the handle's plan and execute, multiply_rap —
+// traverses a schedule cut by the same PlanCore::configure, so they can
+// never disagree on tile cuts, ownership, or accumulator sizing.
 //
 // Three assignment policies (SpGemmOptions::tile_schedule):
 //   * kStatic   — each thread runs exactly its owned tiles, in row order.
@@ -128,8 +128,8 @@ class ExecutionSchedule {
   /// Flop bound for sizing a thread's capture scratch: under the static
   /// policy a thread captures at most its owned rows' flop; under dynamic
   /// or stealing it may run any tile, so only the total flop bounds it.
-  /// Shared by the fused driver and the handle so capture eligibility can
-  /// never diverge between the two paths.
+  /// Shared by every pass of the row pipeline so capture eligibility can
+  /// never diverge between one-shot and planned products.
   [[nodiscard]] Offset capture_flop_bound(int tid) const {
     return policy_ == TileSchedule::kStatic
                ? owned_flop_[static_cast<std::size_t>(tid)]

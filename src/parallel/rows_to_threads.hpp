@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <utility>
 #include <vector>
 
 #include "common/types.hpp"
@@ -19,13 +20,15 @@
 
 namespace spgemm::parallel {
 
-/// Per-row flop counts for C = A*B from raw CSR structure arrays.
-/// flop[i] = sum over nonzeros a_ik of nnz(b_k*).  `flop` must hold
-/// `nrows_a` elements.
+/// Exclusive prefix over the per-row flops of C = A*B from raw CSR
+/// structure arrays: flop of row i = sum over nonzeros a_ik of nnz(b_k*).
+/// Size nrows_a + 1; back() = total flop.  `rpts_b` only needs to be a
+/// monotone prefix of B's row weights, so a flop prefix of A*P serves as
+/// the "row pointers" of an on-demand A*P (multiply_rap).
 template <IndexType IT>
-void count_flops_per_row(std::size_t nrows_a, const Offset* rpts_a,
-                         const IT* cols_a, const Offset* rpts_b,
-                         Offset* flop) {
+std::vector<Offset> flop_prefix(std::size_t nrows_a, const Offset* rpts_a,
+                                const IT* cols_a, const Offset* rpts_b) {
+  std::vector<Offset> prefix(nrows_a + 1);
 #pragma omp parallel for schedule(static)
   for (std::size_t i = 0; i < nrows_a; ++i) {
     Offset acc = 0;
@@ -33,8 +36,11 @@ void count_flops_per_row(std::size_t nrows_a, const Offset* rpts_a,
       const auto k = static_cast<std::size_t>(cols_a[j]);
       acc += rpts_b[k + 1] - rpts_b[k];
     }
-    flop[i] = acc;
+    prefix[i] = acc;
   }
+  prefix[nrows_a] = 0;
+  exclusive_scan_inplace(prefix.data(), nrows_a + 1);
+  return prefix;
 }
 
 /// Result of RowsToThreads: row ranges plus the flop prefix array, which the
@@ -62,35 +68,36 @@ struct RowPartition {
   }
 };
 
+/// Flop-balanced owner split over an exclusive per-row flop prefix (size
+/// nrows+1): the boundary of thread t is the first row whose prefix reaches
+/// t/nthreads of the total (paper Fig. 6, lines 9-13).  The one flop-
+/// balanced row split: rows_to_threads() and the RAP product's R*(A*P)
+/// prefix both cut here.
+inline RowPartition partition_from_prefix(std::vector<Offset> flop_prefix,
+                                          int nthreads) {
+  RowPartition part;
+  part.flop_prefix = std::move(flop_prefix);
+  const std::size_t nrows = part.flop_prefix.size() - 1;
+  const double ave = static_cast<double>(part.flop_prefix[nrows]) /
+                     static_cast<double>(nthreads);
+  part.offsets.assign(static_cast<std::size_t>(nthreads) + 1, 0);
+  for (int t = 1; t < nthreads; ++t) {
+    const auto target = static_cast<Offset>(ave * t);
+    part.offsets[static_cast<std::size_t>(t)] = std::min(
+        nrows, lowbnd(part.flop_prefix.data(), nrows + 1, target));
+  }
+  part.offsets[static_cast<std::size_t>(nthreads)] = nrows;
+  return part;
+}
+
 /// Build a flop-balanced partition of `nrows_a` rows across `nthreads`.
 /// Implements paper Fig. 6 verbatim: count flops, prefix-sum, lowbnd.
 template <IndexType IT>
 RowPartition rows_to_threads(std::size_t nrows_a, const Offset* rpts_a,
                              const IT* cols_a, const Offset* rpts_b,
                              int nthreads) {
-  RowPartition part;
-  part.flop_prefix.resize(nrows_a + 1);
-  count_flops_per_row(nrows_a, rpts_a, cols_a, rpts_b,
-                      part.flop_prefix.data());
-  part.flop_prefix[nrows_a] = 0;
-  exclusive_scan_inplace(part.flop_prefix.data(), nrows_a + 1);
-  const Offset total = part.flop_prefix[nrows_a];
-
-  part.offsets.assign(static_cast<std::size_t>(nthreads) + 1, 0);
-  const double ave =
-      static_cast<double>(total) / static_cast<double>(nthreads);
-#pragma omp parallel for schedule(static)
-  for (int t = 1; t < nthreads; ++t) {
-    const auto target = static_cast<Offset>(ave * t);
-    part.offsets[static_cast<std::size_t>(t)] =
-        lowbnd(part.flop_prefix.data(), nrows_a + 1, target);
-    // lowbnd may return nrows_a+? clamp to nrows_a.
-    if (part.offsets[static_cast<std::size_t>(t)] > nrows_a) {
-      part.offsets[static_cast<std::size_t>(t)] = nrows_a;
-    }
-  }
-  part.offsets[static_cast<std::size_t>(nthreads)] = nrows_a;
-  return part;
+  return partition_from_prefix(
+      flop_prefix(nrows_a, rpts_a, cols_a, rpts_b), nthreads);
 }
 
 /// Equal-rows partition (the naive static split the paper's Fig. 9 ablates
@@ -101,12 +108,7 @@ RowPartition rows_equal(std::size_t nrows_a, const Offset* rpts_a,
                         const IT* cols_a, const Offset* rpts_b,
                         int nthreads) {
   RowPartition part;
-  part.flop_prefix.resize(nrows_a + 1);
-  count_flops_per_row(nrows_a, rpts_a, cols_a, rpts_b,
-                      part.flop_prefix.data());
-  part.flop_prefix[nrows_a] = 0;
-  exclusive_scan_inplace(part.flop_prefix.data(), nrows_a + 1);
-
+  part.flop_prefix = flop_prefix(nrows_a, rpts_a, cols_a, rpts_b);
   part.offsets.assign(static_cast<std::size_t>(nthreads) + 1, 0);
   const std::size_t chunk =
       (nrows_a + static_cast<std::size_t>(nthreads) - 1) /

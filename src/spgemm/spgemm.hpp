@@ -7,12 +7,12 @@
 //
 //   1. One-shot: multiply(a, b, opts) / multiply_over<SR>(a, b, opts).
 //      Pick a kernel (or let the Table 4 recipe decide) and get C = A*B.
-//      Two-phase kernels run the TILE-FUSED driver: symbolic and numeric
-//      back to back per tile of an ExecutionSchedule
-//      (parallel/execution_schedule.hpp), A/B rows cache-hot between the
-//      phases.  The driver shares its row-level primitives, kernel
-//      policies and schedule with tier 2's handle, so one-shot and
-//      planned products are bit-identical.
+//      Two-phase kernels run the row pipeline's one-shot pass
+//      (core/spgemm_twophase.hpp): symbolic and numeric back to back per
+//      tile of an ExecutionSchedule (parallel/execution_schedule.hpp), A/B
+//      rows cache-hot between the phases.  Tier 2's handle and
+//      multiply_rap run the same row loops, kernel policies and schedule,
+//      so one-shot and planned products are bit-identical.
 //
 //   2. Inspector-executor: SpGemmHandle<IT, VT> (core/spgemm_handle.hpp).
 //      plan(a, b) pays the symbolic phase, flop-balanced partition,

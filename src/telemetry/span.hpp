@@ -38,7 +38,7 @@ class ScopedSpan {
 
 /// Record an externally measured phase duration (seconds) into the same
 /// histogram family TELEM_SPAN uses.  For code that already times its phases
-/// (e.g. the one-shot driver's per-tile symbolic/numeric accounting) and
+/// (e.g. the one-shot pass's per-tile symbolic/numeric accounting) and
 /// wants them attributed without double-timing.
 void phase_observe(const char* phase, double seconds);
 

@@ -1,0 +1,394 @@
+// The row pipeline (core/spgemm_twophase.hpp KernelPlan) behind every
+// two-phase entry point: the one-shot multiply, SpGemmHandle's plan and
+// execute, multiply_with_epilogue and multiply_rap.
+//
+// Three contracts:
+//   * Short teams.  Every per-owner region must compute every row when
+//     OpenMP delivers fewer threads than requested — here a call from
+//     inside a caller's parallel region with nesting off, where every
+//     inner region gets a team of one while the options ask for four.
+//   * One-shot == planned execute, bitwise, across the configuration
+//     lattice the other suites leave out: fused epilogues, capture-overflow
+//     rows, unsorted output, thread counts and all three tile schedules.
+//   * multiply_rap runs on the tile schedule: bit-identical to the
+//     two-step product under every schedule, with its tiles reported.
+#include <gtest/gtest.h>
+#include <omp.h>
+
+#include <cmath>
+#include <cstdint>
+#include <exception>
+#include <optional>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "apps/amg_galerkin.hpp"
+#include "core/multiply.hpp"
+#include "core/spgemm_handle.hpp"
+#include "core/spgemm_rap.hpp"
+#include "core/spgemm_ref.hpp"
+#include "matrix/ops.hpp"
+#include "matrix/rmat.hpp"
+
+namespace spgemm {
+namespace {
+
+using I = std::int32_t;
+using Matrix = CsrMatrix<I, double>;
+
+constexpr int kRequestedThreads = 4;
+
+constexpr Algorithm kAllAlgorithms[] = {
+    Algorithm::kAuto,       Algorithm::kHeap,  Algorithm::kHash,
+    Algorithm::kHashVector, Algorithm::kSpa,   Algorithm::kSpa1p,
+    Algorithm::kKkHash,     Algorithm::kMerge, Algorithm::kIkj,
+    Algorithm::kAdaptive,   Algorithm::kReference};
+
+constexpr parallel::TileSchedule kSchedules[] = {
+    parallel::TileSchedule::kStatic, parallel::TileSchedule::kDynamic,
+    parallel::TileSchedule::kStealing};
+
+Matrix rmat(int scale, int edge_factor, std::uint64_t seed) {
+  return rmat_matrix<I, double>(RmatParams::g500(scale, edge_factor, seed));
+}
+
+/// Unit values keep every product entry an exact integer, so the oracle's
+/// fold order never matters and epilogue thresholds cannot flip on a
+/// rounding difference.
+Matrix unit_rmat(int scale, int edge_factor, std::uint64_t seed) {
+  Matrix m = rmat(scale, edge_factor, seed);
+  for (auto& v : m.vals) v = 1.0;
+  return m;
+}
+
+void expect_bitwise_equal(const Matrix& x, const Matrix& y,
+                          const std::string& label) {
+  ASSERT_EQ(x.nrows, y.nrows) << label;
+  ASSERT_EQ(x.ncols, y.ncols) << label;
+  ASSERT_EQ(x.rpts, y.rpts) << label;
+  ASSERT_EQ(x.cols, y.cols) << label;
+  ASSERT_EQ(x.vals.size(), y.vals.size()) << label;
+  for (std::size_t i = 0; i < x.vals.size(); ++i) {
+    ASSERT_EQ(x.vals[i], y.vals[i]) << label << " at vals[" << i << "]";
+  }
+}
+
+/// Runs `fn` on one thread of a two-thread parallel region with nesting
+/// disabled: every parallel region `fn` opens gets a team of one, whatever
+/// its options request.  Exceptions are carried out of the region.
+template <typename Fn>
+auto in_short_team(Fn&& fn) {
+  using Result = decltype(fn());
+  const int levels = omp_get_max_active_levels();
+  omp_set_max_active_levels(1);
+  std::optional<Result> out;
+  std::exception_ptr error;
+#pragma omp parallel num_threads(2)
+  {
+#pragma omp single
+    {
+      try {
+        out.emplace(fn());
+      } catch (...) {
+        error = std::current_exception();
+      }
+    }
+  }
+  omp_set_max_active_levels(levels);
+  if (error) std::rethrow_exception(error);
+  return std::move(*out);
+}
+
+bool planable(Algorithm algo) {
+  return algo == Algorithm::kAuto || is_two_phase(algo);
+}
+
+SpGemmOptions short_team_opts(Algorithm algo) {
+  SpGemmOptions opts;
+  opts.algorithm = algo;
+  opts.threads = kRequestedThreads;
+  return opts;
+}
+
+EpilogueSpec prune_spec() {
+  EpilogueSpec spec;
+  spec.kind = EpilogueKind::kPruneScale;
+  spec.inflation = 2.0;
+  spec.prune_below = 4.0;  // unit inputs: keeps the entries >= 2
+  return spec;
+}
+
+/// The reference product pruned and scaled entry by entry.
+Matrix prune_scale_ref(const Matrix& c, const EpilogueSpec& spec) {
+  Matrix out(c.nrows, c.ncols);
+  for (I i = 0; i < c.nrows; ++i) {
+    for (Offset j = c.row_begin(i); j < c.row_end(i); ++j) {
+      const double v =
+          std::pow(c.vals[static_cast<std::size_t>(j)], spec.inflation);
+      if (v >= spec.prune_below) {
+        out.cols.push_back(c.cols[static_cast<std::size_t>(j)]);
+        out.vals.push_back(v);
+      }
+    }
+    out.rpts[static_cast<std::size_t>(i) + 1] =
+        static_cast<Offset>(out.cols.size());
+  }
+  return out;
+}
+
+// ---------------------------------------------------------------------------
+// Short teams: a call from inside a caller's parallel region.
+// ---------------------------------------------------------------------------
+
+class RowPipelineShortTeam : public ::testing::Test {
+ protected:
+  const Matrix a = unit_rmat(8, 8, 71);
+  const Matrix expected = spgemm_reference(a, a);
+};
+
+TEST_F(RowPipelineShortTeam, MultiplyEveryAlgorithm) {
+  for (const Algorithm algo : kAllAlgorithms) {
+    const SpGemmOptions opts = short_team_opts(algo);
+    const Matrix c = in_short_team([&] { return multiply(a, a, opts); });
+    EXPECT_TRUE(approx_equal(c, expected)) << algorithm_name(algo);
+  }
+}
+
+TEST_F(RowPipelineShortTeam, DefaultOptionsInsideParallelRegion) {
+  // threads = 0 resolves to omp_get_max_threads(), which inside the outer
+  // region reports the calling task's setting, not the team of one that
+  // nesting grants; pin it so the result does not depend on the host.
+  for (const Algorithm algo : kAllAlgorithms) {
+    SpGemmOptions opts;
+    opts.algorithm = algo;
+    const Matrix c = in_short_team([&] {
+      omp_set_num_threads(kRequestedThreads);
+      return multiply(a, a, opts);
+    });
+    EXPECT_TRUE(approx_equal(c, expected)) << algorithm_name(algo);
+  }
+}
+
+TEST_F(RowPipelineShortTeam, HandleUnfusedAndFused) {
+  const EpilogueSpec spec = prune_spec();
+  const Matrix pruned = prune_scale_ref(expected, spec);
+  for (const Algorithm algo : kAllAlgorithms) {
+    if (!planable(algo)) continue;
+    const SpGemmOptions plain = short_team_opts(algo);
+    const Matrix c = in_short_team([&] {
+      SpGemmHandle<I, double> handle(a, a, plain);
+      return Matrix(handle.execute(a, a));
+    });
+    EXPECT_TRUE(approx_equal(c, expected)) << algorithm_name(algo) << " unfused";
+
+    SpGemmOptions fused = plain;
+    fused.epilogue = spec;
+    const Matrix f = in_short_team([&] {
+      SpGemmHandle<I, double> handle(a, a, fused);
+      return Matrix(handle.execute(a, a));
+    });
+    EXPECT_TRUE(approx_equal(f, pruned)) << algorithm_name(algo) << " fused";
+  }
+}
+
+TEST_F(RowPipelineShortTeam, MultiplyWithEpilogue) {
+  const EpilogueSpec spec = prune_spec();
+  const Matrix pruned = prune_scale_ref(expected, spec);
+  const double masked = masked_sum(expected, a);
+  for (const Algorithm algo : kAllAlgorithms) {
+    if (!planable(algo)) continue;
+    SpGemmOptions opts = short_team_opts(algo);
+    opts.epilogue = spec;
+    const Matrix f = in_short_team(
+        [&] { return multiply_with_epilogue(a, a, opts); });
+    EXPECT_TRUE(approx_equal(f, pruned)) << algorithm_name(algo) << " prune";
+
+    opts.epilogue = EpilogueSpec{};
+    opts.epilogue.kind = EpilogueKind::kMaskReduce;
+    const double reduce = in_short_team([&] {
+      EpilogueResult result;
+      multiply_with_epilogue(a, a, opts, &result, &a);
+      return result.reduce;
+    });
+    EXPECT_EQ(reduce, masked) << algorithm_name(algo) << " mask-reduce";
+  }
+}
+
+TEST_F(RowPipelineShortTeam, MultiplyRap) {
+  const Matrix p = apps::aggregation_prolongator<I, double>(a.nrows, 3);
+  const Matrix r = transpose(p);
+  const Matrix rap = spgemm_reference(r, spgemm_reference(a, p));
+  for (const Algorithm algo : kAllAlgorithms) {
+    if (!planable(algo)) continue;
+    const SpGemmOptions opts = short_team_opts(algo);
+    const Matrix c =
+        in_short_team([&] { return multiply_rap(r, a, p, opts); });
+    EXPECT_TRUE(approx_equal(c, rap)) << algorithm_name(algo);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// One-shot == planned execute across the configuration lattice.
+// ---------------------------------------------------------------------------
+
+struct LatticePoint {
+  Algorithm algo;
+  EpilogueKind epilogue;
+  int capture;  ///< 0 default budget, 1 a 2 KiB budget, 2 reuse off
+  SortOutput sorted;
+  int threads;
+  parallel::TileSchedule schedule;
+
+  [[nodiscard]] std::string label() const {
+    return std::string(algorithm_name(algo)) + " epi" +
+           std::to_string(static_cast<int>(epilogue)) + " cap" +
+           std::to_string(capture) +
+           (sorted == SortOutput::kYes ? " sorted" : " unsorted") + " t" +
+           std::to_string(threads) + " sched" +
+           std::to_string(static_cast<int>(schedule));
+  }
+
+  [[nodiscard]] SpGemmOptions options() const {
+    SpGemmOptions opts;
+    opts.algorithm = algo;
+    opts.threads = threads;
+    opts.sort_output = sorted;
+    opts.tile_schedule = schedule;
+    if (capture == 1) opts.reuse_budget_bytes = 2048;
+    if (capture == 2) opts.reuse = StructureReuse::kOff;
+    if (epilogue == EpilogueKind::kPruneScale) {
+      opts.epilogue.kind = EpilogueKind::kPruneScale;
+      opts.epilogue.inflation = 2.0;
+      opts.epilogue.prune_below = 0.05;
+      opts.epilogue.collect_column_sums = true;
+    } else if (epilogue == EpilogueKind::kMaskReduce) {
+      opts.epilogue.kind = EpilogueKind::kMaskReduce;
+    }
+    return opts;
+  }
+};
+
+/// Per-owner partial sums fold in owner order; which rows an owner ran
+/// depends on the schedule, so the scalars agree to rounding only.
+void expect_results_close(const EpilogueResult& x, const EpilogueResult& y,
+                          const std::string& label) {
+  EXPECT_EQ(x.rows, y.rows) << label;
+  EXPECT_NEAR(x.reduce, y.reduce, 1e-9 * std::abs(x.reduce) + 1e-12)
+      << label;
+  ASSERT_EQ(x.col_sums.size(), y.col_sums.size()) << label;
+  for (std::size_t j = 0; j < x.col_sums.size(); ++j) {
+    EXPECT_NEAR(x.col_sums[j], y.col_sums[j],
+                1e-9 * std::abs(x.col_sums[j]) + 1e-12)
+        << label << " col " << j;
+  }
+}
+
+void check_lattice_point(const Matrix& a, const LatticePoint& pt) {
+  const std::string label = pt.label();
+  const SpGemmOptions opts = pt.options();
+  const bool fused = pt.epilogue != EpilogueKind::kNone;
+
+  EpilogueResult once_result;
+  SpGemmStats once_stats;
+  const Matrix once =
+      fused ? multiply_with_epilogue(a, a, opts, &once_result, &a,
+                                     &once_stats)
+            : multiply(a, a, opts, &once_stats);
+
+  SpGemmHandle<I, double> handle(a, a, opts);
+  handle.set_epilogue_mask(&a);
+  // Two executes: the first fills the pooled skeleton, the second replays
+  // over it; both must reproduce the one-shot bytes.
+  for (int rep = 0; rep < 2; ++rep) {
+    const Matrix& planned = handle.execute(a, a);
+    expect_bitwise_equal(planned, once,
+                         label + " execute " + std::to_string(rep));
+    if (fused) {
+      expect_results_close(handle.epilogue_result(), once_result, label);
+    }
+  }
+  Matrix into;
+  handle.execute_into(a, a, into);
+  expect_bitwise_equal(into, once, label + " execute_into");
+
+  if (pt.capture == 2) {
+    EXPECT_EQ(once_stats.reuse_rows_captured, 0U) << label;
+    EXPECT_EQ(handle.stats().reuse_rows_captured, 0U) << label;
+  }
+}
+
+TEST(RowPipelineLattice, OneShotMatchesPlannedExecute) {
+  const Matrix a = rmat(8, 8, 83);
+  for (const Algorithm algo : {Algorithm::kHash, Algorithm::kAdaptive}) {
+    for (const EpilogueKind epi :
+         {EpilogueKind::kNone, EpilogueKind::kPruneScale,
+          EpilogueKind::kMaskReduce}) {
+      for (const int capture : {0, 1, 2}) {
+        for (const SortOutput sorted : {SortOutput::kYes, SortOutput::kNo}) {
+          for (const int threads : {1, 2, 4}) {
+            for (const parallel::TileSchedule schedule : kSchedules) {
+              check_lattice_point(
+                  a, {algo, epi, capture, sorted, threads, schedule});
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(RowPipelineLattice, EveryTwoPhaseKernelOverflowsCapture) {
+  // A 2 KiB capture budget leaves most rows of this product to the
+  // count-then-re-probe branch, in every pass of the pipeline.
+  const Matrix a = rmat(8, 8, 89);
+  for (const Algorithm algo :
+       {Algorithm::kHashVector, Algorithm::kSpa, Algorithm::kKkHash}) {
+    for (const EpilogueKind epi :
+         {EpilogueKind::kNone, EpilogueKind::kPruneScale}) {
+      const LatticePoint pt{algo,  epi, 1, SortOutput::kNo, 2,
+                            parallel::TileSchedule::kStealing};
+      check_lattice_point(a, pt);
+      SpGemmStats stats;
+      multiply(a, a, pt.options(), &stats);
+      EXPECT_LT(stats.reuse_rows_captured, stats.reuse_rows_total)
+          << pt.label();
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// multiply_rap on the tile schedule.
+// ---------------------------------------------------------------------------
+
+TEST(RowPipelineRap, BitIdenticalToTwoStepUnderEverySchedule) {
+  const Matrix a = apps::poisson_2d<I, double>(20, 20);
+  const Matrix p = apps::aggregation_prolongator<I, double>(a.nrows, 3);
+  const Matrix r = transpose(p);
+  for (const parallel::TileSchedule schedule : kSchedules) {
+    for (const int threads : {1, 2, 3, 4}) {
+      SpGemmOptions opts;
+      opts.algorithm = Algorithm::kHash;
+      opts.threads = threads;
+      opts.sort_output = SortOutput::kYes;
+      opts.tile_schedule = schedule;
+      opts.tile_rows = 16;
+      const std::string label = "sched" +
+                                std::to_string(static_cast<int>(schedule)) +
+                                " t" + std::to_string(threads);
+      SpGemmStats stats;
+      const Matrix fused = multiply_rap(r, a, p, opts, &stats);
+      expect_bitwise_equal(fused, multiply(r, multiply(a, p, opts), opts),
+                           label);
+      // tile_rows caps every tile at 16 rows of an owner's range.
+      EXPECT_GE(stats.tile_count,
+                static_cast<std::uint64_t>((r.nrows + 15) / 16))
+          << label;
+      EXPECT_EQ(stats.epilogue_rows, static_cast<std::uint64_t>(r.nrows))
+          << label;
+    }
+  }
+}
+
+}  // namespace
+}  // namespace spgemm
