@@ -2,7 +2,7 @@
 //
 //   spgemm_tool A.mtx [B.mtx] [options]
 //
-//   --algorithm=NAME   heap|hash|hashvector|spa|spa1p|kkhash|merge|
+//   --algorithm=NAME   heap|hash|hashvector|spa|spa1p|kkhash|merge|ikj|
 //                      adaptive|auto
 //   --unsorted         emit unsorted rows (the paper's fast path)
 //   --threads=N        OpenMP thread count (default: runtime's choice)
@@ -29,6 +29,7 @@ spgemm::Algorithm parse_algorithm(const std::string& name) {
   if (name == "spa1p") return Algorithm::kSpa1p;
   if (name == "kkhash") return Algorithm::kKkHash;
   if (name == "merge") return Algorithm::kMerge;
+  if (name == "ikj") return Algorithm::kIkj;
   if (name == "adaptive") return Algorithm::kAdaptive;
   if (name == "auto") return Algorithm::kAuto;
   std::fprintf(stderr, "unknown algorithm '%s'\n", name.c_str());

@@ -10,7 +10,8 @@
 // exactly once.  Repeated products should plan a SpGemmHandle instead; it
 // runs the same row loops, kernel policies and schedule cuts, so their
 // outputs are bit-identical.  One-phase kernels (heap, merge, ikj, spa1p)
-// and the reference oracle keep their direct implementations.
+// run the one-phase driver (core/spgemm_onephase.hpp); the reference oracle
+// stays serial.
 #pragma once
 
 #include <stdexcept>

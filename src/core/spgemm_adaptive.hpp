@@ -10,32 +10,65 @@
 //                                     large fraction of the columns anyway).
 // Output quality is identical to the Hash kernel (sorted or unsorted); the
 // win is on matrices whose row-flop distribution is extremely skewed,
-// where one accumulator cannot fit all regimes.
+// where one accumulator cannot fit all regimes.  spgemm_adaptive() is the
+// direct kernel: its rows run on the shared one-phase driver
+// (core/spgemm_onephase.hpp), which hands each row its flop.  multiply()
+// runs the same regimes through the two-phase row pipeline instead
+// (AdaptivePlanPolicy, core/spgemm_policies.hpp).
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
+#include <stdexcept>
 
 #include "accumulator/hash_table.hpp"
 #include "accumulator/spa.hpp"
-#include "common/timer.hpp"
 #include "common/types.hpp"
 #include "core/semiring.hpp"
+#include "core/spgemm_onephase.hpp"
 #include "core/spgemm_options.hpp"
 #include "matrix/csr.hpp"
-#include "parallel/omp_utils.hpp"
-#include "parallel/rows_to_threads.hpp"
 
 namespace spgemm {
+
+/// Per-row flop thresholds separating the three regimes.
+struct AdaptiveThresholds {
+  Offset tiny_flop = 16;
+  /// Dense regime when flop(row) >= ncols / dense_divisor; must be >= 1.
+  Offset dense_divisor = 2;
+};
+
 namespace detail {
+
+/// Capacity of the tiny-row buffer.
+inline constexpr std::size_t kTinyRowCapacity = 16;
+
+/// The regime cuts of a product into `ncols` columns: a row is tiny when
+/// flop <= tiny (checked first) and dense when flop >= dense.  The direct
+/// kernel and AdaptivePlanPolicy both cut here.
+struct AdaptiveCuts {
+  Offset tiny = 0;
+  Offset dense = 0;
+};
+
+inline AdaptiveCuts adaptive_cuts(Offset ncols, AdaptiveThresholds thresholds) {
+  if (thresholds.dense_divisor < 1) {
+    throw std::invalid_argument(
+        "AdaptiveThresholds: dense_divisor must be at least 1");
+  }
+  // The tiny-row buffer is register-sized; flop <= capacity bounds the
+  // distinct-key count, so the threshold is clamped to the capacity no
+  // matter what the caller asks for.
+  return {std::min<Offset>(thresholds.tiny_flop,
+                           static_cast<Offset>(kTinyRowCapacity)),
+          ncols / thresholds.dense_divisor};
+}
 
 /// Sorted-insertion accumulator for tiny rows: linear scan into a small
 /// buffer is faster than any hashing below ~16 entries.
 template <IndexType IT, ValueType VT, typename SR>
 class TinyRowAccumulator {
  public:
-  static constexpr std::size_t kCapacity = 16;
-
   void begin() { count_ = 0; }
 
   void accumulate(IT key, VT value) {
@@ -64,19 +97,12 @@ class TinyRowAccumulator {
   }
 
  private:
-  IT cols_[kCapacity];
-  VT vals_[kCapacity];
+  IT cols_[kTinyRowCapacity];
+  VT vals_[kTinyRowCapacity];
   std::size_t count_ = 0;
 };
 
 }  // namespace detail
-
-/// Per-row flop thresholds separating the three regimes.
-struct AdaptiveThresholds {
-  Offset tiny_flop = 16;
-  /// Dense regime when flop(row) >= ncols / dense_divisor.
-  Offset dense_divisor = 2;
-};
 
 template <IndexType IT, ValueType VT, typename SR = PlusTimes>
 CsrMatrix<IT, VT> spgemm_adaptive(const CsrMatrix<IT, VT>& a,
@@ -85,159 +111,49 @@ CsrMatrix<IT, VT> spgemm_adaptive(const CsrMatrix<IT, VT>& a,
                                   SpGemmStats* stats = nullptr,
                                   AdaptiveThresholds thresholds = {},
                                   SR /*semiring*/ = {}) {
-  const int nthreads = parallel::resolve_threads(opts.threads);
-  parallel::ScopedNumThreads scoped(opts.threads);
-
-  Timer timer;
-  const auto nrows = static_cast<std::size_t>(a.nrows);
-  parallel::RowPartition part = parallel::rows_to_threads(
-      nrows, a.rpts.data(), a.cols.data(), b.rpts.data(), nthreads);
-  if (stats != nullptr) {
-    stats->setup_ms = timer.millis();
-    stats->flop = part.total_flop();
-  }
-  const Offset dense_cut =
-      static_cast<Offset>(b.ncols) / thresholds.dense_divisor;
-  // The tiny-row buffer is register-sized; flop <= capacity bounds the
-  // distinct-key count, so the threshold is clamped to the capacity no
-  // matter what the caller asks for.
-  const Offset tiny_cut = std::min<Offset>(
-      thresholds.tiny_flop,
-      static_cast<Offset>(detail::TinyRowAccumulator<IT, VT, SR>::kCapacity));
-
-  CsrMatrix<IT, VT> c(a.nrows, b.ncols);
-
-  // ---- Symbolic ----------------------------------------------------------
-  timer.reset();
-#pragma omp parallel num_threads(nthreads)
-  parallel::for_each_owner(part.threads(), [&](int tid) {
+  const detail::AdaptiveCuts cuts = detail::adaptive_cuts(b.ncols, thresholds);
+  const auto ncols = static_cast<std::size_t>(b.ncols);
+  const bool sorted = opts.sort_output == SortOutput::kYes;
+  // Per thread: a hash table for the widest non-dense row the thread sees,
+  // and the SPA only when one of its rows may be dense.
+  const auto make_row = [&](Offset max_flop) {
     HashAccumulator<IT, VT> hash;
+    hash.prepare(
+        hash_table_size_for(std::min<Offset>(max_flop, cuts.dense), ncols));
     SpaAccumulator<IT, VT> spa;
-    bool spa_ready = false;
-    hash.prepare(hash_table_size_for(
-        std::min<Offset>(part.max_row_flop(tid), dense_cut),
-        static_cast<std::size_t>(b.ncols)));
-    for (std::size_t i = part.offsets[static_cast<std::size_t>(tid)];
-         i < part.offsets[static_cast<std::size_t>(tid) + 1]; ++i) {
-      const Offset row_flop = part.flop_prefix[i + 1] - part.flop_prefix[i];
-      if (row_flop >= dense_cut) {
-        if (!spa_ready) {
-          spa.prepare(static_cast<std::size_t>(b.ncols));
-          spa_ready = true;
-        }
+    if (max_flop >= cuts.dense) spa.prepare(ncols);
+    return [&a, &b, cuts, sorted, hash = std::move(hash), spa = std::move(spa),
+            tiny = detail::TinyRowAccumulator<IT, VT, SR>{}](
+               std::size_t i, Offset flop, IT* out_cols,
+               VT* out_vals) mutable -> std::size_t {
+      const auto run = [&](auto&& accumulate) {
         for (Offset j = a.rpts[i]; j < a.rpts[i + 1]; ++j) {
           const auto k = static_cast<std::size_t>(
               a.cols[static_cast<std::size_t>(j)]);
+          const VT av = a.vals[static_cast<std::size_t>(j)];
           for (Offset l = b.rpts[k]; l < b.rpts[k + 1]; ++l) {
-            spa.insert(b.cols[static_cast<std::size_t>(l)]);
+            accumulate(b.cols[static_cast<std::size_t>(l)],
+                       SR::mul(av, b.vals[static_cast<std::size_t>(l)]));
           }
         }
-        c.rpts[i + 1] = static_cast<Offset>(spa.count());
-        spa.reset();
-      } else {
-        // Tiny rows share the hash path in the symbolic phase: counting
-        // distinct keys is all that matters and flop <= 16 is cheap
-        // either way.
-        for (Offset j = a.rpts[i]; j < a.rpts[i + 1]; ++j) {
-          const auto k = static_cast<std::size_t>(
-              a.cols[static_cast<std::size_t>(j)]);
-          for (Offset l = b.rpts[k]; l < b.rpts[k + 1]; ++l) {
-            hash.insert(b.cols[static_cast<std::size_t>(l)]);
-          }
-        }
-        c.rpts[i + 1] = static_cast<Offset>(hash.count());
-        hash.reset();
-      }
-    }
-  });
-  for (std::size_t i = 0; i < nrows; ++i) c.rpts[i + 1] += c.rpts[i];
-  if (stats != nullptr) stats->symbolic_ms = timer.millis();
-  c.cols.resize(static_cast<std::size_t>(c.nnz()));
-  c.vals.resize(static_cast<std::size_t>(c.nnz()));
-
-  // ---- Numeric ------------------------------------------------------------
-  timer.reset();
-#pragma omp parallel num_threads(nthreads)
-  parallel::for_each_owner(part.threads(), [&](int tid) {
-    detail::TinyRowAccumulator<IT, VT, SR> tiny;
-    HashAccumulator<IT, VT> hash;
-    SpaAccumulator<IT, VT> spa;
-    bool spa_ready = false;
-    hash.prepare(hash_table_size_for(
-        std::min<Offset>(part.max_row_flop(tid), dense_cut),
-        static_cast<std::size_t>(b.ncols)));
-    const auto fold = [](VT& acc, VT v) { SR::add_into(acc, v); };
-
-    for (std::size_t i = part.offsets[static_cast<std::size_t>(tid)];
-         i < part.offsets[static_cast<std::size_t>(tid) + 1]; ++i) {
-      const Offset row_flop = part.flop_prefix[i + 1] - part.flop_prefix[i];
-      IT* out_cols = c.cols.data() + c.rpts[i];
-      VT* out_vals = c.vals.data() + c.rpts[i];
-
-      if (row_flop <= tiny_cut) {
+      };
+      const auto fold_into = [&](auto& acc) {
+        run([&](IT col, VT v) {
+          acc.accumulate(col, v, [](VT& x, VT y) { SR::add_into(x, y); });
+        });
+        return detail::emit_row(acc, sorted, out_cols, out_vals);
+      };
+      if (flop <= cuts.tiny) {
         tiny.begin();
-        for (Offset j = a.rpts[i]; j < a.rpts[i + 1]; ++j) {
-          const auto k = static_cast<std::size_t>(
-              a.cols[static_cast<std::size_t>(j)]);
-          const VT av = a.vals[static_cast<std::size_t>(j)];
-          for (Offset l = b.rpts[k]; l < b.rpts[k + 1]; ++l) {
-            tiny.accumulate(b.cols[static_cast<std::size_t>(l)],
-                            SR::mul(av, b.vals[static_cast<std::size_t>(l)]));
-          }
-        }
+        run([&](IT col, VT v) { tiny.accumulate(col, v); });
         tiny.emit(out_cols, out_vals);  // always sorted
-      } else if (row_flop >= dense_cut) {
-        if (!spa_ready) {
-          spa.prepare(static_cast<std::size_t>(b.ncols));
-          spa_ready = true;
-        }
-        for (Offset j = a.rpts[i]; j < a.rpts[i + 1]; ++j) {
-          const auto k = static_cast<std::size_t>(
-              a.cols[static_cast<std::size_t>(j)]);
-          const VT av = a.vals[static_cast<std::size_t>(j)];
-          for (Offset l = b.rpts[k]; l < b.rpts[k + 1]; ++l) {
-            spa.accumulate(b.cols[static_cast<std::size_t>(l)],
-                           SR::mul(av,
-                                   b.vals[static_cast<std::size_t>(l)]),
-                           fold);
-          }
-        }
-        if (opts.sort_output == SortOutput::kYes) {
-          spa.extract_sorted(out_cols, out_vals);
-        } else {
-          spa.extract_unsorted(out_cols, out_vals);
-        }
-        spa.reset();
-      } else {
-        for (Offset j = a.rpts[i]; j < a.rpts[i + 1]; ++j) {
-          const auto k = static_cast<std::size_t>(
-              a.cols[static_cast<std::size_t>(j)]);
-          const VT av = a.vals[static_cast<std::size_t>(j)];
-          for (Offset l = b.rpts[k]; l < b.rpts[k + 1]; ++l) {
-            hash.accumulate(b.cols[static_cast<std::size_t>(l)],
-                            SR::mul(av,
-                                    b.vals[static_cast<std::size_t>(l)]),
-                            fold);
-          }
-        }
-        if (opts.sort_output == SortOutput::kYes) {
-          hash.extract_sorted(out_cols, out_vals);
-        } else {
-          hash.extract_unsorted(out_cols, out_vals);
-        }
-        hash.reset();
+        return tiny.count();
       }
-    }
-  });
-  if (stats != nullptr) {
-    stats->numeric_ms = timer.millis();
-    stats->nnz_out = c.nnz();
-  }
+      return flop >= cuts.dense ? fold_into(spa) : fold_into(hash);
+    };
+  };
   // Tiny rows always emit sorted; the claim reflects the weaker guarantee.
-  c.sortedness = opts.sort_output == SortOutput::kYes
-                     ? Sortedness::kSorted
-                     : Sortedness::kUnsorted;
-  return c;
+  return detail::one_phase_product(a, b, opts, stats, make_row);
 }
 
 }  // namespace spgemm

@@ -7,23 +7,23 @@
 // column carries the flag are accumulated — work drops from O(flop) hash
 // traffic to O(flop) flag tests plus O(nnz(M_i*)) accumulator entries.
 // This is the "masked" extension discussed as future work in the triangle-
-// counting literature the paper builds on (Azad et al. [4]).
+// counting literature the paper builds on (Azad et al. [4]).  Rows run on
+// the shared one-phase driver (core/spgemm_onephase.hpp), each bounded by
+// its mask row's nnz, so staging stays O(nnz(M)) rather than O(flop).
 #pragma once
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <stdexcept>
-#include <vector>
 
 #include "accumulator/hash_table.hpp"
-#include "common/timer.hpp"
 #include "common/types.hpp"
 #include "core/semiring.hpp"
+#include "core/spgemm_onephase.hpp"
 #include "core/spgemm_options.hpp"
 #include "matrix/csr.hpp"
 #include "mem/workspace.hpp"
-#include "parallel/omp_utils.hpp"
-#include "parallel/rows_to_threads.hpp"
 
 namespace spgemm {
 
@@ -42,48 +42,22 @@ CsrMatrix<IT, VT> multiply_masked(const CsrMatrix<IT, VT>& a,
   if (mask.nrows != a.nrows || mask.ncols != b.ncols) {
     throw std::invalid_argument("multiply_masked: mask shape mismatch");
   }
-  const int nthreads = parallel::resolve_threads(opts.threads);
-  parallel::ScopedNumThreads scoped(opts.threads);
-
-  Timer timer;
-  const auto nrows = static_cast<std::size_t>(a.nrows);
-  parallel::RowPartition part = parallel::rows_to_threads(
-      nrows, a.rpts.data(), a.cols.data(), b.rpts.data(), nthreads);
-  if (stats != nullptr) {
-    stats->setup_ms = timer.millis();
-    stats->flop = part.total_flop();
-    stats->symbolic_ms = 0.0;  // output structure is bounded by the mask
-  }
-
-  CsrMatrix<IT, VT> c(a.nrows, b.ncols);
-  // nnz(C_i*) <= nnz(mask_i*): allocate the mask's structure up front and
-  // compact after the numeric pass.
-  c.cols.resize(static_cast<std::size_t>(mask.nnz()));
-  c.vals.resize(static_cast<std::size_t>(mask.nnz()));
-
-  timer.reset();
-#pragma omp parallel num_threads(nthreads)
-  parallel::for_each_owner(part.threads(), [&](int tid) {
-    mem::ThreadScratch<std::uint8_t> flags_scratch;
-    auto* flags =
-        flags_scratch.ensure(static_cast<std::size_t>(b.ncols));
-    std::fill(flags, flags + static_cast<std::size_t>(b.ncols),
-              std::uint8_t{0});
-    HashAccumulator<IT, VT> acc;
-    Offset max_mask_row = 0;
-    for (std::size_t i = part.offsets[static_cast<std::size_t>(tid)];
-         i < part.offsets[static_cast<std::size_t>(tid) + 1]; ++i) {
-      max_mask_row = std::max(max_mask_row,
-                              mask.rpts[i + 1] - mask.rpts[i]);
-    }
-    acc.prepare(hash_table_size_for(
-        max_mask_row, static_cast<std::size_t>(b.ncols)));
-
-    for (std::size_t i = part.offsets[static_cast<std::size_t>(tid)];
-         i < part.offsets[static_cast<std::size_t>(tid) + 1]; ++i) {
+  const auto ncols = static_cast<std::size_t>(b.ncols);
+  const bool sorted = opts.sort_output == SortOutput::kYes;
+  // Per thread: the mask-row flags, cleared once and reset per row, and a
+  // hash table sized for the widest mask row the thread sees.
+  const auto make_row = [&](Offset max_mask_row) {
+    mem::ThreadScratch<std::uint8_t> flags;
+    std::fill_n(flags.ensure(ncols), ncols, std::uint8_t{0});
+    HashAccumulator<IT, VT> hash;
+    hash.prepare(hash_table_size_for(max_mask_row, ncols));
+    return [&a, &b, &mask, sorted, flags = std::move(flags),
+            acc = std::move(hash)](std::size_t i, Offset /*mask_nnz*/,
+                                   IT* out_cols, VT* out_vals) mutable {
+      std::uint8_t* in_mask = flags.data();
       // Scatter the mask row.
       for (Offset j = mask.rpts[i]; j < mask.rpts[i + 1]; ++j) {
-        flags[static_cast<std::size_t>(
+        in_mask[static_cast<std::size_t>(
             mask.cols[static_cast<std::size_t>(j)])] = 1;
       }
       // Accumulate only in-mask products.
@@ -93,54 +67,26 @@ CsrMatrix<IT, VT> multiply_masked(const CsrMatrix<IT, VT>& a,
         const VT av = a.vals[static_cast<std::size_t>(j)];
         for (Offset l = b.rpts[k]; l < b.rpts[k + 1]; ++l) {
           const IT col = b.cols[static_cast<std::size_t>(l)];
-          if (flags[static_cast<std::size_t>(col)] != 0) {
+          if (in_mask[static_cast<std::size_t>(col)] != 0) {
             acc.accumulate(
                 col, SR::mul(av, b.vals[static_cast<std::size_t>(l)]),
                 [](VT& fold_acc, VT v) { SR::add_into(fold_acc, v); });
           }
         }
       }
-      // Emit into the mask-structure slot for this row.
-      IT* out_cols = c.cols.data() + mask.rpts[i];
-      VT* out_vals = c.vals.data() + mask.rpts[i];
-      if (opts.sort_output == SortOutput::kYes) {
-        acc.extract_sorted(out_cols, out_vals);
-      } else {
-        acc.extract_unsorted(out_cols, out_vals);
-      }
-      c.rpts[i + 1] = static_cast<Offset>(acc.count());
-      acc.reset();
+      const std::size_t count =
+          detail::emit_row(acc, sorted, out_cols, out_vals);
       // Un-scatter the mask row.
       for (Offset j = mask.rpts[i]; j < mask.rpts[i + 1]; ++j) {
-        flags[static_cast<std::size_t>(
+        in_mask[static_cast<std::size_t>(
             mask.cols[static_cast<std::size_t>(j)])] = 0;
       }
-    }
-  });
-
-  // Compact: rows were staged at mask.rpts offsets; squeeze them together.
-  std::vector<Offset> staged(c.rpts.begin(), c.rpts.end());
-  for (std::size_t i = 0; i < nrows; ++i) c.rpts[i + 1] += c.rpts[i];
-  for (std::size_t i = 0; i < nrows; ++i) {
-    const auto len = static_cast<std::size_t>(staged[i + 1]);
-    const auto src = static_cast<std::size_t>(mask.rpts[i]);
-    const auto dst = static_cast<std::size_t>(c.rpts[i]);
-    if (src != dst) {
-      std::copy_n(c.cols.data() + src, len, c.cols.data() + dst);
-      std::copy_n(c.vals.data() + src, len, c.vals.data() + dst);
-    }
-  }
-  c.cols.resize(static_cast<std::size_t>(c.rpts[nrows]));
-  c.vals.resize(static_cast<std::size_t>(c.rpts[nrows]));
-
-  if (stats != nullptr) {
-    stats->numeric_ms = timer.millis();
-    stats->nnz_out = c.rpts[nrows];
-  }
-  c.sortedness = opts.sort_output == SortOutput::kYes
-                     ? Sortedness::kSorted
-                     : Sortedness::kUnsorted;
-  return c;
+      return count;
+    };
+  };
+  // nnz(C_i*) <= nnz(mask_i*): the mask's row pointers bound the staging.
+  return detail::one_phase_product(a, b, opts, stats, make_row,
+                                   mask.rpts.data());
 }
 
 }  // namespace spgemm

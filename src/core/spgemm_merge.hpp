@@ -4,23 +4,23 @@
 // runs, combining duplicate columns as they meet.  Requires sorted inputs
 // and always emits sorted output.
 //
-// One-phase like Heap SpGEMM: rows are merged in flop-upper-bound staging
-// and compacted at the end.  Included as the merge-class baseline of the
+// One-phase like Heap SpGEMM: rows are merged into flop-upper-bound staging
+// and compacted at the end by the shared one-phase driver
+// (core/spgemm_onephase.hpp).  Included as the merge-class baseline of the
 // paper's taxonomy and as a second independently-implemented sorted oracle
 // for the test suite.
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cstddef>
 #include <vector>
 
-#include "common/timer.hpp"
 #include "common/types.hpp"
+#include "core/spgemm_onephase.hpp"
 #include "core/spgemm_options.hpp"
 #include "matrix/csr.hpp"
 #include "mem/workspace.hpp"
-#include "parallel/omp_utils.hpp"
-#include "parallel/rows_to_threads.hpp"
 
 namespace spgemm {
 namespace detail {
@@ -73,49 +73,18 @@ CsrMatrix<IT, VT> spgemm_merge(const CsrMatrix<IT, VT>& a,
                                const CsrMatrix<IT, VT>& b,
                                const SpGemmOptions& opts = {},
                                SpGemmStats* stats = nullptr) {
-  const int nthreads = parallel::resolve_threads(opts.threads);
-  parallel::ScopedNumThreads scoped(opts.threads);
-
-  Timer timer;
-  const auto nrows = static_cast<std::size_t>(a.nrows);
-  parallel::RowPartition part = parallel::rows_to_threads(
-      nrows, a.rpts.data(), a.cols.data(), b.rpts.data(), nthreads);
-  if (stats != nullptr) {
-    stats->setup_ms = timer.millis();
-    stats->flop = part.total_flop();
-    stats->symbolic_ms = 0.0;
-  }
-
-  CsrMatrix<IT, VT> c(a.nrows, b.ncols);
-  std::vector<std::vector<IT>> t_cols(static_cast<std::size_t>(nthreads));
-  std::vector<std::vector<VT>> t_vals(static_cast<std::size_t>(nthreads));
-
-  timer.reset();
-#pragma omp parallel num_threads(nthreads)
-  parallel::for_each_owner(part.threads(), [&](int tid) {
-    const std::size_t row_begin =
-        part.offsets[static_cast<std::size_t>(tid)];
-    const std::size_t row_end =
-        part.offsets[static_cast<std::size_t>(tid) + 1];
-    const Offset base = part.flop_prefix[row_begin];
-    auto& stage_cols = t_cols[static_cast<std::size_t>(tid)];
-    auto& stage_vals = t_vals[static_cast<std::size_t>(tid)];
-    stage_cols.resize(static_cast<std::size_t>(
-        std::max<Offset>(part.flop_prefix[row_end] - base, 1)));
-    stage_vals.resize(stage_cols.size());
-
-    // Ping-pong merge buffers sized to the block's largest row flop.
-    const auto max_flop =
-        static_cast<std::size_t>(part.max_row_flop(tid));
-    mem::ThreadScratch<IT> cbuf_a_s, cbuf_b_s;
-    mem::ThreadScratch<VT> vbuf_a_s, vbuf_b_s;
-    IT* cbuf[2] = {cbuf_a_s.ensure(std::max<std::size_t>(max_flop, 1)),
-                   cbuf_b_s.ensure(std::max<std::size_t>(max_flop, 1))};
-    VT* vbuf[2] = {vbuf_a_s.ensure(std::max<std::size_t>(max_flop, 1)),
-                   vbuf_b_s.ensure(std::max<std::size_t>(max_flop, 1))};
-    std::vector<std::size_t> bounds;  // run boundaries into cbuf[cur]
-
-    for (std::size_t i = row_begin; i < row_end; ++i) {
+  // Per thread: ping-pong run buffers sized to the largest row flop the
+  // thread merges, and the run boundaries into the current buffer.
+  const auto make_row = [&](Offset max_flop) {
+    return [&a, &b,
+            cap = std::max<std::size_t>(static_cast<std::size_t>(max_flop), 1),
+            cols = std::array<mem::ThreadScratch<IT>, 2>{},
+            vals = std::array<mem::ThreadScratch<VT>, 2>{},
+            bounds = std::vector<std::size_t>{}](
+               std::size_t i, Offset /*flop*/, IT* out_cols,
+               VT* out_vals) mutable {
+      IT* cbuf[2] = {cols[0].ensure(cap), cols[1].ensure(cap)};
+      VT* vbuf[2] = {vals[0].ensure(cap), vals[1].ensure(cap)};
       // Load the scaled rows of B as initial sorted runs.
       bounds.clear();
       bounds.push_back(0);
@@ -159,41 +128,12 @@ CsrMatrix<IT, VT> spgemm_merge(const CsrMatrix<IT, VT>& a,
       }
 
       const std::size_t len = bounds.size() == 2 ? bounds[1] : 0;
-      const auto at = static_cast<std::size_t>(part.flop_prefix[i] - base);
-      std::copy_n(cbuf[cur], len, stage_cols.data() + at);
-      std::copy_n(vbuf[cur], len, stage_vals.data() + at);
-      c.rpts[i + 1] = static_cast<Offset>(len);
-    }
-  });
-
-  for (std::size_t i = 0; i < nrows; ++i) c.rpts[i + 1] += c.rpts[i];
-  const auto nnz_c = static_cast<std::size_t>(c.rpts[nrows]);
-  c.cols.resize(nnz_c);
-  c.vals.resize(nnz_c);
-
-#pragma omp parallel num_threads(nthreads)
-  parallel::for_each_owner(part.threads(), [&](int tid) {
-    const std::size_t row_begin =
-        part.offsets[static_cast<std::size_t>(tid)];
-    const std::size_t row_end =
-        part.offsets[static_cast<std::size_t>(tid) + 1];
-    const Offset base = part.flop_prefix[row_begin];
-    for (std::size_t i = row_begin; i < row_end; ++i) {
-      const auto at = static_cast<std::size_t>(part.flop_prefix[i] - base);
-      const auto len =
-          static_cast<std::size_t>(c.rpts[i + 1] - c.rpts[i]);
-      std::copy_n(t_cols[static_cast<std::size_t>(tid)].data() + at, len,
-                  c.cols.data() + c.rpts[i]);
-      std::copy_n(t_vals[static_cast<std::size_t>(tid)].data() + at, len,
-                  c.vals.data() + c.rpts[i]);
-    }
-  });
-
-  if (stats != nullptr) {
-    stats->numeric_ms = timer.millis();
-    stats->nnz_out = c.rpts[nrows];
-    stats->probes = 0;
-  }
+      std::copy_n(cbuf[cur], len, out_cols);
+      std::copy_n(vbuf[cur], len, out_vals);
+      return len;
+    };
+  };
+  CsrMatrix<IT, VT> c = detail::one_phase_product(a, b, opts, stats, make_row);
   c.sortedness = Sortedness::kSorted;
   return c;
 }

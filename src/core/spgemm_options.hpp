@@ -49,8 +49,9 @@ constexpr bool supports_unsorted(Algorithm algo) {
   }
 }
 
-/// True when the kernel requires its inputs sorted (Table 1: only Heap and
-/// the merge-based kernel consume sortedness; hash/SPA families accept any).
+/// True when the kernel requires its inputs sorted: Heap and Merge consume
+/// sorted B rows (Table 1), and IKJ is held to the same precondition; the
+/// hash/SPA families accept any.
 constexpr bool requires_sorted_input(Algorithm algo) {
   return algo == Algorithm::kHeap || algo == Algorithm::kMerge ||
          algo == Algorithm::kIkj;

@@ -164,15 +164,8 @@ struct AdaptivePlanPolicy {
   /// spgemm_adaptive kernel's thresholds.
   static AdaptivePlanPolicy for_product(IT ncols_b,
                                         AdaptiveThresholds thresholds = {}) {
-    AdaptivePlanPolicy policy;
-    policy.dense_cut =
-        static_cast<Offset>(ncols_b) / thresholds.dense_divisor;
-    policy.tiny_cut = std::min<Offset>(
-        thresholds.tiny_flop,
-        static_cast<Offset>(
-            TinyRowAccumulator<IT, VT, PlusTimes>::kCapacity));
-    policy.ncols = ncols_b;
-    return policy;
+    const AdaptiveCuts cuts = adaptive_cuts(ncols_b, thresholds);
+    return {cuts.tiny, cuts.dense, ncols_b};
   }
 
   Acc make() const { return {}; }

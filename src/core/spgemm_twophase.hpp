@@ -75,6 +75,7 @@
 #include "common/timer.hpp"
 #include "common/types.hpp"
 #include "core/semiring.hpp"
+#include "core/spgemm_onephase.hpp"
 #include "core/spgemm_options.hpp"
 #include "matrix/csr.hpp"
 #include "mem/workspace.hpp"
@@ -493,21 +494,6 @@ inline void validate_epilogue(const EpilogueSpec& spec,
 }
 
 // ---- Plan state ------------------------------------------------------------
-
-/// The owner split of A*B's rows: flop-balanced (paper Fig. 6) or equal
-/// rows, per opts.schedule.
-template <IndexType IT, ValueType VT>
-parallel::RowPartition partition_rows(const CsrMatrix<IT, VT>& a,
-                                      const CsrMatrix<IT, VT>& b,
-                                      parallel::SchedulePolicy schedule,
-                                      int nthreads) {
-  const auto nrows = static_cast<std::size_t>(a.nrows);
-  return parallel::is_balanced(schedule)
-             ? parallel::rows_to_threads(nrows, a.rpts.data(), a.cols.data(),
-                                         b.rpts.data(), nthreads)
-             : parallel::rows_equal(nrows, a.rpts.data(), a.cols.data(),
-                                    b.rpts.data(), nthreads);
-}
 
 /// Kernel-independent plan state: the owner partition, the tile schedule
 /// cut from it and the capture budget, plus the handle's output skeleton.

@@ -9,8 +9,6 @@
 
 #include <omp.h>
 
-#include <cstddef>
-
 #include "parallel/rows_to_threads.hpp"
 
 namespace spgemm::parallel {
@@ -64,29 +62,26 @@ inline bool is_balanced(SchedulePolicy p) {
          p == SchedulePolicy::kBalancedParallel;
 }
 
-/// Run `body(row)` over rows [0, nrows) under an OpenMP loop with the given
-/// plain policy.  Used by kernels when the policy is not balanced.
-template <typename Body>
-void omp_for_rows(SchedulePolicy policy, std::size_t nrows, Body&& body) {
-  switch (policy) {
-    case SchedulePolicy::kStatic:
-#pragma omp parallel for schedule(static)
-      for (std::size_t i = 0; i < nrows; ++i) body(i);
-      break;
-    case SchedulePolicy::kDynamic:
-#pragma omp parallel for schedule(dynamic)
-      for (std::size_t i = 0; i < nrows; ++i) body(i);
-      break;
-    case SchedulePolicy::kGuided:
-#pragma omp parallel for schedule(guided)
-      for (std::size_t i = 0; i < nrows; ++i) body(i);
-      break;
-    default:
-      // Balanced policies iterate via RowPartition inside the kernels.
-#pragma omp parallel for schedule(static)
-      for (std::size_t i = 0; i < nrows; ++i) body(i);
-      break;
+/// RAII override of the run-sched ICV that `schedule(runtime)` loops read:
+/// a plain policy's OpenMP schedule with its default chunk, restoring the
+/// caller's schedule on exit.  One runtime loop then serves all three plain
+/// policies.
+class ScopedRunSchedule {
+ public:
+  explicit ScopedRunSchedule(SchedulePolicy policy) {
+    omp_get_schedule(&kind_, &chunk_);
+    omp_set_schedule(policy == SchedulePolicy::kDynamic  ? omp_sched_dynamic
+                     : policy == SchedulePolicy::kGuided ? omp_sched_guided
+                                                         : omp_sched_static,
+                     0);
   }
-}
+  ScopedRunSchedule(const ScopedRunSchedule&) = delete;
+  ScopedRunSchedule& operator=(const ScopedRunSchedule&) = delete;
+  ~ScopedRunSchedule() { omp_set_schedule(kind_, chunk_); }
+
+ private:
+  omp_sched_t kind_ = omp_sched_static;
+  int chunk_ = 0;
+};
 
 }  // namespace spgemm::parallel

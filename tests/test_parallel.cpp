@@ -3,7 +3,6 @@
 #include <omp.h>
 
 #include <algorithm>
-#include <atomic>
 #include <numeric>
 #include <vector>
 
@@ -177,20 +176,6 @@ TEST(SchedulePolicy, NamesAndClassification) {
   EXPECT_FALSE(is_balanced(SchedulePolicy::kStatic));
   EXPECT_FALSE(is_balanced(SchedulePolicy::kDynamic));
   EXPECT_FALSE(is_balanced(SchedulePolicy::kGuided));
-}
-
-TEST(OmpForRows, VisitsEveryRowOncePerPolicy) {
-  for (const SchedulePolicy policy :
-       {SchedulePolicy::kStatic, SchedulePolicy::kDynamic,
-        SchedulePolicy::kGuided}) {
-    std::vector<std::atomic<int>> visits(257);
-    for (auto& v : visits) v.store(0);
-    omp_for_rows(policy, visits.size(),
-                 [&](std::size_t i) { visits[i].fetch_add(1); });
-    for (std::size_t i = 0; i < visits.size(); ++i) {
-      EXPECT_EQ(visits[i].load(), 1) << i;
-    }
-  }
 }
 
 TEST(ScopedNumThreads, RestoresPrevious) {

@@ -3,6 +3,7 @@
 // in test_handle.cpp.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <tuple>
 #include <vector>
 
@@ -162,6 +163,22 @@ TEST(Adaptive, ThresholdKnobsRespected) {
       ASSERT_TRUE(approx_equal(c, expected, 1e-9))
           << "tiny=" << tiny << " divisor=" << divisor;
     }
+  }
+}
+
+TEST(Adaptive, RejectsDenseDivisorBelowOne) {
+  // The dense cut is ncols / dense_divisor, so a divisor below one is
+  // rejected before it divides, by both consumers of the cut.
+  using Policy = detail::AdaptivePlanPolicy<I, double>;
+  const Matrix a = rmat_matrix<I, double>(RmatParams::er(6, 4, 29));
+  for (const Offset divisor : {Offset{0}, Offset{-2}}) {
+    AdaptiveThresholds th;
+    th.dense_divisor = divisor;
+    EXPECT_THROW(spgemm_adaptive(a, a, SpGemmOptions{}, nullptr, th),
+                 std::invalid_argument)
+        << divisor;
+    EXPECT_THROW(Policy::for_product(a.ncols, th), std::invalid_argument)
+        << divisor;
   }
 }
 

@@ -1,8 +1,10 @@
 // The row pipeline (core/spgemm_twophase.hpp KernelPlan) behind every
 // two-phase entry point: the one-shot multiply, SpGemmHandle's plan and
-// execute, multiply_with_epilogue and multiply_rap.
+// execute, multiply_with_epilogue and multiply_rap; and the one-phase
+// driver (core/spgemm_onephase.hpp) behind Heap, Merge, SPA-1p, IKJ,
+// multiply_masked and the direct Adaptive kernel.
 //
-// Three contracts:
+// Four contracts:
 //   * Short teams.  Every per-owner region must compute every row when
 //     OpenMP delivers fewer threads than requested — here a call from
 //     inside a caller's parallel region with nesting off, where every
@@ -12,10 +14,15 @@
 //     rows, unsorted output, thread counts and all three tile schedules.
 //   * multiply_rap runs on the tile schedule: bit-identical to the
 //     two-step product under every schedule, with its tiles reported.
+//   * Every one-phase kernel gives the same bytes under all five
+//     opts.schedule variants, any thread count and a short team, and on
+//     unit values its sorted rows are spgemm_reference's.
 #include <gtest/gtest.h>
 #include <omp.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <exception>
 #include <optional>
@@ -26,6 +33,7 @@
 #include "apps/amg_galerkin.hpp"
 #include "core/multiply.hpp"
 #include "core/spgemm_handle.hpp"
+#include "core/spgemm_masked.hpp"
 #include "core/spgemm_rap.hpp"
 #include "core/spgemm_ref.hpp"
 #include "matrix/ops.hpp"
@@ -386,6 +394,150 @@ TEST(RowPipelineRap, BitIdenticalToTwoStepUnderEverySchedule) {
           << label;
       EXPECT_EQ(stats.epilogue_rows, static_cast<std::uint64_t>(r.nrows))
           << label;
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The one-phase driver under every opts.schedule variant.
+// ---------------------------------------------------------------------------
+
+enum class OnePhase { kHeap, kMerge, kSpa1p, kIkj, kAdaptive, kMasked };
+
+constexpr OnePhase kOnePhaseKernels[] = {OnePhase::kHeap,  OnePhase::kMerge,
+                                         OnePhase::kSpa1p, OnePhase::kIkj,
+                                         OnePhase::kAdaptive,
+                                         OnePhase::kMasked};
+
+constexpr parallel::SchedulePolicy kPolicies[] = {
+    parallel::SchedulePolicy::kStatic, parallel::SchedulePolicy::kDynamic,
+    parallel::SchedulePolicy::kGuided, parallel::SchedulePolicy::kBalanced,
+    parallel::SchedulePolicy::kBalancedParallel};
+
+std::string one_phase_label(OnePhase k, const SpGemmOptions& opts) {
+  static const char* const kNames[] = {"heap", "merge",    "spa1p",
+                                       "ikj",  "adaptive", "masked"};
+  return std::string(kNames[static_cast<int>(k)]) + " " +
+         parallel::schedule_policy_name(opts.schedule) + " t" +
+         std::to_string(opts.threads) +
+         (opts.sort_output == SortOutput::kYes ? " sorted" : " unsorted");
+}
+
+/// Kernel k on A*A; the masked product takes A as its mask.
+Matrix one_phase(OnePhase k, const Matrix& a, SpGemmOptions opts) {
+  switch (k) {
+    case OnePhase::kHeap:
+      opts.algorithm = Algorithm::kHeap;
+      break;
+    case OnePhase::kMerge:
+      opts.algorithm = Algorithm::kMerge;
+      break;
+    case OnePhase::kSpa1p:
+      opts.algorithm = Algorithm::kSpa1p;
+      break;
+    case OnePhase::kIkj:
+      opts.algorithm = Algorithm::kIkj;
+      break;
+    case OnePhase::kAdaptive:
+      return spgemm_adaptive(a, a, opts);
+    case OnePhase::kMasked:
+      return multiply_masked(a, a, a, opts);
+  }
+  return multiply(a, a, opts);
+}
+
+/// The 1-thread, flop-balanced, per-owner-staged product every other
+/// configuration must reproduce.
+Matrix one_phase_baseline(OnePhase k, const Matrix& a, SortOutput sorted) {
+  SpGemmOptions opts;
+  opts.threads = 1;
+  opts.schedule = parallel::SchedulePolicy::kBalancedParallel;
+  opts.sort_output = sorted;
+  return one_phase(k, a, opts);
+}
+
+/// The entries of c that lie in mask's structure.
+Matrix restrict_to(const Matrix& c, const Matrix& mask) {
+  Matrix out(c.nrows, c.ncols);
+  for (I i = 0; i < c.nrows; ++i) {
+    const auto mask_begin =
+        mask.cols.begin() + static_cast<std::ptrdiff_t>(mask.row_begin(i));
+    const auto mask_end =
+        mask.cols.begin() + static_cast<std::ptrdiff_t>(mask.row_end(i));
+    for (Offset j = c.row_begin(i); j < c.row_end(i); ++j) {
+      const I col = c.cols[static_cast<std::size_t>(j)];
+      if (std::find(mask_begin, mask_end, col) != mask_end) {
+        out.cols.push_back(col);
+        out.vals.push_back(c.vals[static_cast<std::size_t>(j)]);
+      }
+    }
+    out.rpts[static_cast<std::size_t>(i) + 1] =
+        static_cast<Offset>(out.cols.size());
+  }
+  return out;
+}
+
+TEST(OnePhaseLattice, EveryScheduleMatchesOneThreadBalancedParallel) {
+  const Matrix a = rmat(8, 8, 97);
+  // A caller's run-sched ICV, which the plain OpenMP loops set and must
+  // hand back.
+  omp_sched_t saved_kind;
+  int saved_chunk = 0;
+  omp_get_schedule(&saved_kind, &saved_chunk);
+  omp_set_schedule(omp_sched_guided, 7);
+  for (const OnePhase k : kOnePhaseKernels) {
+    for (const SortOutput sorted : {SortOutput::kYes, SortOutput::kNo}) {
+      const Matrix expected = one_phase_baseline(k, a, sorted);
+      for (const parallel::SchedulePolicy policy : kPolicies) {
+        for (const int threads : {1, 2, 4}) {
+          SpGemmOptions opts;
+          opts.threads = threads;
+          opts.schedule = policy;
+          opts.sort_output = sorted;
+          const std::string label = one_phase_label(k, opts);
+          const Matrix c = one_phase(k, a, opts);
+          expect_bitwise_equal(c, expected, label);
+          EXPECT_EQ(c.sortedness, expected.sortedness) << label;
+          omp_sched_t kind;
+          int chunk = 0;
+          omp_get_schedule(&kind, &chunk);
+          EXPECT_EQ(kind, omp_sched_guided) << label;
+          EXPECT_EQ(chunk, 7) << label;
+        }
+      }
+    }
+  }
+  omp_set_schedule(saved_kind, saved_chunk);
+}
+
+TEST(OnePhaseLattice, PlainLoopOnShortTeam) {
+  const Matrix a = rmat(8, 8, 97);
+  for (const OnePhase k : kOnePhaseKernels) {
+    for (const SortOutput sorted : {SortOutput::kYes, SortOutput::kNo}) {
+      SpGemmOptions opts;
+      opts.threads = kRequestedThreads;
+      opts.schedule = parallel::SchedulePolicy::kDynamic;
+      opts.sort_output = sorted;
+      const Matrix c = in_short_team([&] { return one_phase(k, a, opts); });
+      expect_bitwise_equal(c, one_phase_baseline(k, a, sorted),
+                           one_phase_label(k, opts) + " short team");
+    }
+  }
+}
+
+TEST(OnePhaseLattice, UnitValuesMatchReference) {
+  const Matrix a = unit_rmat(8, 8, 101);
+  const Matrix full = spgemm_reference(a, a);
+  const Matrix masked = restrict_to(full, a);
+  for (const OnePhase k : kOnePhaseKernels) {
+    for (const parallel::SchedulePolicy policy : kPolicies) {
+      SpGemmOptions opts;
+      opts.threads = 2;
+      opts.schedule = policy;
+      const Matrix c = one_phase(k, a, opts);
+      EXPECT_EQ(c.sortedness, Sortedness::kSorted);
+      expect_bitwise_equal(c, k == OnePhase::kMasked ? masked : full,
+                           one_phase_label(k, opts) + " unit values");
     }
   }
 }
