@@ -10,7 +10,10 @@
 //   --square           ignore B and compute A^2 (default when B omitted)
 //
 // Prints the multiply statistics (flop, nnz, compression ratio, phase
-// timings, MFLOPS) plus the Table 4 recipe's suggestion for the input.
+// timings, MFLOPS) plus the Table 4 recipe's suggestion for the input.  The
+// `algorithm` line names the kernel that ran: for --algorithm=auto, Table
+// 4's pick, or SPA-1p in place of Hash when a dense output row fits in
+// cache (recipe::kDenseRowMaxBytes).
 #include <cstdio>
 #include <cstring>
 #include <optional>
@@ -93,6 +96,9 @@ int main(int argc, char** argv) {
     std::printf("recipe (Table 4) suggests: %s\n",
                 algorithm_name(recipe_pick));
 
+    // What multiply() runs: the Table 4 pick with the dense-row rule.
+    const Algorithm ran =
+        recipe::resolve(opts.algorithm, a, b, opts.sort_output);
     SpGemmStats stats;
     const auto c = multiply(a, b, opts, &stats);
     std::printf(
@@ -102,8 +108,7 @@ int main(int argc, char** argv) {
         "  timings   : setup %.2f ms, symbolic %.2f ms, numeric %.2f ms\n"
         "  rate      : %.1f MFLOPS\n",
         c.nrows, c.ncols, static_cast<long long>(c.nnz()),
-        algorithm_name(opts.algorithm == Algorithm::kAuto ? recipe_pick
-                                                          : opts.algorithm),
+        algorithm_name(ran),
         opts.sort_output == SortOutput::kYes ? "sorted" : "unsorted",
         static_cast<long long>(stats.flop),
         static_cast<double>(stats.flop) /

@@ -2,10 +2,13 @@
 //
 // Every sorted emission in the library goes through sort_row(): the capture
 // drivers' gather freeze (record_gather in core/spgemm_twophase.hpp), the
-// accumulators' extract_sorted() and the plan's key-only skeleton rows.  A
-// row's keys are DISTINCT (an accumulator holds each column once), so the
-// ascending order is unique: every path below yields the same permutation,
-// and which one runs can never change an output bit.
+// accumulators' extract_sorted() and the plan's key-only skeleton rows.  The
+// SPA (accumulator/spa.hpp) is the exception: a row that passes
+// row_sort_uses_bitmap() is already ordered in its occupancy bitmap, and it
+// walks those words instead.  A row's keys are DISTINCT (an accumulator
+// holds each column once), so the ascending order is unique: every path
+// below yields the same permutation, and which one runs can never change an
+// output bit.
 //
 // The path is picked from the row itself (no option selects it):
 //   * n <= kRowSortInsertionMax — insertion sort.

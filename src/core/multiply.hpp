@@ -1,7 +1,14 @@
 // multiply(): the public one-shot SpGEMM entry point.
 //
-// Dispatches to the requested kernel (or the Table 4 recipe when kAuto,
-// through recipe::resolve) and enforces input-sortedness preconditions.
+// Dispatches to the requested kernel and enforces input-sortedness
+// preconditions.  kAuto resolves through recipe::resolve: the Table 4 pick,
+// except that a Hash pick becomes the one-phase SPA (kSpa1p) when a dense
+// output row, b.ncols values, fits recipe::kDenseRowMaxBytes (256 KiB, an
+// L2-resident row).  That SPA folds in Hash's order and emits Hash's rows,
+// sorted or in first-occurrence order, so the rule changes time, not bytes.
+// multiply_over, multiply_with_epilogue, SpGemmHandle and multiply_rap
+// cannot run SPA-1p and keep Hash.
+//
 // Every TWO-PHASE kernel (hash, hashvec, SPA, kkhash, adaptive) runs the
 // row pipeline's one-shot pass (KernelPlan::multiply_once in
 // core/spgemm_twophase.hpp): symbolic and numeric execute back to back per

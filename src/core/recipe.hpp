@@ -6,7 +6,11 @@
 // algorithm the paper found dominant on KNL.  The thresholds are the
 // paper's: CR > 2 is "high compression", edge factor > 8 is "dense",
 // degree skew (max/mean row nnz) separates Uniform from Skewed patterns.
+// Table 4 never keys on output width; resolve(), the kAuto resolution of
+// every entry point, adds that one rule (kDenseRowMaxBytes below).
 #pragma once
+
+#include <cstddef>
 
 #include "core/spgemm_options.hpp"
 #include "matrix/stats.hpp"
@@ -44,6 +48,14 @@ inline constexpr double kHighCompression = 2.0;   // Table 4(a) split
 inline constexpr double kDenseEdgeFactor = 8.0;   // Table 4(b) split
 inline constexpr double kSkewThreshold = 8.0;     // Uniform vs Skewed
 
+/// The dense-row rule on top of Table 4: a product whose whole output row
+/// (b.ncols values) fits in this many bytes, about one core's L2, runs the
+/// direct-indexed SPA (kSpa1p) where Table 4 picks Hash.  Such a row needs
+/// no hashing, and the SPA emits it in column order without sorting.  Wider
+/// rows stay on Hash: past L2 the SPA's lead rests on the host's last-level
+/// cache.  README "Kernel choice under kAuto" tabulates the crossover.
+inline constexpr std::size_t kDenseRowMaxBytes = std::size_t{256} << 10;
+
 /// Table 4 lookup.
 Algorithm select(const Scenario& scenario);
 
@@ -67,15 +79,20 @@ Algorithm select_for(const CsrMatrix<IT, VT>& a, const CsrMatrix<IT, VT>& b,
 
 /// The one kAuto resolution every entry point shares: an explicit
 /// algorithm passes through; kAuto takes the Table 4 pick for `op` on real
-/// data, or kHash when `runs` says the calling entry point cannot run that
-/// pick (no symbolic phase to plan, no semiring fold, ...).
+/// data, with kSpa1p in place of a Hash pick when a dense output row fits
+/// kDenseRowMaxBytes, or kHash when `runs` says the calling entry point
+/// cannot run that pick (no symbolic phase to plan, no semiring fold, ...).
 template <IndexType IT, ValueType VT>
 Algorithm resolve(Algorithm algo, const CsrMatrix<IT, VT>& a,
                   const CsrMatrix<IT, VT>& b, SortOutput sorted,
                   Operation op = Operation::kSquare,
                   bool (*runs)(Algorithm) = nullptr) {
   if (algo != Algorithm::kAuto) return algo;
-  const Algorithm pick = select_for(a, b, op, sorted);
+  Algorithm pick = select_for(a, b, op, sorted);
+  if (pick == Algorithm::kHash &&
+      static_cast<std::size_t>(b.ncols) <= kDenseRowMaxBytes / sizeof(VT)) {
+    pick = Algorithm::kSpa1p;
+  }
   return runs == nullptr || runs(pick) ? pick : Algorithm::kHash;
 }
 

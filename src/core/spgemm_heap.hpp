@@ -21,7 +21,8 @@ namespace spgemm {
 namespace detail {
 
 /// Merge one row: returns the number of distinct columns written to
-/// out_cols/out_vals (capacity must be >= flop of the row).
+/// out_cols/out_vals (capacity must be >= that count, at most
+/// min(flop, b.ncols)).
 template <IndexType IT, ValueType VT, typename SR = PlusTimes>
 std::size_t heap_merge_row(const CsrMatrix<IT, VT>& a,
                            const CsrMatrix<IT, VT>& b, std::size_t row,

@@ -5,6 +5,9 @@
 // (core/spgemm_onephase.hpp), then compacted.  Output is unsorted by
 // default, matching the paper's Table 1 entry for MKL-inspector (1 phase,
 // Any/Unsorted); sorted extraction is available for API uniformity.
+// multiply()'s kAuto runs this kernel where Table 4 picks Hash and a dense
+// output row fits recipe::kDenseRowMaxBytes: the SPA folds each row in
+// Hash's order and emits Hash's row order, so the output bytes are Hash's.
 #pragma once
 
 #include <cstddef>

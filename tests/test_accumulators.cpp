@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <cstdlib>
 #include <limits>
 #include <map>
@@ -369,6 +371,180 @@ TYPED_TEST(RowSortTest, GateBoundaryAndTypeExtremes) {
   // Trivial rows.
   expect_sort_row_matches_std_sort(std::vector<K>{}, "empty");
   expect_sort_row_matches_std_sort(std::vector<K>{kMax}, "single");
+}
+
+// ---------------------------------------------------------------------------
+// SPA bitmap: bitwise agreement with the hash accumulator, row after row.
+// ---------------------------------------------------------------------------
+
+/// One row's emitted entries.
+struct EmittedRow {
+  std::vector<I> cols;
+  std::vector<double> vals;
+};
+
+/// Folds `keys` (with `vals`) into a prepared accumulator, emits the row
+/// sorted or in insertion order and resets the accumulator.
+template <typename Acc, typename Fold>
+EmittedRow fold_row(Acc& acc, const std::vector<I>& keys,
+                    const std::vector<double>& vals, bool sorted, Fold fold) {
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    acc.accumulate(keys[i], vals[i], fold);
+  }
+  EmittedRow row;
+  row.cols.resize(acc.count());
+  row.vals.resize(acc.count());
+  if (sorted) {
+    acc.extract_sorted(row.cols.data(), row.vals.data());
+  } else {
+    acc.extract_unsorted(row.cols.data(), row.vals.data());
+  }
+  acc.reset();
+  return row;
+}
+
+void expect_rows_bitwise_equal(const EmittedRow& got, const EmittedRow& want,
+                               const std::string& label) {
+  ASSERT_EQ(got.cols, want.cols) << label;
+  ASSERT_EQ(got.vals.size(), want.vals.size()) << label;
+  for (std::size_t i = 0; i < got.vals.size(); ++i) {
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(got.vals[i]),
+              std::bit_cast<std::uint64_t>(want.vals[i]))
+        << label << " entry " << i;
+  }
+}
+
+/// The distinct keys of `keys` in first-occurrence order.
+std::vector<I> first_occurrences(const std::vector<I>& keys) {
+  std::vector<I> order;
+  std::set<I> seen;
+  for (const I key : keys) {
+    if (seen.insert(key).second) order.push_back(key);
+  }
+  return order;
+}
+
+/// Columns (not a multiple of 64) of the SPA tests: wide enough that a
+/// row of 40 keys spread over all of them fails the bitmap gate.
+constexpr std::size_t kSpaCols = (std::size_t{1} << 20) + 37;
+
+/// A key stream of `len` draws from [lo, lo + span), or from `pool` keys
+/// of that range when `pool` > 0 (duplicate-heavy), followed by `extra`.
+std::vector<I> key_stream(std::size_t len, std::size_t lo, std::size_t span,
+                          std::size_t pool, const std::vector<I>& extra,
+                          SplitMix64& rng) {
+  std::vector<I> choices;
+  for (std::size_t p = 0; p < pool; ++p) {
+    choices.push_back(static_cast<I>(lo + rng.next_below(span)));
+  }
+  std::vector<I> keys;
+  for (std::size_t i = 0; i < len; ++i) {
+    keys.push_back(pool > 0 ? choices[rng.next_below(pool)]
+                            : static_cast<I>(lo + rng.next_below(span)));
+  }
+  keys.insert(keys.end(), extra.begin(), extra.end());
+  return keys;
+}
+
+TEST(SpaAccumulator, MatchesHashBitwiseRowAfterRow) {
+  // One SPA and one hash table, prepared once, fold the same rows: random
+  // and duplicate-heavy streams, rows that take the word walk, rows that
+  // fall back to the sort (insertion or comparison) and the edge keys 0,
+  // 63, 64 and ncols - 1.  Each row after a walked or a sorted row proves
+  // the bitmap came back clean from reset().
+  const auto last = static_cast<I>(kSpaCols - 1);
+  const std::vector<I> edges = {0, 63, 64, last, 64, 0};
+  struct Shape {
+    std::size_t len, lo, span, pool;
+    bool edges;
+  };
+  const Shape shapes[] = {
+      {400, 0, 3000, 0, true},         // walk: dense narrow span
+      {40, 0, kSpaCols, 0, false},     // sort: 40 keys spread wide
+      {2000, 500, 700, 40, false},     // walk: duplicate-heavy
+      {20, 60, 10, 0, true},           // sort: insertion (<= 32 keys)
+      {300, kSpaCols - 5000, 5000, 0, true},  // walk at the top end
+      {60, 0, kSpaCols, 3, true},      // few keys, many repeats, wide
+      {5000, 0, 6000, 0, true},        // walk
+  };
+  SplitMix64 rng(2024);
+  HashAccumulator<I, double> hash;
+  hash.prepare(hash_table_size_for(8192, kSpaCols));
+  SpaAccumulator<I, double> spa;
+  spa.prepare(kSpaCols);
+  const auto plus = [](double& acc, double v) { acc += v; };
+  int walked = 0;
+  int sorted_back = 0;
+  for (int round = 0; round < 3; ++round) {
+    for (const Shape& s : shapes) {
+      const std::vector<I> keys = key_stream(
+          s.len, s.lo, s.span, s.pool, s.edges ? edges : std::vector<I>{},
+          rng);
+      std::vector<double> vals;
+      for (std::size_t i = 0; i < keys.size(); ++i) {
+        vals.push_back(rng.next_double() - 0.5);
+      }
+      const std::vector<I> order = first_occurrences(keys);
+      const auto [lo, hi] = std::minmax_element(order.begin(), order.end());
+      const bool walk = row_sort_uses_bitmap(*lo, *hi, order.size());
+      walked += walk ? 1 : 0;
+      sorted_back += walk ? 0 : 1;
+      for (const bool sorted : {true, false}) {
+        const std::string label = "round " + std::to_string(round) +
+                                  " len " + std::to_string(s.len) +
+                                  (sorted ? " sorted" : " unsorted");
+        const EmittedRow want = fold_row(hash, keys, vals, sorted, plus);
+        const EmittedRow got = fold_row(spa, keys, vals, sorted, plus);
+        expect_rows_bitwise_equal(got, want, label);
+        if (!sorted) {
+          EXPECT_EQ(got.cols, order) << label << ": not first-occurrence";
+        } else {
+          EXPECT_TRUE(std::is_sorted(got.cols.begin(), got.cols.end()))
+              << label;
+        }
+      }
+    }
+  }
+  EXPECT_GT(walked, 0);
+  EXPECT_GT(sorted_back, 0);
+}
+
+TEST(SpaAccumulator, SpeculativeFoldNeverLeaksIntoANewKey) {
+  // accumulate() folds into the stored value before it knows whether the
+  // key is new.  Under min, a stale -100 from the previous row would win
+  // every fold; a new key must take its first value instead.
+  const auto min_fold = [](double& acc, double v) { acc = std::min(acc, v); };
+  SpaAccumulator<I, double> spa;
+  spa.prepare(kSpaCols);
+  HashAccumulator<I, double> hash;
+  hash.prepare(hash_table_size_for(256, kSpaCols));
+  std::vector<I> keys;
+  for (I k = 0; k < 100; ++k) keys.push_back(k * 7);
+  const std::vector<double> stale(keys.size(), -100.0);
+  fold_row(spa, keys, stale, true, min_fold);
+  fold_row(hash, keys, stale, true, min_fold);
+
+  std::vector<I> again;
+  std::vector<double> vals;
+  std::map<I, double> oracle;
+  SplitMix64 rng(5);
+  for (const I key : keys) {
+    for (int rep = 0; rep < 3; ++rep) {
+      again.push_back(key);
+      vals.push_back(1.0 + rng.next_double());
+      const auto [it, fresh] = oracle.emplace(key, vals.back());
+      if (!fresh) it->second = std::min(it->second, vals.back());
+    }
+  }
+  for (const bool sorted : {true, false}) {
+    const EmittedRow got = fold_row(spa, again, vals, sorted, min_fold);
+    expect_rows_bitwise_equal(got,
+                              fold_row(hash, again, vals, sorted, min_fold),
+                              sorted ? "min sorted" : "min unsorted");
+    for (std::size_t i = 0; i < got.cols.size(); ++i) {
+      EXPECT_EQ(got.vals[i], oracle.at(got.cols[i])) << "key " << got.cols[i];
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

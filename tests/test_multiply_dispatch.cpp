@@ -2,7 +2,10 @@
 // stats reporting, error paths.
 #include <gtest/gtest.h>
 
+#include "apps/triangle_count.hpp"
 #include "core/multiply.hpp"
+#include "core/recipe.hpp"
+#include "core/spgemm_handle.hpp"
 #include "matrix/ops.hpp"
 #include "matrix/rmat.hpp"
 
@@ -100,6 +103,59 @@ TEST(MultiplyDispatch, RectangularChainMatchesReference) {
   const Matrix c = multiply(a, f, opts);
   EXPECT_EQ(c.ncols, 16);
   EXPECT_TRUE(approx_equal(c, spgemm_reference(a, f)));
+}
+
+TEST(MultiplyDispatch, NarrowAutoRunsSpa1pOnlyThroughMultiply) {
+  // 256 columns: a dense output row fits kDenseRowMaxBytes, so kAuto takes
+  // SPA-1p where Table 4 says Hash.  The entry points that need a symbolic
+  // phase, a semiring fold or a fused epilogue keep Hash: their statistics
+  // match an explicit kHash call's, probe for probe.
+  RmatParams params = RmatParams::g500(8, 8, 41);
+  params.symmetric = true;
+  const Matrix a = rmat_matrix<I, double>(params);
+  ASSERT_EQ(recipe::resolve(Algorithm::kAuto, a, a, SortOutput::kYes),
+            Algorithm::kSpa1p);
+  SpGemmOptions auto_opts;
+  auto_opts.threads = 2;
+  SpGemmOptions hash_opts = auto_opts;
+  hash_opts.algorithm = Algorithm::kHash;
+  const auto expect_hash_stats = [](const SpGemmStats& got,
+                                    const SpGemmStats& want,
+                                    const char* label) {
+    EXPECT_GT(want.probes, 0u) << label;
+    EXPECT_EQ(got.probes, want.probes) << label;
+    EXPECT_EQ(got.symbolic_keys, want.symbolic_keys) << label;
+    EXPECT_EQ(got.tile_count, want.tile_count) << label;
+  };
+
+  SpGemmStats one_shot;
+  multiply(a, a, auto_opts, &one_shot);
+  EXPECT_EQ(one_shot.symbolic_ms, 0.0);  // the one-phase SPA ran
+  EXPECT_EQ(one_shot.tile_count, 0u);
+
+  SpGemmHandle<I, double> handle;
+  handle.plan(a, a, auto_opts);
+  EXPECT_EQ(handle.algorithm(), Algorithm::kHash);
+
+  SpGemmStats got;
+  SpGemmStats want;
+  multiply_over<PlusTimes>(a, a, auto_opts, &got);
+  multiply_over<PlusTimes>(a, a, hash_opts, &want);
+  expect_hash_stats(got, want, "multiply_over");
+
+  SpGemmOptions prune = auto_opts;
+  prune.epilogue.kind = EpilogueKind::kPruneScale;
+  prune.epilogue.prune_below = 0.25;
+  SpGemmOptions prune_hash = prune;
+  prune_hash.algorithm = Algorithm::kHash;
+  got = want = SpGemmStats{};
+  multiply_with_epilogue(a, a, prune, nullptr, nullptr, &got);
+  multiply_with_epilogue(a, a, prune_hash, nullptr, nullptr, &want);
+  expect_hash_stats(got, want, "multiply_with_epilogue");
+
+  expect_hash_stats(apps::count_triangles_fused(a, auto_opts).spgemm_stats,
+                    apps::count_triangles_fused(a, hash_opts).spgemm_stats,
+                    "count_triangles_fused");
 }
 
 }  // namespace

@@ -2,9 +2,14 @@
 // feature-extraction path from real matrices.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
+#include <utility>
 
 #include "core/recipe.hpp"
+#include "core/spgemm_handle.hpp"
+#include "matrix/coo.hpp"
+#include "matrix/csr.hpp"
 #include "matrix/generators.hpp"
 #include "matrix/rmat.hpp"
 
@@ -164,6 +169,69 @@ TEST(RecipeSelectFor, BandedRealWithNnzHintPicksByCompression) {
       select_for(a, a, Operation::kTriangular, SortOutput::kYes,
                  DataOrigin::kReal, flop / 10);  // CR = 10
   EXPECT_EQ(algo, Algorithm::kHash);
+}
+
+// --- resolve(): Table 4 plus the dense-row rule --------------------------------
+
+/// A (4 x 4) times B (4 x ncols) product whose Table 4 pick is Hash (square,
+/// sorted, real data), with B's entries at its first and last columns.
+template <ValueType VT>
+std::pair<CsrMatrix<std::int32_t, VT>, CsrMatrix<std::int32_t, VT>>
+narrow_pair(std::int32_t ncols) {
+  CooMatrix<std::int32_t, VT> a{4, 4};
+  CooMatrix<std::int32_t, VT> b{4, ncols};
+  for (std::int32_t i = 0; i < 4; ++i) {
+    a.push_back(i, i, VT{1});
+    a.push_back(i, (i + 1) % 4, VT{2});
+    b.push_back(i, 0, VT{1});
+    b.push_back(i, ncols - 1 - i, VT{3});
+  }
+  return {csr_from_coo(std::move(a)), csr_from_coo(std::move(b))};
+}
+
+constexpr auto kDenseRowCols =
+    static_cast<std::int32_t>(kDenseRowMaxBytes / sizeof(double));
+
+TEST(RecipeResolve, DenseRowRuleSwitchesHashToSpa1pUpToTheThreshold) {
+  ASSERT_EQ(kDenseRowCols, 32768);  // 256 KiB of doubles
+  const auto [a, at] = narrow_pair<double>(kDenseRowCols);
+  ASSERT_EQ(select_for(a, at, Operation::kSquare, SortOutput::kYes),
+            Algorithm::kHash);
+  EXPECT_EQ(resolve(Algorithm::kAuto, a, at, SortOutput::kYes),
+            Algorithm::kSpa1p);
+  EXPECT_EQ(resolve(Algorithm::kAuto, a, at, SortOutput::kNo),
+            Algorithm::kSpa1p);
+
+  const auto [w, above] = narrow_pair<double>(kDenseRowCols + 1);
+  EXPECT_EQ(resolve(Algorithm::kAuto, w, above, SortOutput::kYes),
+            Algorithm::kHash);
+}
+
+TEST(RecipeResolve, DenseRowRuleCountsValueBytes) {
+  // Twice as many float columns fit the same bytes.
+  const auto [a, at] = narrow_pair<float>(2 * kDenseRowCols);
+  EXPECT_EQ(resolve(Algorithm::kAuto, a, at, SortOutput::kYes),
+            Algorithm::kSpa1p);
+  const auto [w, above] = narrow_pair<float>(2 * kDenseRowCols + 1);
+  EXPECT_EQ(resolve(Algorithm::kAuto, w, above, SortOutput::kYes),
+            Algorithm::kHash);
+}
+
+TEST(RecipeResolve, DenseRowRuleLeavesOtherPicksAndCallersAlone) {
+  const auto [a, b] = narrow_pair<double>(64);
+  // An explicit kernel passes through.
+  EXPECT_EQ(resolve(Algorithm::kHeap, a, b, SortOutput::kYes),
+            Algorithm::kHeap);
+  // Entry points that cannot run the one-phase SPA keep Hash.
+  EXPECT_EQ(resolve(Algorithm::kAuto, a, b, SortOutput::kYes,
+                    Operation::kSquare, is_two_phase),
+            Algorithm::kHash);
+  // Only a Hash pick is replaced: the low-CR triangular cell stays Heap.
+  ASSERT_EQ(select_for(a, b, Operation::kTriangular, SortOutput::kYes),
+            Algorithm::kHeap);
+  EXPECT_EQ(resolve(Algorithm::kAuto, a, b, SortOutput::kYes,
+                    Operation::kTriangular),
+            Algorithm::kHeap);
 }
 
 }  // namespace

@@ -32,6 +32,7 @@
 
 #include "apps/amg_galerkin.hpp"
 #include "core/multiply.hpp"
+#include "core/recipe.hpp"
 #include "core/spgemm_handle.hpp"
 #include "core/spgemm_masked.hpp"
 #include "core/spgemm_rap.hpp"
@@ -538,6 +539,38 @@ TEST(OnePhaseLattice, UnitValuesMatchReference) {
       EXPECT_EQ(c.sortedness, Sortedness::kSorted);
       expect_bitwise_equal(c, k == OnePhase::kMasked ? masked : full,
                            one_phase_label(k, opts) + " unit values");
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// kAuto's dense-row rule: a narrow product runs SPA-1p and gives Hash's bytes.
+// ---------------------------------------------------------------------------
+
+TEST(DenseRowRule, AutoMatchesHashBitwiseUnderEveryScheduleAndThreadCount) {
+  const Matrix a = rmat(9, 8, 211);  // 512 columns: a 4 KiB dense row
+  for (const SortOutput sorted : {SortOutput::kYes, SortOutput::kNo}) {
+    ASSERT_EQ(recipe::resolve(Algorithm::kAuto, a, a, sorted),
+              Algorithm::kSpa1p);
+    for (const parallel::SchedulePolicy policy : kPolicies) {
+      for (const int threads : {1, 2, 4}) {
+        SpGemmOptions opts;
+        opts.threads = threads;
+        opts.schedule = policy;
+        opts.sort_output = sorted;
+        SpGemmOptions hash_opts = opts;
+        hash_opts.algorithm = Algorithm::kHash;
+        const std::string label =
+            std::string(parallel::schedule_policy_name(policy)) + " t" +
+            std::to_string(threads) +
+            (sorted == SortOutput::kYes ? " sorted" : " unsorted");
+        SpGemmStats stats;
+        const Matrix c = multiply(a, a, opts, &stats);
+        const Matrix expected = multiply(a, a, hash_opts);
+        expect_bitwise_equal(c, expected, label);
+        EXPECT_EQ(c.sortedness, expected.sortedness) << label;
+        EXPECT_EQ(stats.symbolic_ms, 0.0) << label;  // one-phase SPA ran
+      }
     }
   }
 }

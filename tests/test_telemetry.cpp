@@ -16,7 +16,8 @@
 //     on are bit-identical to products computed with it off;
 //   * fault-injection arms/triggers surface as labeled registry counters;
 //   * TELEM_SPAN populates the phase histogram family for the two-phase
-//     driver's phases and the handle's plan/execute.
+//     driver's phases, the one-phase driver's and the handle's
+//     plan/execute.
 #include <gtest/gtest.h>
 
 #include <cctype>
@@ -30,6 +31,7 @@
 #include <vector>
 
 #include "common/fault_injection.hpp"
+#include "core/multiply.hpp"
 #include "core/spgemm_handle.hpp"
 #include "engine/spgemm_engine.hpp"
 #include "matrix/rmat.hpp"
@@ -565,20 +567,22 @@ TEST_F(TelemetryTest, FaultArmAndTriggerSurfaceAsLabeledCounters) {
 // ---------------------------------------------------------------------------
 // TELEM_SPAN phase profiling.
 
+/// Observations so far in spgemm_phase_seconds{phase=`phase`}.
+std::uint64_t phase_count(const std::string& phase) {
+  const telemetry::Snapshot snap = telemetry::registry().snapshot();
+  for (const auto& h : snap.histograms) {
+    if (h.name == "spgemm_phase_seconds" && h.label_key == "phase" &&
+        h.label_value == phase) {
+      return h.count;
+    }
+  }
+  return 0;
+}
+
 TEST_F(TelemetryTest, PhaseHistogramsPopulateAfterPlanAndExecute) {
 #ifdef SPGEMM_TELEMETRY_DISABLED
   GTEST_SKIP() << "TELEM_SPAN compiled out (SPGEMM_TELEMETRY=OFF)";
 #endif
-  auto phase_count = [](const std::string& phase) -> std::uint64_t {
-    const telemetry::Snapshot snap = telemetry::registry().snapshot();
-    for (const auto& h : snap.histograms) {
-      if (h.name == "spgemm_phase_seconds" && h.label_key == "phase" &&
-          h.label_value == phase) {
-        return h.count;
-      }
-    }
-    return 0;
-  };
   const std::uint64_t plan_before = phase_count("handle.plan");
   const std::uint64_t exec_before = phase_count("handle.execute");
   const std::uint64_t numeric_before = phase_count("handle.numeric");
@@ -594,6 +598,30 @@ TEST_F(TelemetryTest, PhaseHistogramsPopulateAfterPlanAndExecute) {
   EXPECT_GT(phase_count("handle.plan"), plan_before);
   EXPECT_GT(phase_count("handle.execute"), exec_before);
   EXPECT_GT(phase_count("handle.numeric"), numeric_before);
+}
+
+TEST_F(TelemetryTest, OnePhaseMultiplyObservesOneShotPhases) {
+#ifdef SPGEMM_TELEMETRY_DISABLED
+  GTEST_SKIP() << "TELEM_SPAN compiled out (SPGEMM_TELEMETRY=OFF)";
+#endif
+  // The one-phase driver reports the two-phase one-shot's phases minus
+  // the symbolic one.
+  const char* const phases[] = {"oneshot.multiply", "oneshot.setup",
+                                "oneshot.numeric", "oneshot.placement"};
+  std::map<std::string, std::uint64_t> before;
+  for (const char* phase : phases) before[phase] = phase_count(phase);
+  const std::uint64_t symbolic_before = phase_count("oneshot.symbolic");
+
+  const Matrix a = rmat_matrix<I, double>(RmatParams::g500(7, 8, 17));
+  SpGemmOptions opts;
+  opts.algorithm = Algorithm::kSpa1p;
+  opts.threads = 2;
+  multiply(a, a, opts);
+
+  for (const char* phase : phases) {
+    EXPECT_EQ(phase_count(phase), before[phase] + 1) << phase;
+  }
+  EXPECT_EQ(phase_count("oneshot.symbolic"), symbolic_before);
 }
 
 TEST_F(TelemetryTest, ScopedSpanSkipsObserveWhileDisabled) {
