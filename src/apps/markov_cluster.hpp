@@ -26,9 +26,10 @@ struct MclParams {
   /// Fuse inflation+pruning into the expansion's numeric pass as a
   /// kPruneScale epilogue: each M^2 row is powered and thresholded while
   /// cache-hot and only kept entries are staged, so the unpruned M^2 never
-  /// materializes.  pow/threshold run per element in the same order either
-  /// way, so the clustering is bit-identical; column re-normalization stays
-  /// an exact post-pass over the (much smaller) pruned matrix.
+  /// materializes.  Both ways apply one keep rule (detail::PruneRule) per
+  /// element in the same order, so the clustering is bit-identical by
+  /// construction; column re-normalization stays an exact post-pass over
+  /// the (much smaller) pruned matrix.
   bool fuse_epilogue = true;
 };
 
@@ -66,7 +67,8 @@ void normalize_columns(CsrMatrix<IT, VT>& m) {
   }
 }
 
-/// Elementwise power then drop entries below the prune threshold.  When
+/// Elementwise power then drop entries below the prune threshold, by the
+/// fused kPruneScale epilogue's own rule (spgemm::detail::PruneRule).  When
 /// `structure_hash` is non-null it receives structure_fingerprint(out),
 /// maintained incrementally while the scan emits — the expansion handle's
 /// ensure_planned_hashed can then validate a stabilized iteration in O(1)
@@ -75,6 +77,7 @@ template <IndexType IT, ValueType VT>
 CsrMatrix<IT, VT> inflate_and_prune(const CsrMatrix<IT, VT>& m,
                                     double inflation, double prune_below,
                                     std::uint64_t* structure_hash = nullptr) {
+  const spgemm::detail::PruneRule rule(inflation, prune_below);
   CsrMatrix<IT, VT> out(m.nrows, m.ncols);
   out.cols.reserve(m.cols.size());
   out.vals.reserve(m.vals.size());
@@ -84,10 +87,9 @@ CsrMatrix<IT, VT> inflate_and_prune(const CsrMatrix<IT, VT>& m,
   for (IT i = 0; i < m.nrows; ++i) {
     Offset kept = 0;
     for (Offset j = m.row_begin(i); j < m.row_end(i); ++j) {
-      const double inflated = std::pow(
-          static_cast<double>(m.vals[static_cast<std::size_t>(j)]),
-          inflation);
-      if (inflated >= prune_below) {
+      double inflated = 0.0;
+      if (rule.keep(static_cast<double>(m.vals[static_cast<std::size_t>(j)]),
+                    inflated)) {
         const IT col = m.cols[static_cast<std::size_t>(j)];
         out.cols.push_back(col);
         out.vals.push_back(static_cast<VT>(inflated));

@@ -134,7 +134,10 @@ struct EpilogueSpec {
   EpilogueKind kind = EpilogueKind::kNone;
   /// kPruneScale: elementwise exponent (MCL inflation).
   double inflation = 1.0;
-  /// kPruneScale: entries with pow(v, inflation) < prune_below are dropped.
+  /// kPruneScale: entries with pow(v, inflation) < prune_below are dropped;
+  /// a kept entry stores that double narrowed to the value type (threshold,
+  /// then narrow).  Entries that cannot survive skip the pow() (see
+  /// detail::PruneRule), with the same result as if every entry took it.
   double prune_below = 0.0;
   /// kPruneScale: also accumulate per-column sums of the kept entries into
   /// EpilogueResult::col_sums.  Per-thread partials are folded in thread

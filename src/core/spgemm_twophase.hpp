@@ -62,6 +62,7 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -346,11 +347,52 @@ struct EpilogueContext {
   EpilogueResult* result = nullptr;         ///< optional scalar-output sink
 };
 
-/// Per-owner epilogue scratch and partial results.  mask_dense mirrors
+/// The kPruneScale keep rule, and the prune path's one pow() per entry: v
+/// survives iff pow(v, inflation) >= prune_below, thresholded in double and
+/// only then narrowed to the value type.  The fused epilogue
+/// (apply_row_epilogue) and apps::detail::inflate_and_prune both call it,
+/// so fused and unfused outputs agree by construction, float included.
+///
+/// Most entries of an MCL expansion are pruned, and a pow() with a runtime
+/// exponent costs far more than a compare, so entries in [0, cut) are
+/// dropped without it.  cut = pow(prune_below, 1/inflation) * (1 - 2^-30)
+/// is exact for a finite inflation >= 1 and a finite prune_below >= DBL_MIN:
+/// the rounding of 1/inflation, of that pow() and of the product moves
+/// cut^inflation by far less than the 2^-30 margin, so every such v has
+/// v^inflation < prune_below * (1 - 2^-31), and a pow() within one ulp of
+/// that (or of a subnormal result) stays below prune_below.  Any other spec
+/// leaves cut = 0; negative, NaN and infinite entries and entries >= cut
+/// always take pow().
+struct PruneRule {
+  double inflation = 1.0;
+  double prune_below = 0.0;
+  double cut = 0.0;  ///< entries in [0, cut) cannot survive; 0 = none
+
+  PruneRule() = default;
+  PruneRule(double inflation_in, double prune_below_in)
+      : inflation(inflation_in), prune_below(prune_below_in) {
+    if (std::isfinite(inflation) && inflation >= 1.0 &&
+        std::isfinite(prune_below) &&
+        prune_below >= std::numeric_limits<double>::min()) {
+      cut = std::pow(prune_below, 1.0 / inflation) * (1.0 - 0x1p-30);
+    }
+  }
+
+  /// True iff v survives, with pow(v, inflation) in `inflated`.
+  [[nodiscard]] bool keep(double v, double& inflated) const {
+    if (v >= 0.0 && v < cut) return false;
+    inflated = std::pow(v, inflation);
+    return inflated >= prune_below;
+  }
+};
+
+/// Per-owner epilogue scratch and partial results.  prune is the
+/// kPruneScale rule, built once per pass.  mask_dense mirrors
 /// matrix/ops.hpp masked_sum's dense scatter row (restored to zero after
 /// every row); reduce/col_sums are partials folded in owner order after the
 /// parallel region (KernelPlan::fold_epilogue).
 struct EpilogueState {
+  PruneRule prune;
   std::vector<double> mask_dense;
   std::vector<double> col_sums;
   double reduce = 0.0;
@@ -363,9 +405,9 @@ struct EpilogueState {
     seconds = 0.0;
     if (spec.kind == EpilogueKind::kMaskReduce) {
       if (mask_dense.size() < ncols) mask_dense.assign(ncols, 0.0);
-    } else if (spec.kind == EpilogueKind::kPruneScale &&
-               spec.collect_column_sums) {
-      col_sums.assign(ncols, 0.0);
+    } else if (spec.kind == EpilogueKind::kPruneScale) {
+      prune = PruneRule(spec.inflation, spec.prune_below);
+      if (spec.collect_column_sums) col_sums.assign(ncols, 0.0);
     }
   }
 };
@@ -407,10 +449,10 @@ struct EpilogueTelemetry {
 /// entry is read before the kept-th destination entry is written, and
 /// kept <= t always).  Returns the kept count.
 ///
-/// kPruneScale transforms each value by pow(v, inflation) and keeps it iff
-/// the transformed value is >= prune_below — the same per-element transform,
-/// threshold, and emission order as apps inflate_and_prune, so the fused
-/// output is bit-identical to unfused-then-postprocessed.  kMaskReduce
+/// kPruneScale keeps the entries state.prune keeps, stored as their
+/// inflated value narrowed to VT, in row order — the rule and emission
+/// order of apps inflate_and_prune, so the fused output is bit-identical to
+/// unfused-then-postprocessed.  kMaskReduce
 /// scatters the row into a dense scratch, sums the entries at the mask row's
 /// positions into the thread partial (exactly masked_sum's per-row walk) and
 /// keeps nothing.
@@ -426,10 +468,11 @@ inline std::size_t apply_row_epilogue(const EpilogueSpec& spec,
     case EpilogueKind::kPruneScale: {
       std::size_t kept = 0;
       const bool collect = spec.collect_column_sums;
+      const PruneRule rule = state.prune;  // a local the stores cannot alias
       for (std::size_t t = 0; t < nnz; ++t) {
-        const auto v = static_cast<VT>(
-            std::pow(static_cast<double>(vals_src[t]), spec.inflation));
-        if (static_cast<double>(v) >= spec.prune_below) {
+        double inflated = 0.0;
+        if (rule.keep(static_cast<double>(vals_src[t]), inflated)) {
+          const auto v = static_cast<VT>(inflated);
           const IT col = cols_src[t];
           cols_dst[kept] = col;
           vals_dst[kept] = v;

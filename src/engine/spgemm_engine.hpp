@@ -114,7 +114,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <exception>
-#include <fstream>
 #include <functional>
 #include <future>
 #include <limits>
@@ -415,10 +414,9 @@ class SpGemmEngine {
     // processes that never saw a periodic flush.
     if (!telemetry_flushed_.exchange(true, std::memory_order_acq_rel) &&
         !telemetry::export_dir().empty()) {
-      telemetry::flush_export_now();  // also creates the directory
-      std::ofstream tf(telemetry::export_dir() + "/trace.json",
-                       std::ios::trunc);
-      if (tf) dump_trace(tf);
+      telemetry::flush_export_now();
+      telemetry::write_export_file(
+          "trace.json", [this](std::ostream& os) { dump_trace(os); });
     }
   }
 

@@ -2,6 +2,7 @@
 // env-driven periodic file exporter (SPGEMM_TELEMETRY_DIR).
 #pragma once
 
+#include <functional>
 #include <ostream>
 #include <string>
 
@@ -34,5 +35,12 @@ bool ensure_periodic_exporter();
 /// when unset).  Engines call this when they stop so short-lived processes
 /// still leave a snapshot behind.
 void flush_export_now();
+
+/// Write export_dir()/name from `body` (no-op when unset).  Like the
+/// metrics files it goes through a per-process temp file and a rename, and
+/// the process's artifact writes run one at a time, so no reader sees a
+/// torn file.
+void write_export_file(const std::string& name,
+                       const std::function<void(std::ostream&)>& body);
 
 }  // namespace spgemm::telemetry

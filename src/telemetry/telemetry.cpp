@@ -8,9 +8,13 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <map>
+#include <mutex>
 #include <sstream>
 #include <thread>
+
+#include <unistd.h>
 
 #include "../common/env.hpp"
 #include "exporters.hpp"
@@ -416,29 +420,38 @@ const std::string& export_dir() {
 
 namespace {
 
-void write_snapshot_files(const std::string& dir) {
+/// Serializes this process's artifact writes: the periodic flusher, every
+/// flush_export_now() caller and the engines' trace dumps.  Constant-
+/// initialized, so it outlives the exporter's final flush at exit.
+std::mutex g_write_mu;
+
+/// Write dir/name through a temp file named for this process, then rename
+/// it into place, so neither a scraper nor another process exporting to
+/// the same directory ever sees a half-written file.  The caller holds
+/// g_write_mu.
+void write_file_atomically(const std::string& dir, const std::string& name,
+                           const std::function<void(std::ostream&)>& body) {
   std::error_code ec;
   std::filesystem::create_directories(dir, ec);  // best effort
+  const std::string tmp =
+      dir + "/." + name + "." + std::to_string(::getpid()) + ".tmp";
+  std::ofstream os(tmp, std::ios::trunc);
+  if (!os) return;
+  body(os);
+  os.close();
+  if (os) std::filesystem::rename(tmp, dir + "/" + name, ec);
+  if (!os || ec) std::filesystem::remove(tmp, ec);
+}
+
+void write_snapshot_files(const std::string& dir) {
+  const std::lock_guard<std::mutex> lk(g_write_mu);
   const Snapshot snap = registry().snapshot();
-  {
-    // Write-then-rename so scrapers never observe a half-written file.
-    const std::string tmp = dir + "/.metrics.prom.tmp";
-    std::ofstream os(tmp, std::ios::trunc);
-    if (os) {
-      export_prometheus(os, snap);
-      os.close();
-      std::filesystem::rename(tmp, dir + "/metrics.prom", ec);
-    }
-  }
-  {
-    const std::string tmp = dir + "/.metrics.json.tmp";
-    std::ofstream os(tmp, std::ios::trunc);
-    if (os) {
-      export_json(os, snap);
-      os.close();
-      std::filesystem::rename(tmp, dir + "/metrics.json", ec);
-    }
-  }
+  write_file_atomically(dir, "metrics.prom", [&snap](std::ostream& os) {
+    export_prometheus(os, snap);
+  });
+  write_file_atomically(dir, "metrics.json", [&snap](std::ostream& os) {
+    export_json(os, snap);
+  });
 }
 
 /// Background flusher.  Process-wide singleton; joined at static destruction.
@@ -506,6 +519,13 @@ bool ensure_periodic_exporter() { return exporter_instance() != nullptr; }
 void flush_export_now() {
   FileExporter* e = exporter_instance();
   if (e != nullptr) e->flush_now();
+}
+
+void write_export_file(const std::string& name,
+                       const std::function<void(std::ostream&)>& body) {
+  if (export_dir().empty()) return;
+  const std::lock_guard<std::mutex> lk(g_write_mu);
+  write_file_atomically(export_dir(), name, body);
 }
 
 }  // namespace spgemm::telemetry

@@ -14,7 +14,12 @@
 // to an unfused caller would silently return pruned rows.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
+#include <cstring>
+#include <iomanip>
+#include <limits>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -171,6 +176,189 @@ TEST(EpiloguePruneScale, CollectsExactColumnSums) {
   }
   // Integer-valued sums: exact at every fold order.
   EXPECT_EQ(result.col_sums, expected);
+}
+
+// ---------------------------------------------------------------------------
+// kPruneScale's keep rule at its edges: entries that skip pow() must be
+// exactly those a pow() of every entry would drop, and every path
+// thresholds the double before narrowing to the value type.
+// ---------------------------------------------------------------------------
+
+/// n x n identity: A * I reproduces A's values, so the epilogue sees values
+/// chosen directly.
+template <typename VT>
+CsrMatrix<I, VT> identity(I n) {
+  CsrMatrix<I, VT> m(n, n);
+  for (I i = 0; i < n; ++i) {
+    m.cols.push_back(i);
+    m.vals.push_back(VT{1});
+    m.rpts[static_cast<std::size_t>(i) + 1] = i + 1;
+  }
+  return m;
+}
+
+/// The prune done the long way: std::pow on every entry, threshold the
+/// double, narrow the kept ones.
+template <typename VT>
+CsrMatrix<I, VT> pow_every_entry(const CsrMatrix<I, VT>& c, double inflation,
+                                 double prune_below) {
+  CsrMatrix<I, VT> out(c.nrows, c.ncols);
+  for (I i = 0; i < c.nrows; ++i) {
+    for (Offset j = c.row_begin(i); j < c.row_end(i); ++j) {
+      const double v = std::pow(
+          static_cast<double>(c.vals[static_cast<std::size_t>(j)]),
+          inflation);
+      if (v >= prune_below) {
+        out.cols.push_back(c.cols[static_cast<std::size_t>(j)]);
+        out.vals.push_back(static_cast<VT>(v));
+      }
+    }
+    out.rpts[static_cast<std::size_t>(i) + 1] =
+        static_cast<Offset>(out.cols.size());
+  }
+  return out;
+}
+
+/// Bitwise equality that also tells NaN payloads and -0.0 from +0.0.
+template <typename VT>
+void expect_same_bits(const CsrMatrix<I, VT>& x, const CsrMatrix<I, VT>& y,
+                      const std::string& label) {
+  ASSERT_EQ(x.nrows, y.nrows) << label;
+  ASSERT_EQ(x.ncols, y.ncols) << label;
+  ASSERT_EQ(x.rpts, y.rpts) << label;
+  ASSERT_EQ(x.cols, y.cols) << label;
+  ASSERT_EQ(x.vals.size(), y.vals.size()) << label;
+  for (std::size_t k = 0; k < x.vals.size(); ++k) {
+    ASSERT_EQ(std::memcmp(&x.vals[k], &y.vals[k], sizeof(VT)), 0)
+        << label << " at vals[" << k << "]: " << x.vals[k] << " vs "
+        << y.vals[k];
+  }
+}
+
+/// Values around prune_below^(1/inflation) (and the 2^-30 margin below it),
+/// plus signed zeros, negatives, subnormals, infinities and NaN.
+std::vector<double> prune_edge_values(double inflation, double prune_below) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kMin = std::numeric_limits<double>::min();
+  constexpr double kTiny = std::numeric_limits<double>::denorm_min();
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  std::vector<double> v = {0.0, -0.0, -1.0, -0.5,  -kTiny, kTiny, kMin / 4,
+                           kMin, 0.5, 1.0,  kInf, -kInf, kNaN};
+  const double root = std::pow(prune_below, 1.0 / inflation);
+  for (int k = 28; k <= 33; ++k) {
+    v.push_back(root * (1.0 - std::ldexp(1.0, -k)));
+  }
+  for (const double centre : {root, root * (1.0 - 0x1p-30)}) {
+    double lo = centre;
+    double hi = centre;
+    v.push_back(centre);
+    for (int step = 0; step < 3; ++step) {
+      lo = std::nextafter(lo, -kInf);
+      hi = std::nextafter(hi, kInf);
+      v.push_back(lo);
+      v.push_back(hi);
+    }
+  }
+  return v;
+}
+
+TEST(EpiloguePruneScale, CutIsExactAtItsEdge) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  // Inflation 2^-30 at prune_below 1 + 2^-30 is where a cut below
+  // inflation 1 would drop survivors: its margin shrinks to
+  // (1 - 2^-30)^inflation, under one ulp of prune_below.
+  const double inflations[] = {0.5, 1.0, 1.5, 2.0, 3.0, 0x1p-30};
+  const double thresholds[] = {2.5,  1e-4, 0.0, -1.0, kInf,
+                               std::numeric_limits<double>::denorm_min(),
+                               1.0 + 0x1p-30};
+  Engine eng;
+  for (const double inflation : inflations) {
+    for (const double prune_below : thresholds) {
+      std::ostringstream name;
+      name << std::setprecision(17) << "inflation " << inflation
+           << " prune_below " << prune_below;
+      const std::string spec = name.str();
+      // Four entries a row, each in its own column.
+      const std::vector<double> values =
+          prune_edge_values(inflation, prune_below);
+      const auto n = static_cast<I>(values.size());
+      Matrix a((n + 3) / 4, n);
+      for (I t = 0; t < n; ++t) {
+        a.cols.push_back(t);
+        a.vals.push_back(values[static_cast<std::size_t>(t)]);
+        a.rpts[static_cast<std::size_t>(t / 4) + 1] = t + 1;
+      }
+      const Matrix id = identity<double>(n);
+
+      const Matrix c = multiply(a, id, base_opts(Algorithm::kHash, 1));
+      const Matrix expected = pow_every_entry(c, inflation, prune_below);
+      ASSERT_GT(expected.nnz(), Offset{0}) << spec;
+      ASSERT_LT(expected.nnz(), c.nnz()) << spec;
+      expect_same_bits(apps::detail::inflate_and_prune(c, inflation,
+                                                       prune_below),
+                       expected, spec + " inflate_and_prune");
+
+      for (const Algorithm algo : kKernels) {
+        for (const int threads : {1, 2}) {
+          const std::string label = spec + " " + algorithm_name(algo) + " t" +
+                                    std::to_string(threads);
+          SpGemmOptions fused = base_opts(algo, threads);
+          fused.epilogue.kind = EpilogueKind::kPruneScale;
+          fused.epilogue.inflation = inflation;
+          fused.epilogue.prune_below = prune_below;
+          expect_same_bits(multiply_with_epilogue(a, id, fused), expected,
+                           label + " one-shot");
+          SpGemmHandle<I, double> handle(a, id, fused);
+          expect_same_bits(handle.execute(a, id), expected,
+                           label + " plan+execute");
+          expect_same_bits(handle.execute(a, id), expected, label + " replay");
+        }
+      }
+
+      Engine::Request req;
+      req.a = &a;
+      req.b = &id;
+      req.epilogue.kind = EpilogueKind::kPruneScale;
+      req.epilogue.inflation = inflation;
+      req.epilogue.prune_below = prune_below;
+      expect_same_bits(eng.submit(req).get().c, expected, spec + " engine");
+    }
+  }
+}
+
+TEST(EpiloguePruneScale, FloatThresholdsBeforeNarrowing) {
+  // v^2 = 0.30000008779794385 as a double but 0.30000010132789612 as a
+  // float: a threshold one ulp above the double square drops the entry,
+  // though its narrowed value would pass.  Every path must drop it.
+  using FMatrix = CsrMatrix<I, float>;
+  const float v = 0.547722638f;
+  FMatrix a(1, 1);
+  a.cols.push_back(0);
+  a.vals.push_back(v);
+  a.rpts[1] = 1;
+  const FMatrix id = identity<float>(1);
+  const double square = static_cast<double>(v) * static_cast<double>(v);
+  const double prune_below =
+      std::nextafter(square, std::numeric_limits<double>::infinity());
+  ASSERT_GE(static_cast<double>(static_cast<float>(square)), prune_below);
+
+  const FMatrix unfused = apps::detail::inflate_and_prune(
+      multiply(a, id, base_opts(Algorithm::kHash, 1)), 2.0, prune_below);
+  EXPECT_EQ(unfused.nnz(), Offset{0});
+  expect_same_bits(unfused, pow_every_entry(multiply(a, id), 2.0, prune_below),
+                   "inflate_and_prune");
+  for (const Algorithm algo : kKernels) {
+    const std::string label = algorithm_name(algo);
+    SpGemmOptions fused = base_opts(algo, 1);
+    fused.epilogue.kind = EpilogueKind::kPruneScale;
+    fused.epilogue.inflation = 2.0;
+    fused.epilogue.prune_below = prune_below;
+    expect_same_bits(multiply_with_epilogue(a, id, fused), unfused,
+                     label + " one-shot");
+    SpGemmHandle<I, float> handle(a, id, fused);
+    expect_same_bits(handle.execute(a, id), unfused, label + " plan+execute");
+    expect_same_bits(handle.execute(a, id), unfused, label + " replay");
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -17,11 +17,17 @@
 //   * fault-injection arms/triggers surface as labeled registry counters;
 //   * TELEM_SPAN populates the phase histogram family for the two-phase
 //     driver's phases, the one-phase driver's and the handle's
-//     plan/execute.
+//     plan/execute;
+//   * with SPGEMM_TELEMETRY_DIR set, concurrent flushes leave whole
+//     artifact files and no temp file behind.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <atomic>
 #include <cctype>
 #include <cstdint>
+#include <filesystem>
+#include <fstream>
 #include <map>
 #include <memory>
 #include <sstream>
@@ -622,6 +628,66 @@ TEST_F(TelemetryTest, OnePhaseMultiplyObservesOneShotPhases) {
     EXPECT_EQ(phase_count(phase), before[phase] + 1) << phase;
   }
   EXPECT_EQ(phase_count("oneshot.symbolic"), symbolic_before);
+}
+
+// ---------------------------------------------------------------------------
+// Exported artifacts are whole.  Runs only where SPGEMM_TELEMETRY_DIR is set
+// (CI's telemetry leg): flushes from several threads race each other and the
+// periodic exporter while another thread keeps bumping a counter, and
+// metrics.json is read back during the race and after it.
+
+TEST_F(TelemetryTest, ConcurrentFlushesLeaveWholeArtifacts) {
+  const std::string& dir = telemetry::export_dir();
+  if (dir.empty()) GTEST_SKIP() << "SPGEMM_TELEMETRY_DIR is not set";
+  const auto metrics_json_is_whole = [&dir] {
+    std::ifstream in(dir + "/metrics.json");
+    std::ostringstream buffer;
+    buffer << in.rdbuf();
+    const std::string text = buffer.str();
+    bool ok = false;
+    JsonParser parser(text);
+    const JsonValue root = parser.parse(ok);
+    return ok && root.is_object() && root.obj().count("counters") == 1 &&
+           root.obj().count("histograms") == 1;
+  };
+  telemetry::flush_export_now();
+  ASSERT_TRUE(metrics_json_is_whole());
+
+  telemetry::Counter& bumps = telemetry::registry().counter(
+      "spgemm_test_flush_race_bumps_total",
+      "Counter bumped while artifact flushes race (test only).");
+  std::atomic<bool> done{false};
+  std::thread bumper([&] {
+    while (!done.load(std::memory_order_relaxed)) bumps.add(1);
+  });
+  constexpr int kFlushers = 4;
+  std::atomic<int> running{kFlushers};
+  std::vector<std::thread> flushers;
+  for (int t = 0; t < kFlushers; ++t) {
+    flushers.emplace_back([&running] {
+      for (int k = 0; k < 50; ++k) telemetry::flush_export_now();
+      running.fetch_sub(1);
+    });
+  }
+  int reads = 0;
+  int torn = 0;
+  while (running.load() > 0) {
+    ++reads;
+    if (!metrics_json_is_whole()) ++torn;
+  }
+  for (std::thread& f : flushers) f.join();
+  done.store(true, std::memory_order_relaxed);
+  bumper.join();
+  EXPECT_EQ(torn, 0) << "torn metrics.json in " << torn << " of " << reads
+                     << " reads during the flushes";
+  EXPECT_TRUE(metrics_json_is_whole()) << "metrics.json torn after the race";
+
+  // Every temp file this process wrote was renamed into place.
+  const std::string own_tmp = "." + std::to_string(::getpid()) + ".tmp";
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    const std::string name = entry.path().filename().string();
+    EXPECT_FALSE(name.ends_with(own_tmp)) << "leftover temp file " << name;
+  }
 }
 
 TEST_F(TelemetryTest, ScopedSpanSkipsObserveWhileDisabled) {
