@@ -118,7 +118,7 @@ void run_variant_once(const std::string& name, const Matrix& a,
     params.max_iterations = kMclIterations;
     params.convergence_eps = 0.0;
     params.fuse_epilogue = (name == "mcl-fused");
-    apps::markov_cluster(a, params);
+    apps::markov_cluster(a, params, opts);
   } else if (name == "tricount-fused") {
     apps::count_triangles_fused(a, opts);
   } else if (name == "tricount-unfused") {
@@ -217,7 +217,7 @@ int main(int, char** argv) {
     params.convergence_eps = 0.0;  // fixed iteration count: comparable rows
     params.fuse_epilogue = true;
     mcl_fused = measure([&](Measured& out) -> Offset {
-      out.executions = apps::markov_cluster(a, params).iterations;
+      out.executions = apps::markov_cluster(a, params, opts).iterations;
       return 0;
     });
     if (mcl_fused.executions > 0) {
@@ -243,7 +243,7 @@ int main(int, char** argv) {
     params.convergence_eps = 0.0;
     params.fuse_epilogue = false;
     mcl_unfused = measure([&](Measured& out) -> Offset {
-      out.executions = apps::markov_cluster(a, params).iterations;
+      out.executions = apps::markov_cluster(a, params, opts).iterations;
       return 0;
     });
     if (mcl_unfused.executions > 0) {

@@ -124,6 +124,35 @@ struct StreamResult {
   double overlay_occupancy = 0.0;
 };
 
+/// One round of the mixed stream: values rescaled (every product really
+/// re-folds), then the large and `smalls_per_round` smalls submitted while
+/// the engine is paused, so the whole burst lands in one dispatch — the
+/// arrival pattern (smalls stuck behind a large) is deterministic, not a
+/// timing race.  Returns the milliseconds from resume to the last
+/// delivery; appends the smalls' latencies to `small_latencies_ms`.
+double serve_burst(Engine& eng, Matrix& big, std::vector<Matrix>& small,
+                   int smalls_per_round,
+                   std::vector<double>& small_latencies_ms) {
+  for (auto& v : big.vals) v *= 1.0001;
+  for (auto& m : small) {
+    for (auto& v : m.vals) v *= 1.0001;
+  }
+  eng.pause();
+  std::vector<std::future<Engine::Product>> futures;
+  futures.push_back(eng.submit(big, big));
+  for (int i = 0; i < smalls_per_round; ++i) {
+    const Matrix& m = small[static_cast<std::size_t>(i) % small.size()];
+    futures.push_back(eng.submit(m, m));
+  }
+  Timer timer;
+  eng.resume();
+  futures.front().get();
+  for (std::size_t i = 1; i < futures.size(); ++i) {
+    small_latencies_ms.push_back(futures[i].get().latency_ms);
+  }
+  return timer.millis();
+}
+
 StreamResult serve_stream(const engine::EngineOptions& opts, Matrix& big,
                           std::vector<Matrix>& small, int smalls_per_round,
                           const char* trace_path = nullptr) {
@@ -132,30 +161,14 @@ StreamResult serve_stream(const engine::EngineOptions& opts, Matrix& big,
   double steady_ms = 0.0;
   std::size_t steady_products = 0;
   for (int round = 0; round < kRounds; ++round) {
-    for (auto& v : big.vals) v *= 1.0001;
-    for (auto& m : small) {
-      for (auto& v : m.vals) v *= 1.0001;
-    }
-    // Pause so the whole burst lands in one dispatch — the arrival pattern
-    // (smalls stuck behind a large) is deterministic, not a timing race.
-    eng.pause();
-    std::vector<std::future<Engine::Product>> futures;
-    futures.push_back(eng.submit(big, big));
-    for (int i = 0; i < smalls_per_round; ++i) {
-      const Matrix& m = small[static_cast<std::size_t>(i) % small.size()];
-      futures.push_back(eng.submit(m, m));
-    }
-    Timer timer;
-    eng.resume();
     std::vector<double> latencies;
-    latencies.reserve(futures.size());
-    for (auto& f : futures) latencies.push_back(f.get().latency_ms);
-    const double round_ms = timer.millis();
+    const double round_ms =
+        serve_burst(eng, big, small, smalls_per_round, latencies);
     if (round > 0) {
       steady_ms += round_ms;
-      steady_products += futures.size();
+      steady_products += latencies.size() + 1;
       out.small_latencies_ms.insert(out.small_latencies_ms.end(),
-                                    latencies.begin() + 1, latencies.end());
+                                    latencies.begin(), latencies.end());
     }
   }
   out.steady_products_per_sec =
@@ -173,6 +186,35 @@ StreamResult serve_stream(const engine::EngineOptions& opts, Matrix& big,
     }
   }
   return out;
+}
+
+/// Telemetry overhead, paired: ONE engine serves the mixed stream round
+/// after round with telemetry toggled per round — off then on in even
+/// pairs, on then off in odd ones — and each pair contributes the ratio of
+/// its two rounds' throughput, on / off (the rounds serve the same
+/// products, so it is off time / on time).  Returns the median pair ratio.
+/// Two engines run one after the other would compare run order and machine
+/// drift as much as telemetry.
+double paired_telemetry_ratio(const engine::EngineOptions& opts, Matrix& big,
+                              std::vector<Matrix>& small,
+                              int smalls_per_round, int pairs) {
+  Engine eng(opts);
+  const bool was = telemetry::enabled();
+  std::vector<double> latencies;
+  const auto round_ms = [&](bool telem) {
+    telemetry::set_enabled(telem);
+    return serve_burst(eng, big, small, smalls_per_round, latencies);
+  };
+  round_ms(false);  // cold round: plans every structure
+  std::vector<double> ratios;
+  for (int p = 0; p < pairs; ++p) {
+    const bool on_first = p % 2 == 1;
+    const double first = round_ms(on_first);
+    const double second = round_ms(!on_first);
+    ratios.push_back(on_first ? second / first : first / second);
+  }
+  telemetry::set_enabled(was);
+  return latency_percentile(ratios, 0.5);
 }
 
 void run_mixed_stream(JsonReporter& json, const std::string& mix_name,
@@ -242,10 +284,9 @@ void run_mixed_stream(JsonReporter& json, const std::string& mix_name,
                 rec.overlay_occupancy);
   }
 
-  // Telemetry-on rerun of the lanes row: the overhead comparator the CI
-  // bench-smoke asserts against (products/sec within a few percent of
-  // mixed-lanes) and the source of the Chrome trace artifact — lane spans
-  // on track 0 and overlay spans on the worker tracks of pool 0.
+  // Telemetry-on rerun of the lanes row: the source of the Chrome trace
+  // artifact — lane spans on track 0 and overlay spans on the worker
+  // tracks of pool 0.
   {
     engine::EngineOptions opts = base;
     opts.pools = 1;
@@ -269,6 +310,27 @@ void run_mixed_stream(JsonReporter& json, const std::string& mix_name,
     std::printf("%-18s %12.2f %12.2f %12.2f %12.2f %10.3f\n",
                 "mixed-lanes-telem", rec.products_per_sec, rec.p50_ms,
                 rec.p99_ms, rec.p999_ms, rec.overlay_occupancy);
+  }
+
+  // The telemetry-overhead comparator CI's bench-smoke gates on: the lanes
+  // row's engine, telemetry toggled round by round.
+  {
+    constexpr int kPairs = 40;
+    engine::EngineOptions opts = base;
+    opts.pools = 1;
+    opts.threads = mix_threads;
+    opts.work_conserving = true;
+    opts.cache_enabled = true;
+    BenchRecord rec;
+    rec.kernel = "telemetry-overhead";
+    rec.matrix = mix_name;
+    rec.threads = mix_threads;
+    rec.paired_ratio =
+        paired_telemetry_ratio(opts, big, small, smalls_per_round, kPairs);
+    json.add(rec);
+    std::printf("telemetry on/off throughput, median of %d paired rounds: "
+                "%.3f\n",
+                kPairs, rec.paired_ratio);
   }
 }
 

@@ -57,6 +57,10 @@ struct BenchRecord {
   /// (overlay_busy_ms / lane_busy_ms from EngineStats).  Zero for rows
   /// without the lane scheduler.
   double overlay_occupancy = 0.0;
+  /// Median over paired rounds of one configuration against another on
+  /// the same engine (bench_engine_throughput's telemetry-overhead row:
+  /// telemetry-on / telemetry-off throughput).  Zero for unpaired rows.
+  double paired_ratio = 0.0;
   /// Resilience / QoS counters (bench_engine_throughput's qos row): requests
   /// dropped by admission control, deadline misses (failed-before-run plus
   /// delivered-late), memory-pressure ladder retries, and products served
@@ -160,7 +164,8 @@ class JsonReporter {
           "\"executions\": %lld, \"tile_steals\": %lld, "
           "\"products_per_sec\": %.2f, \"p50_ms\": %.4f, "
           "\"p99_ms\": %.4f, \"p999_ms\": %.4f, "
-          "\"overlay_occupancy\": %.4f, \"probe_rounds\": %lld, "
+          "\"overlay_occupancy\": %.4f, \"paired_ratio\": %.4f, "
+          "\"probe_rounds\": %lld, "
           "\"keys_per_round\": %.4f, \"shed\": %lld, "
           "\"deadline_misses\": %lld, \"retries\": %lld, "
           "\"degraded_execs\": %lld, \"spills\": %lld, "
@@ -171,7 +176,8 @@ class JsonReporter {
           r.reuse_hit_rate, static_cast<long long>(r.flop),
           static_cast<long long>(r.nnz_out), r.plan_ms, r.execute_ms,
           r.executions, r.tile_steals, r.products_per_sec, r.p50_ms,
-          r.p99_ms, r.p999_ms, r.overlay_occupancy, r.probe_rounds,
+          r.p99_ms, r.p999_ms, r.overlay_occupancy, r.paired_ratio,
+          r.probe_rounds,
           r.keys_per_round, r.shed,
           r.deadline_misses, r.retries, r.degraded_execs, r.spills,
           r.in_core_rate, r.cache_hit_share, r.peak_rss_bytes,

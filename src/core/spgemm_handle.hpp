@@ -83,7 +83,6 @@ struct HandleTelemetry {
   telemetry::Counter& numeric_keys;
   telemetry::Counter& flop;
   telemetry::Counter& tile_steals;
-  telemetry::Counter& pages_retouched;
   static HandleTelemetry& get() {
     auto& reg = telemetry::registry();
     static HandleTelemetry t{
@@ -104,9 +103,7 @@ struct HandleTelemetry {
                     "Scalar multiplications planned (per plan, not per "
                     "execute)."),
         reg.counter("spgemm_tile_steals_total",
-                    "Tiles run by a thread other than their owner."),
-        reg.counter("spgemm_pages_retouched_total",
-                    "Pooled-output pages rewritten by their owning thread.")};
+                    "Tiles run by a thread other than their owner.")};
     return t;
   }
 };
@@ -318,8 +315,7 @@ class SpGemmHandle {
   const CsrMatrix<IT, VT>& execute(const CsrMatrix<IT, VT>& a,
                                    const CsrMatrix<IT, VT>& b, SR sr = {},
                                    SpGemmStats* stats = nullptr) {
-    execute_impl(a, b, pooled_, !pooled_cols_ready_, /*into_pooled=*/true,
-                 sr, stats);
+    execute_impl(a, b, pooled_, !pooled_cols_ready_, sr, stats);
     pooled_cols_ready_ = true;
     return pooled_;
   }
@@ -331,8 +327,7 @@ class SpGemmHandle {
   void execute_into(const CsrMatrix<IT, VT>& a, const CsrMatrix<IT, VT>& b,
                     CsrMatrix<IT, VT>& c, SR sr = {},
                     SpGemmStats* stats = nullptr) {
-    execute_impl(a, b, c, /*fill_skeleton=*/true, /*into_pooled=*/false, sr,
-                 stats);
+    execute_impl(a, b, c, /*fill_skeleton=*/true, sr, stats);
   }
 
   // ---- Plan introspection -------------------------------------------------
@@ -400,14 +395,15 @@ class SpGemmHandle {
     return core_.schedule;
   }
 
-  /// Engine lanes hook: mirror per-pass worker exits into `sink` so the
-  /// serving engine can widen its small-product overlay as this handle's
-  /// plan/execute workers drain (ExecutionSchedule::set_exit_sink).  The
-  /// sink must outlive every pass run while attached; detach with nullptr
-  /// before it dies.  Callers serialize on the handle's execution anyway
-  /// (the engine holds the plan-cache exec mutex), so this needs no lock.
-  void set_pass_exit_sink(std::atomic<int>* sink) {
-    core_.schedule.set_exit_sink(sink);
+  /// Engine lanes hook: count the seats this handle's plan/execute passes
+  /// hold in `sink`, so the serving engine can pack small products onto the
+  /// rest as the pass workers drain (ExecutionSchedule::set_seat_sink).
+  /// The sink must outlive every pass run while attached; detach with
+  /// nullptr before it dies.  Callers serialize on the handle's execution
+  /// anyway (the engine holds the plan-cache exec mutex), so this needs no
+  /// lock.
+  void set_seat_sink(std::atomic<int>* sink) {
+    core_.schedule.set_seat_sink(sink);
   }
 
   // ---- Fused epilogues ----------------------------------------------------
@@ -517,44 +513,10 @@ class SpGemmHandle {
     id_b_ = id_b;
   }
 
-  /// Rewrite every page of the pooled output's body arrays from its OWNING
-  /// thread (the static tile assignment, not the frozen claim state that
-  /// includes steals).  First-touch repair for pages a thief populated
-  /// during the build pass; see SpGemmOptions::retouch_output_pages.
-  std::uint64_t retouch_pooled_pages() {
-    constexpr std::size_t kPageBytes = 4096;
-    const auto touch = [](void* ptr, std::size_t bytes) -> std::uint64_t {
-      auto* p = static_cast<volatile unsigned char*>(ptr);
-      std::uint64_t pages = 0;
-      for (std::size_t off = 0; off < bytes; off += kPageBytes) {
-        p[off] = p[off];
-        ++pages;
-      }
-      return pages;
-    };
-    std::atomic<std::uint64_t> total{0};
-#pragma omp parallel num_threads(core_.nthreads)
-    parallel::for_each_owner(core_.nthreads, [&](int owner) {
-      std::uint64_t local = 0;
-      core_.schedule.for_each_owned_tile(
-          owner, [&](const parallel::TileRange& tile) {
-            const auto begin =
-                static_cast<std::size_t>(core_.rpts[tile.row_begin]);
-            const auto len =
-                static_cast<std::size_t>(core_.rpts[tile.row_end]) - begin;
-            if (len == 0) return;
-            local += touch(pooled_.cols.data() + begin, len * sizeof(IT));
-            local += touch(pooled_.vals.data() + begin, len * sizeof(VT));
-          });
-      total.fetch_add(local, std::memory_order_relaxed);
-    });
-    return total.load(std::memory_order_relaxed);
-  }
-
   template <typename SR>
   void execute_impl(const CsrMatrix<IT, VT>& a, const CsrMatrix<IT, VT>& b,
-                    CsrMatrix<IT, VT>& c, bool fill_skeleton,
-                    bool into_pooled, SR /*sr*/, SpGemmStats* stats) {
+                    CsrMatrix<IT, VT>& c, bool fill_skeleton, SR /*sr*/,
+                    SpGemmStats* stats) {
     if (!planned_) {
       throw SpGemmError(ErrorCode::kBadInput,
                         "SpGemmHandle::execute: no plan — call plan()");
@@ -597,16 +559,6 @@ class SpGemmHandle {
                        : Sortedness::kUnsorted;
 
     ++executions_;
-    // NUMA repair once per plan, right after the pooled pages have all been
-    // populated — fill_skeleton on the pooled path means THIS was the first
-    // pooled execute, regardless of any execute_into() calls before it —
-    // and only when the build pass actually migrated work off its owners.
-    std::uint64_t retouched_now = 0;
-    if (into_pooled && fill_skeleton && !fused &&
-        core_.opts.retouch_output_pages && stats_.tile_steals > 0) {
-      retouched_now = retouch_pooled_pages();
-      stats_.pages_retouched += retouched_now;
-    }
     stats_.execute_ms = exec_timer.millis();
     stats_.numeric_ms = stats_.execute_ms;
     stats_.numeric_probes = work.num_probes;
@@ -619,7 +571,6 @@ class SpGemmHandle {
       t.executes.add(1);
       t.numeric_probes.add(work.num_probes);
       t.numeric_keys.add(work.num_keys);
-      t.pages_retouched.add(retouched_now);
     }
     if (stats != nullptr) *stats = stats_;
   }

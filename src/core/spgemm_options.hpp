@@ -231,17 +231,6 @@ struct SpGemmOptions {
   /// why the defaults are substituted before the model is consulted; to
   /// turn capture off, set reuse = StructureReuse::kOff.
   std::size_t reuse_budget_bytes = 0;
-  /// First-cut NUMA locality repair (core/spgemm_handle.hpp): after the
-  /// first pooled execute() of a plan whose build pass stole tiles, each
-  /// OWNING thread re-touches (rewrites in place) the pages of its tiles'
-  /// slice of the pooled C body arrays, so a long execute() stream replays
-  /// against pages the static owner has claimed rather than pages first
-  /// touched by whichever thief ran the build pass.  Best-effort: pages
-  /// already resident on another node are rewritten but not migrated (true
-  /// migration needs move_pages(2)); counted in SpGemmStats::
-  /// pages_retouched either way.  Off by default — the pass costs one
-  /// streaming sweep over the output.
-  bool retouch_output_pages = false;
   /// Where tile and capture budgets come from (see BudgetSource).
   BudgetSource budget_source = BudgetSource::kFixed;
   /// The modeled fast tier budgets target under BudgetSource::kMemoryModel
@@ -296,9 +285,6 @@ struct SpGemmStats {
   /// Tiles run by a thread other than their owner (stealing schedule only;
   /// 0 under static/dynamic, which have no ownership to violate).
   std::uint64_t tile_steals = 0;
-  /// Pooled-output pages rewritten by their owning thread after a
-  /// steal-heavy build pass (SpGemmOptions::retouch_output_pages).
-  std::uint64_t pages_retouched = 0;
   /// Fused-epilogue observability: rows the epilogue hook processed and the
   /// wall time spent inside it (max across threads, like the phase spans).
   std::uint64_t epilogue_rows = 0;

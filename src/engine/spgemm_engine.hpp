@@ -1,5 +1,5 @@
 // SpGemmEngine — a concurrent SpGEMM serving layer: fingerprint-keyed plan
-// cache + a work-conserving lane scheduler over shard-affine worker pools.
+// cache + one lane scheduler over shard-affine worker pools.
 //
 // PR 2/3 built the per-product machinery (SpGemmHandle, structure
 // fingerprints, the shared ExecutionSchedule); this engine is the layer
@@ -17,23 +17,30 @@
 //     count (model::estimate_flop, O(nnz(A)) per request) so the worker
 //     pool never idles behind one giant product:
 //       - LARGE products (flop > EngineOptions::small_flop_cutoff) run
-//         one at a time, largest first, each fanning out through its
-//         handle's ExecutionSchedule on an EXECUTION LANE — a bounded
-//         worker subset whose width model::choose_lane_width derives from
-//         the product's flop and the memory model's per-thread budgets;
-//       - SMALL products are packed whole onto single workers (each
+//         one at a time, largest first, on the calling thread (a pool's
+//         dispatcher, or a run_batch/multiply caller), each fanning out
+//         through its handle's ExecutionSchedule on an EXECUTION LANE — a
+//         bounded seat count whose width model::choose_lane_width derives
+//         from the product's flop and the memory model's per-thread
+//         budgets;
+//       - SMALL products are packed whole onto single seats (each
 //         planning/executing with threads = 1) — so a thousand tiny
 //         products cost a thousand single-threaded multiplies, not a
 //         thousand barriers.  Deadline-bearing smalls run earliest-
 //         deadline-first; the rest keep largest-first flop order.
-//     WORK CONSERVATION (EngineOptions::work_conserving, default on):
-//     while a large product's lane runs, a concurrent OVERLAY packs the
-//     queued small products onto the workers the lane is not using right
-//     now — including workers that finish their share of a pass early
-//     (ExecutionSchedule reports per-pass worker exits) — so small
-//     requests no longer wait for the big one to drain.  Off = the
-//     drain-ordered phases of the original engine, kept as the bench
-//     baseline.
+//     ONE SCHEDULER: parked helper threads (each pool's own set, started on
+//     first need; one more set for the synchronous callers) and then the
+//     calling thread itself, once its larges are done, pack the smalls
+//     onto the seats the lane does not hold right now.  A lane pass counts
+//     its held seats in an engine-owned seat sink (ExecutionSchedule's
+//     worker_done() gives each back as that worker's share ends), and a
+//     helper without a seat blocks on that count.  The same helpers split
+//     an admission pass that carries enough hashing work.
+//     WORK CONSERVATION (EngineOptions::work_conserving, default on) is a
+//     setting of that scheduler: on, the lane leaves seats free and the
+//     smalls OVERLAY it; off, the lane takes every seat and attaches no
+//     sink, so the smalls wait for it — the drain-ordered baseline of the
+//     bench.
 //     A structure's size class AND lane width are functions of its flop
 //     estimate and the engine's configuration, so the same structure
 //     always replans with the same thread count and its cached plan stays
@@ -64,9 +71,9 @@
 //     that completes late still delivers (the work is done — wasting it
 //     helps nobody) and is counted in EngineStats::deadline_misses.  Under
 //     the work-conserving scheduler small latency-sensitive work overlays
-//     a large fan-out instead of queueing behind it; in drain mode (and
-//     its degenerate batches) the packed-small phase still runs first
-//     whenever any request in the batch carries a deadline;
+//     a large fan-out instead of queueing behind it; a batch whose lane
+//     leaves no seat free (drain mode, a one-worker pool) runs its smalls
+//     first whenever any request in the batch carries a deadline;
 //   * admission control: EngineOptions::max_queue bounds each pool's
 //     submit queue by count and queue_flop_budget bounds it by estimated
 //     work.  Over either bound, the lowest-priority queued request of that
@@ -103,8 +110,6 @@
 // wrong fingerprint silently serves a stale plan (debug builds assert).
 #pragma once
 
-#include <omp.h>
-
 #include <algorithm>
 #include <array>
 #include <atomic>
@@ -121,6 +126,7 @@
 #include <memory>
 #include <mutex>
 #include <numeric>
+#include <optional>
 #include <ostream>
 #include <span>
 #include <thread>
@@ -196,6 +202,90 @@ struct EngineTelemetry {
     return t;
   }
 };
+
+/// Parked helper threads: the extra seats a dispatcher (or a synchronous
+/// caller) packs small products and splits admission passes onto.  They
+/// start on first need and park on a condition variable between batches.
+class Helpers {
+ public:
+  Helpers() = default;
+  Helpers(const Helpers&) = delete;
+  Helpers& operator=(const Helpers&) = delete;
+  ~Helpers() {
+    {
+      std::lock_guard<std::mutex> lk(mu_);
+      stopping_ = true;
+    }
+    wake_.notify_all();
+    for (std::thread& t : threads_) t.join();
+  }
+
+  /// Run job() on k helpers and, after first(), on the calling thread.
+  /// Returns once all k + 1 runs are done, then rethrows the first
+  /// exception any of them threw.
+  template <class Job, class First>
+  void run(std::size_t k, const Job& job, First&& first) {
+    {
+      std::lock_guard<std::mutex> lk(mu_);
+      while (threads_.size() < k) {
+        threads_.emplace_back([this, index = threads_.size()] { park(index); });
+      }
+      run_ = [](const void* j) { (*static_cast<const Job*>(j))(); };
+      job_ = &job;
+      want_ = k;
+      busy_ = k;
+      error_ = nullptr;
+      ++round_;
+    }
+    wake_.notify_all();
+    std::exception_ptr error;
+    try {
+      first();
+      job();
+    } catch (...) {
+      error = std::current_exception();
+    }
+    std::unique_lock<std::mutex> lk(mu_);
+    done_.wait(lk, [&] { return busy_ == 0; });
+    if (!error) error = error_;
+    if (error) std::rethrow_exception(error);
+  }
+
+ private:
+  void park(std::size_t index) {
+    std::uint64_t seen = 0;
+    std::unique_lock<std::mutex> lk(mu_);
+    for (;;) {
+      wake_.wait(lk, [&] {
+        return stopping_ || (round_ != seen && index < want_);
+      });
+      if (stopping_) return;
+      seen = round_;
+      lk.unlock();
+      std::exception_ptr error;
+      try {
+        run_(job_);
+      } catch (...) {
+        error = std::current_exception();
+      }
+      lk.lock();
+      if (error && !error_) error_ = error;
+      if (--busy_ == 0) done_.notify_all();
+    }
+  }
+
+  std::mutex mu_;  ///< guards everything below
+  std::condition_variable wake_;
+  std::condition_variable done_;
+  void (*run_)(const void*) = nullptr;  ///< calls the round's job
+  const void* job_ = nullptr;
+  std::size_t want_ = 0;  ///< helpers the current round runs on
+  std::size_t busy_ = 0;  ///< of those, still running the job
+  std::exception_ptr error_;  ///< first exception a helper threw
+  std::uint64_t round_ = 0;
+  bool stopping_ = false;
+  std::vector<std::thread> threads_;
+};
 }  // namespace detail
 
 struct EngineOptions {
@@ -213,11 +303,13 @@ struct EngineOptions {
   /// (model::choose_engine_pools); an explicit value here beats both.
   /// Clamped so every pool keeps at least one worker.
   int pools = 0;
-  /// Work-conserving lane scheduler: large products fan out on a bounded
-  /// lane while queued small products overlay the remaining workers.
-  /// false = the original drain-ordered phases (large fan-outs at full
-  /// width, then packed smalls) — the tail-latency baseline the
-  /// bench_engine_throughput mixed-stream row compares against.
+  /// Work-conserving lanes: large products fan out on a bounded lane while
+  /// queued small products overlay the remaining seats.  false = the
+  /// drain-ordered setting of the same scheduler: the lane takes every
+  /// seat and keeps it until the batch's larges are done, so the smalls run
+  /// after them (before them when a request carries a deadline) — the
+  /// tail-latency baseline the bench_engine_throughput mixed-stream row
+  /// compares against.
   bool work_conserving = true;
   /// Serve repeated structures from the plan cache.  Off = every request
   /// plans fresh (the baseline bench_engine_throughput compares against).
@@ -548,7 +640,7 @@ class SpGemmEngine {
     std::vector<std::exception_ptr> errors(n);
     process_batch(reqs.data(), n, products.data(), errors.data(),
                   pool_threads_, nullptr, sync_trace_ring(),
-                  static_cast<std::uint32_t>(npools_), nullptr);
+                  static_cast<std::uint32_t>(npools_), nullptr, nullptr);
     for (const std::exception_ptr& err : errors) {
       if (err) std::rethrow_exception(err);
     }
@@ -563,7 +655,7 @@ class SpGemmEngine {
     std::exception_ptr error;
     process_batch(&req, 1, &product, &error, pool_threads_, nullptr,
                   sync_trace_ring(), static_cast<std::uint32_t>(npools_),
-                  nullptr);
+                  nullptr, nullptr);
     if (error) std::rethrow_exception(error);
     return product;
   }
@@ -577,7 +669,7 @@ class SpGemmEngine {
     std::exception_ptr error;
     process_batch(&req, 1, &product, &error, pool_threads_, nullptr,
                   sync_trace_ring(), static_cast<std::uint32_t>(npools_),
-                  nullptr);
+                  nullptr, nullptr);
     if (error) std::rethrow_exception(error);
     return product;
   }
@@ -658,8 +750,8 @@ class SpGemmEngine {
   /// Trace destination for one request's execution: which ring, which
   /// (pid, tid) track, which request id.  pid is the pool index (npools_ =
   /// the synchronous-caller ring); tid 0 is the lane/dispatcher track and
-  /// 1 + w is overlay/packed worker w — lane and overlay spans land on
-  /// distinct tracks by construction.
+  /// 1 + r is the small packer of arrival rank r — lane and overlay spans
+  /// land on distinct tracks by construction.
   struct TraceCtx {
     telemetry::TraceRing* ring = nullptr;
     std::uint64_t id = 0;
@@ -714,6 +806,9 @@ class SpGemmEngine {
     std::vector<Pending> queue;  ///< guarded by queue_mu_
     Offset queued_flop = 0;      ///< guarded by queue_mu_
     bool busy = false;  ///< dispatcher is executing a batch (queue_mu_)
+    /// The dispatcher's small packers and admission splitters, parked
+    /// between batches.  Declared before `worker`, which uses them.
+    detail::Helpers helpers;
     std::thread worker;
   };
 
@@ -742,15 +837,6 @@ class SpGemmEngine {
     }
     return total - largest;
   }
-
-  /// Lane-occupancy handshake between the large lane and the overlay: the
-  /// lane stores how many workers its current pass occupies, the handle's
-  /// ExecutionSchedule increments `exited` as those workers finish their
-  /// share (engine-owned sink; zeroed at each pass start).
-  struct LaneHooks {
-    std::atomic<int>* occupied = nullptr;
-    std::atomic<int>* exited = nullptr;
-  };
 
   static bool has_deadline(const Request& r) {
     return r.deadline != Clock::time_point::max();
@@ -837,10 +923,9 @@ class SpGemmEngine {
 
   /// Per-tenant attribution sink: runs `fn` on the tenant's stats record
   /// when the request names one.  Sharded by the calling thread's id —
-  /// attribution sites run on producer threads, pool dispatchers, OpenMP
-  /// workers and overlay threads alike, and a single global mutex here
-  /// measurably serialized the packed-small phase.  engine_stats() folds
-  /// the shards.
+  /// attribution sites run on producer threads, pool dispatchers and
+  /// helper threads alike, and a single global mutex here measurably
+  /// serialized the packed-small phase.  engine_stats() folds the shards.
   template <class Fn>
   void note_tenant(int tenant, Fn&& fn) {
     if (tenant < 0) return;
@@ -900,18 +985,22 @@ class SpGemmEngine {
     }
   }
 
-  /// Admission + execution for one span of requests on `width` workers.
+  /// Admission + execution for one span of requests on `width` seats.
   /// products/errors are parallel arrays of length n; a request that fails
   /// leaves its product default-constructed and its error set (always a
   /// SpGemmError).  `on_done(i)` — when non-null — fires exactly once per
   /// request as it settles (product complete or error final), from
-  /// whichever worker finished it: the streaming-delivery hook that lets
+  /// whichever thread finished it: the streaming-delivery hook that lets
   /// overlay products resolve their futures while a lane is still running.
+  /// `helpers` is the calling pool's helper set; the synchronous callers
+  /// pass nullptr and borrow the engine's set, or start a private one for
+  /// this call while another synchronous caller holds it.
   void process_batch(const Request* reqs, std::size_t n, Product* products,
                      std::exception_ptr* errors, int width,
                      const std::function<void(std::size_t)>& on_done,
                      telemetry::TraceRing* ring, std::uint32_t pid,
-                     const std::uint64_t* trace_ids) {
+                     const std::uint64_t* trace_ids,
+                     detail::Helpers* helpers) {
     if (n == 0) return;
     {
       std::lock_guard<std::mutex> lk(batch_mu_);
@@ -931,55 +1020,78 @@ class SpGemmEngine {
     std::vector<std::uint64_t> fp_a(n, 0);
     std::vector<std::uint64_t> fp_b(n, 0);
 
-    // Admission pass: validate, count flop, fingerprint.  All O(nnz) per
-    // request and embarrassingly parallel across requests — but a team
-    // only pays when the requests beyond the largest one carry real work.
-    // Otherwise one thread hashes the batch in about the time the largest
-    // request alone takes, and no second OpenMP thread is woken: under CPU
-    // contention its wake-up stalls every product of the batch, and after
-    // the region it spins on a core the overlay workers are starting on.
-    const bool split_admission =
-        admission_spare_nnz(reqs, n) >= kAdmissionSplitNnz;
-#pragma omp parallel for schedule(dynamic) num_threads(width) \
-    if (split_admission)
-    for (std::size_t i = 0; i < n; ++i) {
-      const Request& r = reqs[i];
-      try {
-        if (r.a == nullptr || r.b == nullptr) {
-          throw SpGemmError(ErrorCode::kBadInput,
-                            "SpGemmEngine: null request input");
-        }
-        if (r.a->ncols != r.b->nrows) {
-          throw SpGemmError(ErrorCode::kBadInput,
-                            "SpGemmEngine: inner dimensions disagree");
-        }
-        if (r.epilogue.kind == EpilogueKind::kRap) {
-          throw SpGemmError(ErrorCode::kBadInput,
-                            "SpGemmEngine: kRap is a triple product — use "
-                            "multiply_rap()");
-        }
-        if (r.epilogue.kind == EpilogueKind::kMaskReduce &&
-            r.epilogue_mask == nullptr) {
-          throw SpGemmError(ErrorCode::kBadInput,
-                            "SpGemmEngine: kMaskReduce request without a "
-                            "mask");
-        }
-        products[i].flop = r.flop_hint > 0
-                               ? r.flop_hint
-                               : model::estimate_flop(*r.a, *r.b);
-        if (r.has_fingerprints) {
-          fp_a[i] = r.fp_a;
-          fp_b[i] = r.fp_b;
-        } else {
-          // A*A hashes its one operand once: every product of the batch
-          // waits for the admission pass.
-          fp_a[i] = structure_fingerprint(*r.a);
-          fp_b[i] = r.b == r.a ? fp_a[i] : structure_fingerprint(*r.b);
-        }
-      } catch (...) {
-        errors[i] = classify(std::current_exception());
+    std::unique_lock<std::mutex> sync_lock;
+    std::optional<detail::Helpers> own_helpers;
+    // Run `job` on the calling thread (after `first`) and on k helpers,
+    // returning once every run has finished.  The helper set is acquired
+    // on first need.
+    const auto share = [&](std::size_t k, const auto& job, auto&& first) {
+      if (k == 0) {
+        first();
+        job();
+        return;
       }
-    }
+      if (helpers == nullptr) {
+        sync_lock = std::unique_lock<std::mutex>(sync_helpers_mu_,
+                                                 std::try_to_lock);
+        helpers = sync_lock.owns_lock() ? &sync_helpers_
+                                        : &own_helpers.emplace();
+      }
+      helpers->run(k, job, first);
+    };
+
+    // Admission pass: validate, count flop, fingerprint.  All O(nnz) per
+    // request and independent across requests — but helpers only join when
+    // the requests beyond the largest one carry real work.  Otherwise one
+    // thread hashes the batch in about the time the largest request alone
+    // takes, and a helper's wake-up under CPU contention would stall every
+    // product of the batch.
+    std::atomic<std::size_t> next_admit{0};
+    const auto admit_all = [&] {
+      for (std::size_t i = next_admit.fetch_add(1, std::memory_order_relaxed);
+           i < n; i = next_admit.fetch_add(1, std::memory_order_relaxed)) {
+        const Request& r = reqs[i];
+        try {
+          if (r.a == nullptr || r.b == nullptr) {
+            throw SpGemmError(ErrorCode::kBadInput,
+                              "SpGemmEngine: null request input");
+          }
+          if (r.a->ncols != r.b->nrows) {
+            throw SpGemmError(ErrorCode::kBadInput,
+                              "SpGemmEngine: inner dimensions disagree");
+          }
+          if (r.epilogue.kind == EpilogueKind::kRap) {
+            throw SpGemmError(ErrorCode::kBadInput,
+                              "SpGemmEngine: kRap is a triple product — use "
+                              "multiply_rap()");
+          }
+          if (r.epilogue.kind == EpilogueKind::kMaskReduce &&
+              r.epilogue_mask == nullptr) {
+            throw SpGemmError(ErrorCode::kBadInput,
+                              "SpGemmEngine: kMaskReduce request without a "
+                              "mask");
+          }
+          products[i].flop = r.flop_hint > 0
+                                 ? r.flop_hint
+                                 : model::estimate_flop(*r.a, *r.b);
+          if (r.has_fingerprints) {
+            fp_a[i] = r.fp_a;
+            fp_b[i] = r.fp_b;
+          } else {
+            // A*A hashes its one operand once: every product of the batch
+            // waits for the admission pass.
+            fp_a[i] = structure_fingerprint(*r.a);
+            fp_b[i] = r.b == r.a ? fp_a[i] : structure_fingerprint(*r.b);
+          }
+        } catch (...) {
+          errors[i] = classify(std::current_exception());
+        }
+      }
+    };
+    share(admission_spare_nnz(reqs, n) >= kAdmissionSplitNnz
+              ? std::min(static_cast<std::size_t>(width), n) - 1
+              : 0,
+          admit_all, [] {});
 
     // Admission order: priority first, then flop, largest first.
     std::vector<std::size_t> order(n);
@@ -1006,7 +1118,7 @@ class SpGemmEngine {
       scheduled[i] = 1;
     }
 
-    // EDF inside the packed-small phase: deadline-bearing smalls run
+    // EDF among the smalls: deadline-bearing smalls run
     // earliest-deadline-first, ahead of the deadline-free rest (which keep
     // the priority+flop admission order) — flop order was missing
     // avoidable deadlines.
@@ -1023,160 +1135,110 @@ class SpGemmEngine {
       if (on_done) on_done(i);
     };
 
-    // `track` is the trace tid: 1 + worker index for packed smalls, so
-    // overlay/packed spans land on per-worker tracks distinct from the
-    // lane's track 0.
-    const auto run_small_one = [&](std::size_t i, std::uint32_t track) {
+    // Serve request i on `threads` seats and trace track `track` (0 is the
+    // lane's): deadline gate, plan-or-replay, its span, `account` (only on
+    // success), deadline and tenant accounting, then settle.
+    const auto serve = [&](std::size_t i, int threads,
+                           std::atomic<int>* sink, std::uint32_t track,
+                           const char* span, auto&& account) {
       const TraceCtx tc{ring, tids[i], pid, track};
       if (admit_deadline(reqs[i], errors[i], tc)) {
         const std::uint64_t t0 = trace_now(tc);
-        run_one(reqs[i], fp_a[i], fp_b[i], /*threads=*/1, products[i],
-                errors[i], nullptr, tc);
-        trace_span(tc, "small", t0, "flop",
+        run_one(reqs[i], fp_a[i], fp_b[i], threads, products[i], errors[i],
+                sink, tc);
+        trace_span(tc, span, t0, "flop",
                    static_cast<std::uint64_t>(products[i].flop));
-        products[i].packed_small = true;
+        if (!errors[i]) account();
         finish_deadline(reqs[i], errors[i], tc);
         finish_tenant(reqs[i], products[i], errors[i]);
       }
       settle(i);
     };
+
+    // Seats the running lane holds; the smalls pack onto the other
+    // width - seats.  A lane whose width leaves no seat free (drain mode,
+    // a one-worker pool) runs after the smalls when any request carries a
+    // deadline: latency-sensitive small work must not wait out a
+    // multi-second fan-out.  Otherwise the lane holds its seats from the
+    // start, so the helpers gate on it from their very first claim.
+    const int first_lane =
+        large.empty() ? 0 : lane_width_for(products[large.front()].flop,
+                                           width);
+    const bool smalls_first = any_deadline && first_lane >= width;
+    std::atomic<int> seats{smalls_first ? 0 : first_lane};
 
     // Large products: one at a time, largest first, each fanning out
     // through its handle's ExecutionSchedule on `lane_width_for(flop)`
-    // workers (the full width in drain mode — lane_width_for collapses).
-    const auto run_large_one = [&](std::size_t i, const LaneHooks* hooks) {
-      const TraceCtx tc{ring, tids[i], pid, 0};
-      if (admit_deadline(reqs[i], errors[i], tc)) {
+    // seats.  A work-conserving lane attaches `seats` as its passes' seat
+    // sink, so the count drops as lane workers drain; a drain-mode lane
+    // (lane_width_for gives it every seat) attaches none and keeps every
+    // seat until its last large is done.  Lane stats and the "lane" span
+    // name go with the sink.
+    const bool lanes = opts_.work_conserving;
+    const auto run_larges = [&] {
+      for (const std::size_t i : large) {
         const int lw = lane_width_for(products[i].flop, width);
-        const std::uint64_t t0 = trace_now(tc);
-        run_one(reqs[i], fp_a[i], fp_b[i], lw, products[i], errors[i],
-                hooks, tc);
-        trace_span(tc, hooks != nullptr ? "lane" : "large", t0, "flop",
-                   static_cast<std::uint64_t>(products[i].flop));
-        if (!errors[i] && hooks != nullptr) {
-          lane_execs_.fetch_add(1, std::memory_order_relaxed);
-          lane_width_sum_.fetch_add(static_cast<std::uint64_t>(lw),
-                                    std::memory_order_relaxed);
-          lane_busy_us_.fetch_add(to_us(products[i].latency_ms),
-                                  std::memory_order_relaxed);
-          auto& telem = detail::EngineTelemetry::get();
-          telem.lane_execs.add(1);
-          telem.lane_width_sum.add(static_cast<std::uint64_t>(lw));
-          telem.lane_busy_us.add(to_us(products[i].latency_ms));
-        }
-        finish_deadline(reqs[i], errors[i], tc);
-        finish_tenant(reqs[i], products[i], errors[i]);
+        serve(i, lw, lanes ? &seats : nullptr, 0, lanes ? "lane" : "large",
+              [&] {
+                if (!lanes) return;
+                const std::uint64_t us = to_us(products[i].latency_ms);
+                lane_execs_.fetch_add(1, std::memory_order_relaxed);
+                lane_width_sum_.fetch_add(static_cast<std::uint64_t>(lw),
+                                          std::memory_order_relaxed);
+                lane_busy_us_.fetch_add(us, std::memory_order_relaxed);
+                auto& telem = detail::EngineTelemetry::get();
+                telem.lane_execs.add(1);
+                telem.lane_width_sum.add(static_cast<std::uint64_t>(lw));
+                telem.lane_busy_us.add(us);
+              });
       }
-      settle(i);
+      seats.store(0, std::memory_order_relaxed);
+      seats.notify_all();
     };
 
-    const bool lanes = opts_.work_conserving && width > 1 &&
-                       !large.empty() && !small.empty();
-    if (lanes) {
-      // Work-conserving lanes: the calling thread drives the large lane;
-      // overlay workers pack smalls onto whatever the lane is not holding
-      // RIGHT NOW — width minus (occupied - exited), which grows as lane
-      // workers finish their share of a pass and jumps to the full width
-      // between lane products.  Overlay workers rank themselves in the
-      // order the OS starts them, and rank r only draws work while
-      // r < allowed, so lane + overlay never oversubscribe the width and a
-      // thread that starts late never holds the smalls back.
-      std::atomic<std::size_t> small_next{0};
-      std::atomic<int> lane_occupied{0};
-      std::atomic<int> lane_exited{0};
-      std::atomic<int> overlay_started{0};
-      LaneHooks hooks{&lane_occupied, &lane_exited};
-
-      const auto overlay_worker = [&](int w) {
-        const int rank =
-            overlay_started.fetch_add(1, std::memory_order_relaxed);
-        for (;;) {
-          if (small_next.load(std::memory_order_relaxed) >= small.size()) {
-            break;
-          }
-          const int held =
-              std::max(0, lane_occupied.load(std::memory_order_relaxed) -
-                              lane_exited.load(std::memory_order_relaxed));
-          if (rank >= width - held) {
-            std::this_thread::sleep_for(std::chrono::microseconds(100));
-            continue;
-          }
-          const std::size_t j =
-              small_next.fetch_add(1, std::memory_order_relaxed);
-          if (j >= small.size()) break;
-          const std::size_t i = small[j];
-          const bool overlapped = held > 0;
-          const TraceCtx tc{ring, tids[i], pid,
-                            static_cast<std::uint32_t>(1 + w)};
-          if (admit_deadline(reqs[i], errors[i], tc)) {
-            const std::uint64_t t0 = trace_now(tc);
-            run_one(reqs[i], fp_a[i], fp_b[i], /*threads=*/1, products[i],
-                    errors[i], nullptr, tc);
-            trace_span(tc, overlapped ? "overlay" : "small", t0, "flop",
-                       static_cast<std::uint64_t>(products[i].flop));
-            products[i].packed_small = true;
-            if (!errors[i] && overlapped) {
-              products[i].overlay = true;
-              overlay_execs_.fetch_add(1, std::memory_order_relaxed);
-              overlay_busy_us_.fetch_add(to_us(products[i].latency_ms),
-                                         std::memory_order_relaxed);
-              auto& telem = detail::EngineTelemetry::get();
-              telem.overlay_execs.add(1);
-              telem.overlay_busy_us.add(to_us(products[i].latency_ms));
-            }
-            finish_deadline(reqs[i], errors[i], tc);
-            finish_tenant(reqs[i], products[i], errors[i]);
-          }
-          settle(i);
+    // One small packer: the calling thread once its larges are done, and
+    // min(width - 1, smalls) helpers, so every small can take a seat the
+    // lane leaves free.  Packers rank themselves by arrival, and rank r
+    // only claims a small while r < width - seats, so lane and packers
+    // never oversubscribe the width and a helper that starts late never
+    // holds the smalls back.  A packer without a seat blocks on the seat
+    // count until the lane gives one back.  Track 1 + rank puts packed
+    // spans beside the lane's track 0.
+    std::atomic<std::size_t> next_small{0};
+    std::atomic<int> arrivals{0};
+    const auto pack = [&] {
+      const int rank = arrivals.fetch_add(1, std::memory_order_relaxed);
+      while (next_small.load(std::memory_order_relaxed) < small.size()) {
+        const int held = seats.load(std::memory_order_relaxed);
+        if (rank >= width - held) {
+          seats.wait(held, std::memory_order_relaxed);
+          continue;
         }
-      };
+        const std::size_t j =
+            next_small.fetch_add(1, std::memory_order_relaxed);
+        if (j >= small.size()) break;
+        const std::size_t i = small[j];
+        const bool overlapped = held > 0;
+        products[i].packed_small = true;
+        serve(i, 1, nullptr, static_cast<std::uint32_t>(1 + rank),
+              overlapped ? "overlay" : "small", [&] {
+                if (!overlapped) return;
+                const std::uint64_t us = to_us(products[i].latency_ms);
+                products[i].overlay = true;
+                overlay_execs_.fetch_add(1, std::memory_order_relaxed);
+                overlay_busy_us_.fetch_add(us, std::memory_order_relaxed);
+                auto& telem = detail::EngineTelemetry::get();
+                telem.overlay_execs.add(1);
+                telem.overlay_busy_us.add(us);
+              });
+      }
+    };
 
-      // Pre-charge the occupancy with the first lane's width: overlay
-      // workers must gate (and attribute overlap) against the lane from
-      // their very first claim, not only after the lane thread has entered
-      // the kernel and published its own count.
-      lane_occupied.store(lane_width_for(products[large.front()].flop, width),
-                          std::memory_order_relaxed);
-
-      std::vector<std::thread> overlay;
-      const int n_overlay =
-          static_cast<int>(std::min<std::size_t>(
-              static_cast<std::size_t>(width), small.size()));
-      overlay.reserve(static_cast<std::size_t>(n_overlay));
-      for (int w = 0; w < n_overlay; ++w) {
-        overlay.emplace_back(overlay_worker, w);
-      }
-      for (const std::size_t i : large) {
-        run_large_one(i, &hooks);
-        lane_occupied.store(0, std::memory_order_relaxed);
-      }
-      for (std::thread& t : overlay) t.join();
-    } else {
-      // Drain-ordered phases (work_conserving off, or a degenerate batch:
-      // one size class only / one worker).  Largest-first keeps the pool
-      // busy — UNLESS some request carries a deadline, in which case the
-      // cheap packed phase runs first: latency-sensitive small work must
-      // not wait out a multi-second fan-out.
-      const LaneHooks* hooks = opts_.work_conserving ? &drain_hooks_ : nullptr;
-      const auto run_large_phase = [&] {
-        for (const std::size_t i : large) run_large_one(i, hooks);
-      };
-      const auto run_small_phase = [&] {
-        if (small.empty()) return;
-#pragma omp parallel for schedule(dynamic, 1) num_threads(width)
-        for (std::size_t j = 0; j < small.size(); ++j) {
-          run_small_one(small[j],
-                        static_cast<std::uint32_t>(1 + omp_get_thread_num()));
-        }
-      };
-      if (any_deadline) {
-        run_small_phase();
-        run_large_phase();
-      } else {
-        run_large_phase();
-        run_small_phase();
-      }
-    }
+    share(std::min(static_cast<std::size_t>(width) - 1, small.size()), pack,
+          [&] {
+            if (!smalls_first) run_larges();
+          });
+    if (smalls_first) run_larges();
 
     // Requests that never reached a size class (admission-pass failures)
     // still settle exactly once.
@@ -1241,16 +1303,18 @@ class SpGemmEngine {
 
   /// Plan-or-replay one product, walking the memory-pressure ladder on
   /// bad_alloc, and copy the result out.  noexcept boundary: exceptions
-  /// land in `error` as SpGemmErrors — never escape into an OpenMP region.
+  /// land in `error` as SpGemmErrors — never escape into a helper thread.
+  /// `seats` (lanes only) is the seat sink the product's passes count
+  /// their held seats in.
   void run_one(const Request& r, std::uint64_t fp_a, std::uint64_t fp_b,
                int threads, Product& out, std::exception_ptr& error,
-               const LaneHooks* hooks, const TraceCtx& tc) noexcept {
+               std::atomic<int>* seats, const TraceCtx& tc) noexcept {
     try {
       Timer timer;
       int attempt = 0;
       for (;;) {
         try {
-          execute_attempt(r, fp_a, fp_b, threads, attempt, out, hooks, tc);
+          execute_attempt(r, fp_a, fp_b, threads, attempt, out, seats, tc);
           break;
         } catch (const std::bad_alloc&) {
           if (attempt >= kMaxAttempts) {
@@ -1295,7 +1359,7 @@ class SpGemmEngine {
   /// key would keep being re-served long after the pressure passed.
   void execute_attempt(const Request& r, std::uint64_t fp_a,
                        std::uint64_t fp_b, int threads, int attempt,
-                       Product& out, const LaneHooks* hooks,
+                       Product& out, std::atomic<int>* seats,
                        const TraceCtx& tc) {
     SpGemmOptions opts = opts_.plan;
     opts.threads = threads;
@@ -1319,20 +1383,19 @@ class SpGemmEngine {
       opts.fast_tier = model::degraded_tier(opts_.plan.fast_tier, attempt - 1);
       if (attempt >= kMaxAttempts) opts.threads = 1;
     }
-    // Publish this attempt's true occupancy (the ladder may have dropped
+    // Publish this attempt's true seat count (the ladder may have dropped
     // to one thread) before any pass can run.
-    if (hooks != nullptr && hooks->occupied != nullptr) {
-      hooks->exited->store(0, std::memory_order_relaxed);
-      hooks->occupied->store(opts.threads, std::memory_order_relaxed);
+    if (seats != nullptr) {
+      seats->store(opts.threads, std::memory_order_relaxed);
+      seats->notify_all();
     }
-    std::atomic<int>* sink = hooks != nullptr ? hooks->exited : nullptr;
     out.cache_hit = false;
     out.threads_used = opts.threads;
     if (!opts_.cache_enabled || degraded) {
       const std::uint64_t pair =
           epilogue_key(pair_structure_hash(fp_a, fp_b));
       SpGemmHandle<IT, VT> handle;
-      handle.set_pass_exit_sink(sink);
+      handle.set_seat_sink(seats);
       handle.set_epilogue_mask(r.epilogue_mask);
       {
         const std::uint64_t t0 = trace_now(tc);
@@ -1354,13 +1417,13 @@ class SpGemmEngine {
       std::size_t bytes = 0;
       {
         std::lock_guard<std::mutex> lk(lease.exec_mutex());
-        // Attach (or detach, when this run carries no hooks) the exit
-        // sink BEFORE any pass: a cached handle may still point at a dead
+        // Attach (or detach, when this run carries no sink) the seat sink
+        // BEFORE any pass: a cached handle may still point at a dead
         // batch's counter from its previous serving.  Detach again after —
-        // the sink's atomics die with this batch, the handle does not.
+        // the sink dies with this batch, the handle does not.
         // Same discipline for the epilogue mask: it belongs to this
         // request, not to the retained plan.
-        lease.handle().set_pass_exit_sink(sink);
+        lease.handle().set_seat_sink(seats);
         lease.handle().set_epilogue_mask(r.epilogue_mask);
         {
           const std::uint64_t t0 = trace_now(tc);
@@ -1391,7 +1454,7 @@ class SpGemmEngine {
         if (opts.epilogue.enabled()) {
           out.epilogue = lease.handle().epilogue_result();
         }
-        lease.handle().set_pass_exit_sink(nullptr);
+        lease.handle().set_seat_sink(nullptr);
         lease.handle().set_epilogue_mask(nullptr);
         bytes = lease.handle().retained_bytes();
       }
@@ -1503,7 +1566,7 @@ class SpGemmEngine {
               batch[i].promise.set_value(std::move(products[i]));
             }
           },
-          ring, pid, ids.data());
+          ring, pid, ids.data(), &self.helpers);
 
       lk.lock();
       self.busy = false;
@@ -1526,13 +1589,6 @@ class SpGemmEngine {
   std::atomic<std::uint64_t> overlay_busy_us_{0};
   std::atomic<std::uint64_t> pool_steals_{0};
 
-  /// Occupancy sink for drain-mode large runs in a work-conserving engine
-  /// (no overlay listens, but execute_attempt still publishes) — keeps the
-  /// hooks-vs-no-hooks distinction meaning "lanes stats" only.
-  std::atomic<int> drain_occupied_{0};
-  std::atomic<int> drain_exited_{0};
-  LaneHooks drain_hooks_{&drain_occupied_, &drain_exited_};
-
   struct TenantShard {
     mutable std::mutex mu;
     std::map<int, TenantEngineStats> stats;  ///< guarded by mu
@@ -1553,6 +1609,11 @@ class SpGemmEngine {
   std::vector<std::unique_ptr<telemetry::TraceRing>> trace_;
   /// stop() flushes SPGEMM_TELEMETRY_DIR exactly once (idempotent stop).
   std::atomic<bool> telemetry_flushed_{false};
+
+  /// Helper set of the synchronous multiply/run_batch callers; a caller
+  /// holds sync_helpers_mu_ while it uses the set.
+  std::mutex sync_helpers_mu_;
+  detail::Helpers sync_helpers_;
 
   /// Last member: pool worker threads join (via stop()) before the rest
   /// of the engine dies.

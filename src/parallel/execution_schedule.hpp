@@ -101,18 +101,6 @@ class ExecutionSchedule {
     return owner_begin_[t + 1] - owner_begin_[t];
   }
 
-  /// Visit thread `tid`'s OWNED tiles in row order, regardless of which
-  /// thread actually ran them during a pass — ownership, not the claim
-  /// state, is what NUMA-locality repair (retouch_output_pages) needs.
-  /// Visit: void(const TileRange&).
-  template <typename Visit>
-  void for_each_owned_tile(int tid, Visit&& visit) const {
-    const auto t = static_cast<std::size_t>(tid);
-    for (std::size_t i = owner_begin_[t]; i < owner_begin_[t + 1]; ++i) {
-      visit(tiles_[i]);
-    }
-  }
-
   /// Worst-case per-row flop a thread's accumulator must hold: under the
   /// static policy a thread only ever sees its owned rows; under dynamic or
   /// stealing it may run any tile, so sizing must cover the global maximum.
@@ -156,38 +144,35 @@ class ExecutionSchedule {
 
   // ---- Pass occupancy (engine execution lanes) ---------------------------
   //
-  // The serving engine overlays small products onto the workers a large
-  // product's pass is NOT using right now.  Each worker announces the end of
-  // its share of a pass via worker_done(); the engine points exit_sink at a
-  // counter it polls so the overlay can widen as lane workers drain.  Both
-  // counters reset at begin_pass() — occupancy is per pass, not per plan.
+  // The serving engine packs small products onto the seats a large
+  // product's pass is NOT holding right now.  With a seat sink attached,
+  // each pass start sets it to the pass's worker count and each worker's
+  // worker_done() gives one seat back and wakes whoever waits on the sink
+  // (std::atomic::wait), so the engine's helpers widen as lane workers
+  // drain.  Occupancy is per pass, not per plan.
 
-  /// Mark the calling worker's share of the current pass finished.  Called
-  /// once per worker per pass by the plan/execute drivers.  Const because
-  /// the numeric replay traverses a frozen (const) plan; the counters are
-  /// claim state, not schedule shape.
+  /// Give back the calling worker's seat: its share of the current pass is
+  /// finished.  Called once per worker per pass by the plan/execute
+  /// drivers.  Const because the numeric replay traverses a frozen (const)
+  /// plan; the sink is claim state, not schedule shape.
   void worker_done() const {
-    if (shared_) shared_->exited.fetch_add(1, std::memory_order_relaxed);
-    if (exit_sink_) exit_sink_->fetch_add(1, std::memory_order_relaxed);
+    if (seat_sink_ == nullptr) return;
+    seat_sink_->fetch_sub(1, std::memory_order_relaxed);
+    seat_sink_->notify_all();
   }
 
-  /// Zero the occupancy counters ahead of a pass that does not re-claim
+  /// Charge every worker's seat ahead of a pass that does not re-claim
   /// tiles (the numeric replay walks frozen per-thread tile lists and never
   /// calls begin_pass(), but still occupies its workers).
   void reset_occupancy() const {
-    if (shared_) shared_->exited.store(0, std::memory_order_relaxed);
-    if (exit_sink_) exit_sink_->store(0, std::memory_order_relaxed);
+    if (seat_sink_ != nullptr) {
+      seat_sink_->store(threads(), std::memory_order_relaxed);
+    }
   }
 
-  /// Workers that have finished their share of the current pass.
-  [[nodiscard]] int workers_exited() const {
-    return shared_ ? shared_->exited.load(std::memory_order_relaxed) : 0;
-  }
-
-  /// Mirror worker exits into an engine-owned counter (nullptr detaches).
-  /// The sink must outlive every pass run while it is attached; begin_pass()
-  /// zeroes it alongside the internal counter.
-  void set_exit_sink(std::atomic<int>* sink) { exit_sink_ = sink; }
+  /// Count this schedule's held seats in an engine-owned counter (nullptr
+  /// detaches).  The sink must outlive every pass run while it is attached.
+  void set_seat_sink(std::atomic<int>* sink) { seat_sink_ = sink; }
 
   /// Traverse thread `tid`'s share of the current pass.
   /// Visit: void(std::size_t tile_index, const TileRange&, bool stolen).
@@ -262,9 +247,6 @@ class ExecutionSchedule {
   struct Shared {
     std::atomic<std::size_t> next{0};      ///< dynamic-policy global cursor
     std::atomic<std::uint64_t> steals{0};  ///< stolen tiles this pass
-    /// Workers done with this pass; mutable so const traversals of a frozen
-    /// plan (numeric replay) can still report occupancy.
-    mutable std::atomic<int> exited{0};
   };
 
   bool claim(std::size_t i) {
@@ -283,7 +265,7 @@ class ExecutionSchedule {
   Offset global_max_row_flop_ = 0;
   Offset total_flop_ = 0;
   std::unique_ptr<Shared> shared_;
-  std::atomic<int>* exit_sink_ = nullptr;  ///< engine lane-occupancy mirror
+  std::atomic<int>* seat_sink_ = nullptr;  ///< engine lane seat count
   std::unique_ptr<std::atomic<std::uint8_t>[]> taken_;  ///< stealing only
   std::size_t taken_count_ = 0;  ///< grow-only claim-flag capacity
 };

@@ -35,6 +35,7 @@
 #include "engine/spgemm_engine.hpp"
 #include "matrix/io_matrix_market.hpp"
 #include "matrix/rmat.hpp"
+#include "model/cost_model.hpp"
 
 namespace spgemm {
 namespace {
@@ -591,6 +592,83 @@ TEST(EngineLanes, EdfOrdersDeadlineSmallsFirst) {
   EXPECT_EQ(eng.engine_stats().deadline_misses, 0u);
 }
 
+TEST(EngineLanes, SmallsFollowFreeSeatsAndDeadlines) {
+  // The order one dispatch serves a large and its smalls in.  A lane that
+  // leaves no seat free (drain mode, or a one-worker pool) runs before the
+  // smalls, unless a request carries a deadline, which puts the smalls
+  // first.  A work-conserving lane on four workers leaves seats free, so
+  // the smalls finish while it runs, a lone small too.  Each case is one
+  // paused burst; a product's delivery time is its submit time plus its
+  // delivered latency.  The large is scale 12 so its lane outlasts a
+  // helper's wake-up on a CPU-starved host (at scale 10 the lanes case
+  // failed a few runs in 30 beside four busy loops on four CPUs).
+  const Matrix big = unit_valued_rmat(12, 8, 680);
+  std::vector<Matrix> six_smalls;
+  for (std::uint64_t seed = 681; seed < 687; ++seed) {
+    six_smalls.push_back(unit_valued_rmat(4, 4, seed));
+  }
+  const std::vector<Matrix> one_small(six_smalls.begin(),
+                                      six_smalls.begin() + 1);
+  struct Case {
+    const char* name;
+    int threads;
+    bool work_conserving;
+    bool deadlines;
+    const std::vector<Matrix>* smalls;
+    bool smalls_first;
+  };
+  const Case cases[] = {
+      {"drain", 4, false, false, &six_smalls, false},
+      {"drain, deadlines", 4, false, true, &six_smalls, true},
+      {"one worker", 1, true, false, &six_smalls, false},
+      {"one worker, deadlines", 1, true, true, &six_smalls, true},
+      {"lanes", 4, true, false, &six_smalls, true},
+      {"lanes, one small", 4, true, false, &one_small, true},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    engine::EngineOptions eo;
+    eo.plan.algorithm = Algorithm::kHash;
+    eo.threads = c.threads;
+    eo.pools = 1;
+    eo.work_conserving = c.work_conserving;
+    Engine eng(eo);
+    ASSERT_GT(model::estimate_flop(big, big), eo.small_flop_cutoff);
+    eng.pause();
+    const auto t0 = Engine::Clock::now();
+    std::vector<double> sent_ms;
+    std::vector<std::future<Engine::Product>> futures;
+    const auto send = [&](const Matrix& m) {
+      Engine::Request r;
+      r.a = &m;
+      r.b = &m;
+      if (c.deadlines) {
+        r.deadline = Engine::Clock::now() + std::chrono::hours(1);
+      }
+      sent_ms.push_back(std::chrono::duration<double, std::milli>(
+                            Engine::Clock::now() - t0)
+                            .count());
+      futures.push_back(eng.submit(r));
+    };
+    send(big);
+    for (const Matrix& m : *c.smalls) send(m);
+    eng.resume();
+    const Engine::Product large = futures[0].get();
+    EXPECT_FALSE(large.packed_small);
+    const double large_done = sent_ms[0] + large.latency_ms;
+    for (std::size_t k = 1; k < futures.size(); ++k) {
+      const Engine::Product p = futures[k].get();
+      EXPECT_TRUE(p.packed_small);
+      const double done = sent_ms[k] + p.latency_ms;
+      if (c.smalls_first) {
+        EXPECT_LT(done, large_done) << "small " << k;
+      } else {
+        EXPECT_GT(done, large_done) << "small " << k;
+      }
+    }
+  }
+}
+
 TEST(EngineLanes, QosSurvivesLanesAndPools) {
   // Shed/deadline/pause semantics must be untouched by the lane scheduler:
   // same structure -> same pool, so per-pool admission behaves exactly
@@ -873,43 +951,6 @@ TEST(EngineApps, GalerkinEngineModeSurvivesStructureDrift) {
   apps::GalerkinReassembler<I, double> oracle0(a0, p, oracle_opts);
   expect_bitwise_equal(rap.reassemble(a0), oracle0.reassemble(a0),
                        "return-drift coarse operator");
-}
-
-// ---------------------------------------------------------------------------
-// NUMA re-touch satellite: correctness is untouched, pages are counted.
-// ---------------------------------------------------------------------------
-
-TEST(EngineSatellites, RetouchOutputPagesKeepsResultsAndCounts) {
-  const Matrix a = dense_row_among_empties(2048);
-  SpGemmOptions base;
-  base.algorithm = Algorithm::kHash;
-  base.tile_schedule = parallel::TileSchedule::kStealing;
-  base.tile_rows = 64;
-  base.threads = 4;
-
-  SpGemmOptions retouch = base;
-  retouch.retouch_output_pages = true;
-
-  SpGemmStats plain_stats;
-  SpGemmHandle<I, double> plain(a, a, base);
-  const Matrix& c_plain = plain.execute(a, a, PlusTimes{}, &plain_stats);
-
-  SpGemmStats retouch_stats;
-  SpGemmHandle<I, double> touched(a, a, retouch);
-  const Matrix& c_touched =
-      touched.execute(a, a, PlusTimes{}, &retouch_stats);
-
-  expect_bitwise_equal(c_touched, c_plain, "retouch on vs off");
-  EXPECT_EQ(plain_stats.pages_retouched, 0u);
-  if (retouch_stats.tile_steals > 0) {
-    EXPECT_GT(retouch_stats.pages_retouched, 0u);
-  } else {
-    EXPECT_EQ(retouch_stats.pages_retouched, 0u);
-  }
-  // The pass runs once per plan: a second execute adds no pages.
-  const std::uint64_t after_first = retouch_stats.pages_retouched;
-  touched.execute(a, a, PlusTimes{}, &retouch_stats);
-  EXPECT_EQ(retouch_stats.pages_retouched, after_first);
 }
 
 }  // namespace

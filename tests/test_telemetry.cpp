@@ -33,6 +33,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <variant>
 #include <vector>
 
@@ -203,7 +204,7 @@ struct JsonValue {
 
 class JsonParser {
  public:
-  explicit JsonParser(const std::string& text) : s_(text) {}
+  explicit JsonParser(std::string text) : s_(std::move(text)) {}
 
   /// Parses the whole input; sets ok=false on any syntax error or trailing
   /// garbage.
@@ -365,7 +366,7 @@ class JsonParser {
     }
   }
 
-  const std::string& s_;
+  const std::string s_;
   std::size_t pos_ = 0;
 };
 
