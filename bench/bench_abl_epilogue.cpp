@@ -9,6 +9,9 @@
 //
 // Wall time is measured in-process (fused variants first, after a full-scale
 // fused warm-up so neither side pays OpenMP spin-up or first-touch costs).
+// The mcl-paired row runs the fused and unfused MCL pipelines back to back,
+// order alternating, over kMclPairs pairs; its paired_ratio is the median
+// per-pair fused / unfused wall time, the comparison CI gates below 1.0.
 // Peak RSS is measured differently: getrusage's high-water mark is
 // process-monotonic and malloc recycles freed arena pages across variants,
 // so in-process deltas smear the attribution.  Instead each variant re-execs
@@ -49,6 +52,7 @@ using I = std::int32_t;
 using Matrix = CsrMatrix<I, double>;
 
 constexpr int kMclIterations = 6;
+constexpr int kMclPairs = 40;
 
 struct Measured {
   double ms = 0.0;             ///< median wall time of one run
@@ -131,6 +135,28 @@ void run_variant_once(const std::string& name, const Matrix& a,
     std::fprintf(stderr, "unknown variant %s\n", name.c_str());
     std::exit(2);
   }
+}
+
+/// Fused vs unfused MCL, paired: the two pipelines run back to back, fused
+/// first in even pairs and unfused first in odd ones, and each pair
+/// contributes its fused / unfused wall-time ratio.  Returns the median
+/// pair ratio.  Medians of two separate trial runs would compare run order
+/// and machine drift as much as fusion.
+double paired_mcl_ratio(const Matrix& a, const Matrix& p,
+                        const SpGemmOptions& opts, int pairs) {
+  const auto run_ms = [&](const char* variant) {
+    Timer timer;
+    run_variant_once(variant, a, p, opts);
+    return timer.millis();
+  };
+  std::vector<double> ratios;
+  for (int i = 0; i < pairs; ++i) {
+    const bool fused_first = i % 2 == 0;
+    const double first = run_ms(fused_first ? "mcl-fused" : "mcl-unfused");
+    const double second = run_ms(fused_first ? "mcl-unfused" : "mcl-fused");
+    ratios.push_back(fused_first ? first / second : second / first);
+  }
+  return latency_percentile(ratios, 0.5);
 }
 
 /// Re-exec this binary with SPGEMM_ABL_RSS_CHILD=<variant>; the child
@@ -269,6 +295,12 @@ int main(int, char** argv) {
     return ap_nnz;
   });
 
+  BenchRecord mcl_paired;
+  mcl_paired.kernel = "mcl-paired";
+  mcl_paired.matrix = matrix;
+  mcl_paired.threads = bench_threads();
+  mcl_paired.paired_ratio = paired_mcl_ratio(a, p, opts, kMclPairs);
+
   // ---- peak RSS: one child process per variant, identical baselines ------
   const std::string exe = self_exe(argv[0]);
   struct Probe {
@@ -291,6 +323,9 @@ int main(int, char** argv) {
   add_row(json, "mcl-unfused", matrix, mcl_unfused);
   add_row(json, "tricount-unfused", matrix, tri_unfused);
   add_row(json, "rap-unfused", matrix, rap_unfused);
+  std::printf("%-22s fused / unfused time, median of %d paired runs: %.3f\n",
+              "mcl-paired", kMclPairs, mcl_paired.paired_ratio);
+  json.add(std::move(mcl_paired));
 
   // ---- intermediate-size estimates (the M^2 expansion here is safe now:
   // all RSS numbers came from child processes) -----------------------------

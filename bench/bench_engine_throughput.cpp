@@ -262,9 +262,6 @@ void run_mixed_stream(JsonReporter& json, const std::string& mix_name,
   };
   for (const Variant& v : variants) {
     engine::EngineOptions opts = base;
-    // One pool: the mixed burst must meet ONE scheduler, not shard across
-    // dispatchers — this row measures lanes vs drain, not routing.
-    opts.pools = 1;
     opts.threads = mix_threads;
     opts.work_conserving = v.lanes;
     opts.cache_enabled = v.cache;
@@ -285,11 +282,10 @@ void run_mixed_stream(JsonReporter& json, const std::string& mix_name,
   }
 
   // Telemetry-on rerun of the lanes row: the source of the Chrome trace
-  // artifact — lane spans on track 0 and overlay spans on the worker
-  // tracks of pool 0.
+  // artifact — lane spans on track 0 and overlay spans on the dispatcher's
+  // worker tracks.
   {
     engine::EngineOptions opts = base;
-    opts.pools = 1;
     opts.threads = mix_threads;
     opts.work_conserving = true;
     opts.cache_enabled = true;
@@ -317,7 +313,6 @@ void run_mixed_stream(JsonReporter& json, const std::string& mix_name,
   {
     constexpr int kPairs = 40;
     engine::EngineOptions opts = base;
-    opts.pools = 1;
     opts.threads = mix_threads;
     opts.work_conserving = true;
     opts.cache_enabled = true;
@@ -349,9 +344,6 @@ void run_qos_mix(JsonReporter& json, const std::string& mix_name, int threads,
                  const std::vector<Matrix>& small) {
   engine::EngineOptions opts = base;
   opts.max_queue = 8;
-  // One pool: the shed/displace arithmetic below assumes every submit
-  // contends for the same queue bound.
-  opts.pools = 1;
   Engine eng(opts);
   eng.pause();
 

@@ -164,8 +164,7 @@ class SpGemmHandle {
  public:
   SpGemmHandle() = default;
 
-  /// Convenience: construct and plan in one step (the old SpGemmPlan
-  /// constructor shape).
+  /// Convenience: construct and plan in one step.
   SpGemmHandle(const CsrMatrix<IT, VT>& a, const CsrMatrix<IT, VT>& b,
                SpGemmOptions opts = {}, SpGemmStats* stats = nullptr) {
     plan(a, b, opts, stats);
@@ -589,16 +588,5 @@ class SpGemmHandle {
   std::uint64_t executions_ = 0;
   SpGemmStats stats_;
 };
-
-/// The pre-handle inspector-executor name, kept as an alias so existing
-/// call sites keep compiling; new code should say SpGemmHandle.  Two
-/// deliberate semantic changes from the legacy class: execute() returns a
-/// reference into handle-POOLED storage (overwritten by the next execute()
-/// or plan(); copy it, or use execute_into(), to keep a result), and the
-/// per-execute structure check is O(1) identity instead of a full
-/// re-fingerprint — in-place column mutation requires an explicit
-/// verify_structure() call to detect.
-template <IndexType IT, ValueType VT>
-using SpGemmPlan = SpGemmHandle<IT, VT>;
 
 }  // namespace spgemm

@@ -1,5 +1,5 @@
 // SpGemmEngine — a concurrent SpGEMM serving layer: fingerprint-keyed plan
-// cache + one lane scheduler over shard-affine worker pools.
+// cache + one lane scheduler behind one submit dispatcher.
 //
 // PR 2/3 built the per-product machinery (SpGemmHandle, structure
 // fingerprints, the shared ExecutionSchedule); this engine is the layer
@@ -14,10 +14,10 @@
 //     pass and all output allocation, exactly like a hand-held handle,
 //     but shared across every caller of the engine;
 //   * orders admission within a batch by the cost model's exact flop
-//     count (model::estimate_flop, O(nnz(A)) per request) so the worker
-//     pool never idles behind one giant product:
+//     count (model::estimate_flop, O(nnz(A)) per request) so the workers
+//     never idle behind one giant product:
 //       - LARGE products (flop > EngineOptions::small_flop_cutoff) run
-//         one at a time, largest first, on the calling thread (a pool's
+//         one at a time, largest first, on the calling thread (the
 //         dispatcher, or a run_batch/multiply caller), each fanning out
 //         through its handle's ExecutionSchedule on an EXECUTION LANE — a
 //         bounded seat count whose width model::choose_lane_width derives
@@ -28,8 +28,8 @@
 //         products cost a thousand single-threaded multiplies, not a
 //         thousand barriers.  Deadline-bearing smalls run earliest-
 //         deadline-first; the rest keep largest-first flop order.
-//     ONE SCHEDULER: parked helper threads (each pool's own set, started on
-//     first need; one more set for the synchronous callers) and then the
+//     ONE SCHEDULER: parked helper threads (the dispatcher's set, started
+//     on first need; one more set for the synchronous callers) and then the
 //     calling thread itself, once its larges are done, pack the smalls
 //     onto the seats the lane does not hold right now.  A lane pass counts
 //     its held seats in an engine-owned seat sink (ExecutionSchedule's
@@ -43,22 +43,12 @@
 //     bench.
 //     A structure's size class AND lane width are functions of its flop
 //     estimate and the engine's configuration, so the same structure
-//     always replans with the same thread count and its cached plan stays
-//     valid across batches.  (Caveat: run_batch sizes lanes against the
-//     full worker width while the submit path sizes them against one
-//     pool's width — mixing both paths for the same large structure on a
-//     multi-pool engine replans it per path.)
+//     always replans with the same thread count on every path (submit,
+//     run_batch, multiply) and its cached plan stays valid across batches.
 //
-//   * shards the submit dispatcher into N WORKER POOLS with PlanCache
-//     shard affinity: requests route by fingerprint hash, so repeated
-//     products keep hitting the pool — and the NUMA node — that planned
-//     them.  N defaults to the detected NUMA node count
-//     (model::choose_engine_pools); the SPGEMM_ENGINE_POOLS environment
-//     variable or EngineOptions::pools override it so single-node CI
-//     exercises the multi-pool path.  A pool whose queue is empty steals
-//     the back half of a busy pool's backlog — cross-pool stealing only
-//     happens when the thief is otherwise idle, so affinity is preserved
-//     until skew would leave workers idle.
+//   * serves submit() through ONE dispatcher thread over one queue: it
+//     drains whatever has accumulated since its last wake-up into one
+//     batch and schedules it across all EngineOptions::threads workers.
 //
 // Resilience contract (this is a serving tier, so failure is an API):
 //
@@ -72,14 +62,14 @@
 //     helps nobody) and is counted in EngineStats::deadline_misses.  Under
 //     the work-conserving scheduler small latency-sensitive work overlays
 //     a large fan-out instead of queueing behind it; a batch whose lane
-//     leaves no seat free (drain mode, a one-worker pool) runs its smalls
+//     leaves no seat free (drain mode, a one-worker engine) runs its smalls
 //     first whenever any request in the batch carries a deadline;
-//   * admission control: EngineOptions::max_queue bounds each pool's
-//     submit queue by count and queue_flop_budget bounds it by estimated
-//     work.  Over either bound, the lowest-priority queued request of that
-//     pool is shed — its future fails with kShed (past-deadline victims
-//     fail kDeadlineExceeded) — and an arrival that cannot displace
-//     anything is shed itself.  Nothing is ever silently dropped: every
+//   * admission control: EngineOptions::max_queue bounds the submit queue
+//     by count and queue_flop_budget bounds it by estimated work.  Over
+//     either bound, the lowest-priority queued request is shed — its
+//     future fails with kShed (past-deadline victims fail
+//     kDeadlineExceeded) — and an arrival that cannot displace anything is
+//     shed itself.  Nothing is ever silently dropped: every
 //     accepted future resolves;
 //   * graceful degradation: a std::bad_alloc during plan/execute walks a
 //     bounded retry ladder — (1) evict every cold plan from the cache and
@@ -92,8 +82,8 @@
 //     unwinds into an eviction, the possibly half-built plan is never
 //     served again, and pin accounting stays exact (debug builds assert
 //     pins return to zero after every batch);
-//   * pause() freezes every pool's dispatcher — and therefore every lane —
-//     deterministically at batch granularity; resume()/stop() release them.
+//   * pause() freezes the dispatcher — and therefore every submitted lane —
+//     deterministically at batch granularity; resume()/stop() release it.
 //
 // Results come back as engine::Product values: the output matrix is COPIED
 // out of the serving handle (execute_into), so it stays valid after the
@@ -123,7 +113,6 @@
 #include <future>
 #include <limits>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <numeric>
 #include <optional>
@@ -133,7 +122,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/env.hpp"
 #include "common/error.hpp"
 #include "common/fault_injection.hpp"
 #include "common/timer.hpp"
@@ -167,7 +155,6 @@ struct EngineTelemetry {
   telemetry::Counter& lane_busy_us;
   telemetry::Counter& overlay_execs;
   telemetry::Counter& overlay_busy_us;
-  telemetry::Counter& pool_steals;
   telemetry::Counter& products;
   telemetry::Histogram& service_seconds;
   static EngineTelemetry& get() {
@@ -191,8 +178,6 @@ struct EngineTelemetry {
                     "Small products completed while a lane was running."),
         reg.counter("spgemm_engine_overlay_busy_us_total",
                     "Worker-microseconds consumed by overlay products."),
-        reg.counter("spgemm_engine_pool_steals_total",
-                    "Requests taken from another pool's queue."),
         reg.counter("spgemm_engine_products_total",
                     "Products delivered successfully."),
         reg.histogram("spgemm_engine_service_seconds",
@@ -203,7 +188,7 @@ struct EngineTelemetry {
   }
 };
 
-/// Parked helper threads: the extra seats a dispatcher (or a synchronous
+/// Parked helper threads: the extra seats the dispatcher (or a synchronous
 /// caller) packs small products and splits admission passes onto.  They
 /// start on first need and park on a condition variable between batches.
 class Helpers {
@@ -292,16 +277,15 @@ struct EngineOptions {
   /// Base plan/execute options for every product the engine serves.
   /// `plan.threads` is overridden per size class (lane width for large
   /// products, 1 for packed small ones); set `threads` below to size the
-  /// pool itself.
+  /// engine itself.
   SpGemmOptions plan;
-  /// Worker width across ALL pools; 0 = the OpenMP default.  Resolved once
-  /// at construction so size-class decisions stay stable for the engine's
-  /// lifetime.
+  /// Worker width of every batch: the seats the dispatcher, or a
+  /// run_batch/multiply caller, splits between a lane and its helpers;
+  /// 0 = the OpenMP default.  Resolved once at construction so size-class
+  /// decisions stay stable for the engine's lifetime.
   int threads = 0;
-  /// Dispatcher pool count.  0 = auto: the SPGEMM_ENGINE_POOLS environment
-  /// variable when set, else the detected NUMA node count
-  /// (model::choose_engine_pools); an explicit value here beats both.
-  /// Clamped so every pool keeps at least one worker.
+  /// Dispatcher count: 0 or 1, both meaning the engine's one dispatcher.
+  /// Any other value is rejected with kBadInput.
   int pools = 0;
   /// Work-conserving lanes: large products fan out on a bounded lane while
   /// queued small products overlay the remaining seats.  false = the
@@ -324,24 +308,25 @@ struct EngineOptions {
   /// Products at or below this many scalar multiplications are packed
   /// whole onto one worker; larger ones fan out across a lane.
   Offset small_flop_cutoff = Offset{1} << 15;
-  /// Admission control: maximum submitted-but-undispatched requests PER
-  /// POOL.  0 = unbounded.  Over the bound, the lowest-priority request
-  /// queued on that pool (or the arrival itself) is shed with kShed.
+  /// Admission control: maximum submitted-but-undispatched requests in the
+  /// submit queue.  0 = unbounded.  Over the bound, the lowest-priority
+  /// queued request (or the arrival itself) is shed with kShed.
   std::size_t max_queue = 0;
-  /// Admission control by work: maximum total estimated flop one pool's
+  /// Admission control by work: maximum total estimated flop the submit
   /// queue may hold.  0 = unbounded.  A single request larger than the
-  /// whole budget is still admitted when that queue is empty — it could
+  /// whole budget is still admitted when the queue is empty — it could
   /// never run otherwise.
   Offset queue_flop_budget = 0;
-  /// Trace-span events retained per pool ring (bounded overwrite; one extra
-  /// ring serves the synchronous multiply/run_batch paths).  Recording only
-  /// happens while telemetry::enabled(); the rings themselves are cheap.
+  /// Trace-span events retained per ring (bounded overwrite): one ring for
+  /// the dispatcher, one for the synchronous multiply/run_batch paths.
+  /// Recording only happens while telemetry::enabled(); the rings
+  /// themselves are cheap.
   std::size_t trace_events = 4096;
 };
 
 /// Per-tenant attribution: requests carrying a non-negative Request::tenant
 /// id are accounted here, so a multi-tenant caller can see who consumed the
-/// pool and who was shed — the budget question the aggregate counters
+/// workers and who was shed — the budget question the aggregate counters
 /// cannot answer.
 struct TenantEngineStats {
   std::uint64_t shed = 0;             ///< this tenant's shed requests
@@ -374,8 +359,6 @@ struct EngineStats {
   /// overlay_busy_ms / lane_busy_ms (average overlay workers kept busy
   /// per lane-second).
   double overlay_busy_ms = 0.0;
-  /// Requests taken from another pool's queue by an idle pool.
-  std::uint64_t pool_steals = 0;
   /// Attribution by Request::tenant for requests that set one (id >= 0).
   std::map<int, TenantEngineStats> tenants;
 };
@@ -446,38 +429,22 @@ class SpGemmEngine {
     EpilogueResult epilogue;
   };
 
+  /// Throws SpGemmError(kBadInput) when `opts.pools` is neither 0 nor 1.
   explicit SpGemmEngine(EngineOptions opts = {})
       : opts_(std::move(opts)),
         pool_threads_(parallel::resolve_threads(opts_.threads)),
-        npools_(model::choose_engine_pools(
-            opts_.pools > 0
-                ? opts_.pools
-                : static_cast<int>(env::get_int("SPGEMM_ENGINE_POOLS", 0)),
-            pool_threads_)),
         cache_(opts_.cache_budget_bytes > 0
                    ? opts_.cache_budget_bytes
-                   : model::derive_cache_budget_bytes(opts_.cache_tier)) {
-    // One trace ring per pool dispatcher plus one (index npools_) for the
-    // synchronous multiply/run_batch callers.
-    trace_.reserve(static_cast<std::size_t>(npools_) + 1);
-    for (int p = 0; p <= npools_; ++p) {
-      trace_.push_back(
-          std::make_unique<telemetry::TraceRing>(opts_.trace_events));
+                   : model::derive_cache_budget_bytes(opts_.cache_tier)),
+        dispatch_trace_(opts_.trace_events),
+        sync_trace_(opts_.trace_events) {
+    if (opts_.pools != 0 && opts_.pools != 1) {
+      throw SpGemmError(ErrorCode::kBadInput,
+                        "SpGemmEngine: EngineOptions::pools must be 0 or 1 "
+                        "(the engine has one dispatcher)");
     }
     telemetry::ensure_periodic_exporter();
-    pools_.reserve(static_cast<std::size_t>(npools_));
-    for (int p = 0; p < npools_; ++p) {
-      auto pool = std::make_unique<Pool>();
-      pool->index = p;
-      // Equal worker split; the first (pool_threads_ % npools_) pools take
-      // the remainder so no worker is stranded.
-      pool->width = pool_threads_ / npools_ + (p < pool_threads_ % npools_);
-      pool->width = std::max(1, pool->width);
-      pools_.push_back(std::move(pool));
-    }
-    for (auto& pool : pools_) {
-      pool->worker = std::thread([this, p = pool.get()] { pool_loop(*p); });
-    }
+    dispatcher_ = std::thread([this] { dispatch_loop(); });
   }
 
   SpGemmEngine(const SpGemmEngine&) = delete;
@@ -486,11 +453,11 @@ class SpGemmEngine {
   /// Drains and delivers every submitted request before returning.
   ~SpGemmEngine() { stop(); }
 
-  /// Drain and deliver everything already queued, then retire the pool
-  /// dispatchers.  Idempotent; the destructor calls it.  Later submits
-  /// fail with kEngineStopped (their futures, not a throw); the
-  /// synchronous paths (multiply / run_batch) keep working — they never
-  /// used the dispatchers.
+  /// Drain and deliver everything already queued, then retire the
+  /// dispatcher.  Idempotent; the destructor calls it.  Later submits fail
+  /// with kEngineStopped (their futures, not a throw); the synchronous
+  /// paths (multiply / run_batch) keep working — they never used the
+  /// dispatcher.
   void stop() {
     {
       std::lock_guard<std::mutex> lk(queue_mu_);
@@ -498,9 +465,7 @@ class SpGemmEngine {
       paused_ = false;
     }
     queue_cv_.notify_all();
-    for (auto& pool : pools_) {
-      if (pool->worker.joinable()) pool->worker.join();
-    }
+    if (dispatcher_.joinable()) dispatcher_.join();
     // Flush-on-stop contract of SPGEMM_TELEMETRY_DIR: leave a final metrics
     // snapshot and this engine's trace window behind, even for short-lived
     // processes that never saw a periodic flush.
@@ -512,24 +477,23 @@ class SpGemmEngine {
     }
   }
 
-  /// Dump this engine's retained trace window (all pool rings plus the
-  /// synchronous-caller ring) as Chrome trace_event JSON; load the result in
-  /// chrome://tracing or Perfetto.  Thread-safe; typically called after the
-  /// workload (or after stop()) so the window is quiescent.
+  /// Dump this engine's retained trace window (the dispatcher's ring plus
+  /// the synchronous-caller ring) as Chrome trace_event JSON; load the
+  /// result in chrome://tracing or Perfetto.  Thread-safe; typically called
+  /// after the workload (or after stop()) so the window is quiescent.
   void dump_trace(std::ostream& os) const {
-    std::vector<const telemetry::TraceRing*> rings;
-    rings.reserve(trace_.size());
-    for (const auto& r : trace_) rings.push_back(r.get());
-    telemetry::write_chrome_trace(os, rings);
+    telemetry::write_chrome_trace(os, {&dispatch_trace_, &sync_trace_});
   }
 
-  /// The trace ring synchronous callers (multiply/run_batch) record into;
-  /// the out-of-core shard layer hooks its spill/load events here.
-  [[nodiscard]] telemetry::TraceRing* sync_trace_ring() {
-    return trace_.back().get();
-  }
+  /// Trace pid of the synchronous callers' events; the dispatcher's is 0.
+  static constexpr std::uint32_t kSyncTracePid = 1;
 
-  /// Hold every pool's dispatcher: submitted requests accumulate — and
+  /// The trace ring synchronous callers (multiply/run_batch) record into,
+  /// under pid kSyncTracePid; the out-of-core shard layer hooks its
+  /// spill/load events here.
+  [[nodiscard]] telemetry::TraceRing* sync_trace_ring() { return &sync_trace_; }
+
+  /// Hold the dispatcher: submitted requests accumulate — and
   /// admission control sheds against the configured bounds — without being
   /// served.  Lanes already in flight finish their batch; no new lane or
   /// overlay work starts.  Deterministic backpressure for tests and
@@ -547,7 +511,7 @@ class SpGemmEngine {
     queue_cv_.notify_all();
   }
 
-  /// Enqueue one product for a pool dispatcher; delivery through the
+  /// Enqueue one product for the dispatcher; delivery through the
   /// future.  Safe to call from any number of producer threads.
   std::future<Product> submit(const CsrMatrix<IT, VT>& a,
                               const CsrMatrix<IT, VT>& b) {
@@ -579,13 +543,9 @@ class SpGemmEngine {
     }
     std::future<Product> fut = pending.promise.get_future();
 
-    const std::size_t pidx = route_pool(req);
-    Pool& pool = *pools_[pidx];
-    telemetry::TraceRing* ring = trace_[pidx].get();
     if (telemetry::enabled()) {
       pending.trace_id = telemetry::next_trace_id();
-      trace_instant(TraceCtx{ring, pending.trace_id,
-                             static_cast<std::uint32_t>(pidx), 0},
+      trace_instant(TraceCtx{&dispatch_trace_, pending.trace_id, 0, 0},
                     "admit");
     }
     std::vector<Pending> victims;  // fail their promises outside the lock
@@ -598,34 +558,28 @@ class SpGemmEngine {
             "SpGemmEngine::submit: engine is stopped")));
         return fut;
       }
-      while (over_bound(pool, pending.flop_est)) {
-        const std::size_t victim = pick_victim(pool, req.priority);
+      while (over_bound(pending.flop_est)) {
+        const std::size_t victim = pick_victim(req.priority);
         if (victim == kNoVictim) {
           shed_incoming = true;
           break;
         }
-        pool.queued_flop -= pool.queue[victim].flop_est;
-        victims.push_back(std::move(pool.queue[victim]));
-        pool.queue.erase(pool.queue.begin() +
-                         static_cast<std::ptrdiff_t>(victim));
+        queued_flop_ -= queue_[victim].flop_est;
+        victims.push_back(std::move(queue_[victim]));
+        queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(victim));
       }
       if (!shed_incoming) {
-        pool.queued_flop += pending.flop_est;
-        pool.queue.push_back(std::move(pending));
+        queued_flop_ += pending.flop_est;
+        queue_.push_back(std::move(pending));
       }
     }
     const auto now = Clock::now();
-    for (Pending& v : victims) {
-      shed_one(std::move(v), now, ring, static_cast<std::uint32_t>(pidx));
-    }
+    for (Pending& v : victims) shed_one(std::move(v), now);
     if (shed_incoming) {
-      shed_one(std::move(pending), now, ring,
-               static_cast<std::uint32_t>(pidx));
+      shed_one(std::move(pending), now);
       return fut;
     }
-    // Wake every dispatcher: the routed pool to serve, idle pools so they
-    // can steal if the routed one is already busy.
-    queue_cv_.notify_all();
+    queue_cv_.notify_one();
     return fut;
   }
 
@@ -638,9 +592,8 @@ class SpGemmEngine {
     const std::size_t n = reqs.size();
     std::vector<Product> products(n);
     std::vector<std::exception_ptr> errors(n);
-    process_batch(reqs.data(), n, products.data(), errors.data(),
-                  pool_threads_, nullptr, sync_trace_ring(),
-                  static_cast<std::uint32_t>(npools_), nullptr, nullptr);
+    process_batch(reqs.data(), n, products.data(), errors.data(), nullptr,
+                  &sync_trace_, kSyncTracePid, nullptr, nullptr);
     for (const std::exception_ptr& err : errors) {
       if (err) std::rethrow_exception(err);
     }
@@ -651,13 +604,7 @@ class SpGemmEngine {
   /// still size-classed — a one-request batch).
   Product multiply(const CsrMatrix<IT, VT>& a, const CsrMatrix<IT, VT>& b) {
     const Request req{&a, &b};
-    Product product;
-    std::exception_ptr error;
-    process_batch(&req, 1, &product, &error, pool_threads_, nullptr,
-                  sync_trace_ring(), static_cast<std::uint32_t>(npools_),
-                  nullptr, nullptr);
-    if (error) std::rethrow_exception(error);
-    return product;
+    return std::move(run_batch({&req, 1})[0]);
   }
 
   /// multiply() with caller-maintained structure fingerprints.
@@ -665,30 +612,20 @@ class SpGemmEngine {
                           const CsrMatrix<IT, VT>& b, std::uint64_t fp_a,
                           std::uint64_t fp_b) {
     const Request req{&a, &b, fp_a, fp_b, /*has_fingerprints=*/true};
-    Product product;
-    std::exception_ptr error;
-    process_batch(&req, 1, &product, &error, pool_threads_, nullptr,
-                  sync_trace_ring(), static_cast<std::uint32_t>(npools_),
-                  nullptr, nullptr);
-    if (error) std::rethrow_exception(error);
-    return product;
+    return std::move(run_batch({&req, 1})[0]);
   }
 
   [[nodiscard]] PlanCacheStats cache_stats() const { return cache_.stats(); }
   [[nodiscard]] PlanCache<IT, VT>& cache() { return cache_; }
   [[nodiscard]] const EngineOptions& options() const { return opts_; }
+  /// Worker width every batch schedules on: EngineOptions::threads,
+  /// resolved at construction.
   [[nodiscard]] int pool_threads() const { return pool_threads_; }
-  /// Resolved dispatcher pool count (>= 1).
-  [[nodiscard]] int pools() const { return npools_; }
-  /// Worker width of pool `p`.
-  [[nodiscard]] int pool_width(int p) const {
-    return pools_[static_cast<std::size_t>(p)]->width;
-  }
   /// Thread count a large product of `flop` scalar multiplications plans
-  /// with on a lane of `width` workers (run_batch/multiply use the full
-  /// pool_threads() width; the submit path uses one pool's width).
-  /// Deterministic so cached plans revalidate — see choose_lane_width.
-  [[nodiscard]] int lane_width_for(Offset flop, int width) const {
+  /// with, on every path (submit, run_batch, multiply).  Deterministic so
+  /// cached plans revalidate — see choose_lane_width.
+  [[nodiscard]] int lane_width_for(Offset flop) const {
+    const int width = pool_threads_;
     if (!opts_.work_conserving) return width;
     const int cap = std::max(1, width - overlay_reserve(width));
     return std::min(
@@ -713,7 +650,6 @@ class SpGemmEngine {
         static_cast<double>(
             overlay_busy_us_.load(std::memory_order_relaxed)) /
         1000.0;
-    s.pool_steals = pool_steals_.load(std::memory_order_relaxed);
     // Point-in-time-consistent tenant fold: hold ALL shard locks (acquired
     // in fixed index order — note_tenant only ever takes one, so this
     // cannot deadlock) while folding.  Locking one shard at a time could
@@ -748,10 +684,10 @@ class SpGemmEngine {
   };
 
   /// Trace destination for one request's execution: which ring, which
-  /// (pid, tid) track, which request id.  pid is the pool index (npools_ =
-  /// the synchronous-caller ring); tid 0 is the lane/dispatcher track and
-  /// 1 + r is the small packer of arrival rank r — lane and overlay spans
-  /// land on distinct tracks by construction.
+  /// (pid, tid) track, which request id.  pid is 0 on the dispatcher's
+  /// ring and kSyncTracePid on the synchronous callers'; tid 0 is the lane
+  /// track and 1 + r is the small packer of arrival rank r — lane and
+  /// overlay spans land on distinct tracks by construction.
   struct TraceCtx {
     telemetry::TraceRing* ring = nullptr;
     std::uint64_t id = 0;
@@ -796,22 +732,6 @@ class SpGemmEngine {
     t.ring->record(e);
   }
 
-  /// One dispatcher pool.  Queue state (queue, queued_flop, busy) is
-  /// guarded by the engine-wide queue_mu_ — queue operations are tiny and
-  /// rare next to the products they admit, and one mutex keeps
-  /// pause/stop/shed and cross-pool stealing free of lock-order hazards.
-  struct Pool {
-    int index = 0;               ///< pool id; also the trace ring / pid
-    int width = 1;               ///< worker threads of this pool's lanes
-    std::vector<Pending> queue;  ///< guarded by queue_mu_
-    Offset queued_flop = 0;      ///< guarded by queue_mu_
-    bool busy = false;  ///< dispatcher is executing a batch (queue_mu_)
-    /// The dispatcher's small packers and admission splitters, parked
-    /// between batches.  Declared before `worker`, which uses them.
-    detail::Helpers helpers;
-    std::thread worker;
-  };
-
   static constexpr std::size_t kNoVictim =
       std::numeric_limits<std::size_t>::max();
   /// Ladder depth: attempt 0 is the normal config, 1 retries it after a
@@ -843,7 +763,7 @@ class SpGemmEngine {
   }
 
   /// Workers held back from large lanes for the small-product overlay:
-  /// roughly a quarter of the pool, at least one once there are two
+  /// roughly a quarter of the width, at least one once there are two
   /// workers.  An engine constant (not load-dependent) so lane widths stay
   /// a pure function of flop and configuration.
   static int overlay_reserve(int width) {
@@ -855,63 +775,26 @@ class SpGemmEngine {
     return ms > 0.0 ? static_cast<std::uint64_t>(ms * 1000.0) : 0;
   }
 
-  /// Pool affinity for one request.  With caller fingerprints the pair
-  /// hash routes directly (the PlanCache key, so repeats stay pool-local).
-  /// Without them, an O(1) structural sample stands in: dims, nnz and a
-  /// few probed entries — stable across value updates, and a rare
-  /// collision merely co-locates two structures on one pool.  Hashing the
-  /// full structure here would put an O(nnz) pass on every producer
-  /// thread; the batch admission pass keeps doing that, in parallel when
-  /// the batch carries enough work to split.
-  [[nodiscard]] std::size_t route_pool(const Request& r) const {
-    if (npools_ <= 1 || r.a == nullptr || r.b == nullptr) return 0;
-    std::uint64_t key = 0;
-    if (r.has_fingerprints) {
-      key = pair_structure_hash(r.fp_a, r.fp_b);
-    } else {
-      FnvHasher h;
-      for (const CsrMatrix<IT, VT>* m : {r.a, r.b}) {
-        h.mix(static_cast<std::uint64_t>(m->nrows));
-        h.mix(static_cast<std::uint64_t>(m->ncols));
-        h.mix(static_cast<std::uint64_t>(m->cols.size()));
-        const std::size_t nnz = m->cols.size();
-        if (nnz > 0) {
-          h.mix(static_cast<std::uint64_t>(m->cols[0]));
-          h.mix(static_cast<std::uint64_t>(m->cols[nnz / 2]));
-          h.mix(static_cast<std::uint64_t>(m->cols[nnz - 1]));
-        }
-        const std::size_t nrpts = m->rpts.size();
-        if (nrpts > 0) {
-          h.mix(static_cast<std::uint64_t>(m->rpts[nrpts / 2]));
-        }
-      }
-      key = h.value();
-    }
-    // Fold the high bits in so low-entropy keys still spread.
-    return static_cast<std::size_t>((key ^ (key >> 32)) %
-                                    static_cast<std::uint64_t>(npools_));
-  }
-
   /// Would admitting a request of weight `est` exceed a configured bound
-  /// on this pool?  (callers hold queue_mu_)
-  bool over_bound(const Pool& pool, Offset est) const {
-    if (opts_.max_queue > 0 && pool.queue.size() + 1 > opts_.max_queue) {
+  /// on the submit queue?  (callers hold queue_mu_)
+  bool over_bound(Offset est) const {
+    if (opts_.max_queue > 0 && queue_.size() + 1 > opts_.max_queue) {
       return true;
     }
-    return opts_.queue_flop_budget > 0 && !pool.queue.empty() &&
-           pool.queued_flop + est > opts_.queue_flop_budget;
+    return opts_.queue_flop_budget > 0 && !queue_.empty() &&
+           queued_flop_ + est > opts_.queue_flop_budget;
   }
 
   /// Choose what to shed: a queued request already past its deadline (its
   /// work is unsalvageable), else the lowest-priority queued request
   /// strictly below the arrival's priority.  kNoVictim = shed the arrival.
   /// (callers hold queue_mu_)
-  std::size_t pick_victim(const Pool& pool, int incoming_priority) const {
+  std::size_t pick_victim(int incoming_priority) const {
     const auto now = Clock::now();
     std::size_t lowest = kNoVictim;
     int lowest_priority = std::numeric_limits<int>::max();
-    for (std::size_t i = 0; i < pool.queue.size(); ++i) {
-      const Request& r = pool.queue[i].req;
+    for (std::size_t i = 0; i < queue_.size(); ++i) {
+      const Request& r = queue_[i].req;
       if (has_deadline(r) && now > r.deadline) return i;
       if (r.priority < lowest_priority) {
         lowest_priority = r.priority;
@@ -923,7 +806,7 @@ class SpGemmEngine {
 
   /// Per-tenant attribution sink: runs `fn` on the tenant's stats record
   /// when the request names one.  Sharded by the calling thread's id —
-  /// attribution sites run on producer threads, pool dispatchers and
+  /// attribution sites run on producer threads, the dispatcher and
   /// helper threads alike, and a single global mutex here measurably
   /// serialized the packed-small phase.  engine_stats() folds the shards.
   template <class Fn>
@@ -939,23 +822,22 @@ class SpGemmEngine {
 
   /// Fail one shed request's future: kDeadlineExceeded when its deadline
   /// had already passed (also a deadline miss), kShed otherwise.
-  void shed_one(Pending&& p, Clock::time_point now,
-                telemetry::TraceRing* ring = nullptr, std::uint32_t pid = 0) {
+  void shed_one(Pending&& p, Clock::time_point now) {
+    const TraceCtx tc{&dispatch_trace_, p.trace_id, 0, 0};
     shed_.fetch_add(1, std::memory_order_relaxed);
     detail::EngineTelemetry::get().shed.add(1);
     note_tenant(p.req.tenant, [](TenantEngineStats& t) { ++t.shed; });
     if (has_deadline(p.req) && now > p.req.deadline) {
       deadline_misses_.fetch_add(1, std::memory_order_relaxed);
       detail::EngineTelemetry::get().deadline_misses.add(1);
-      trace_instant(TraceCtx{ring, p.trace_id, pid, 0}, "deadline-shed",
-                    "shed");
+      trace_instant(tc, "deadline-shed", "shed");
       note_tenant(p.req.tenant,
                   [](TenantEngineStats& t) { ++t.deadline_misses; });
       p.promise.set_exception(std::make_exception_ptr(SpGemmError(
           ErrorCode::kDeadlineExceeded,
           "SpGemmEngine: shed under backpressure past its deadline")));
     } else {
-      trace_instant(TraceCtx{ring, p.trace_id, pid, 0}, "shed", "shed");
+      trace_instant(tc, "shed", "shed");
       p.promise.set_exception(std::make_exception_ptr(SpGemmError(
           ErrorCode::kShed,
           "SpGemmEngine: shed under backpressure (queue bound or flop "
@@ -985,23 +867,25 @@ class SpGemmEngine {
     }
   }
 
-  /// Admission + execution for one span of requests on `width` seats.
-  /// products/errors are parallel arrays of length n; a request that fails
-  /// leaves its product default-constructed and its error set (always a
-  /// SpGemmError).  `on_done(i)` — when non-null — fires exactly once per
-  /// request as it settles (product complete or error final), from
-  /// whichever thread finished it: the streaming-delivery hook that lets
-  /// overlay products resolve their futures while a lane is still running.
-  /// `helpers` is the calling pool's helper set; the synchronous callers
+  /// Admission + execution for one span of requests on pool_threads()
+  /// seats.  products/errors are parallel arrays of length n; a request
+  /// that fails leaves its product default-constructed and its error set
+  /// (always a SpGemmError).  `on_done(i)` — when non-null — fires exactly
+  /// once per request as it settles (product complete or error final),
+  /// from whichever thread finished it: the streaming-delivery hook that
+  /// lets overlay products resolve their futures while a lane is still
+  /// running.
+  /// `helpers` is the dispatcher's helper set; the synchronous callers
   /// pass nullptr and borrow the engine's set, or start a private one for
   /// this call while another synchronous caller holds it.
   void process_batch(const Request* reqs, std::size_t n, Product* products,
-                     std::exception_ptr* errors, int width,
+                     std::exception_ptr* errors,
                      const std::function<void(std::size_t)>& on_done,
                      telemetry::TraceRing* ring, std::uint32_t pid,
                      const std::uint64_t* trace_ids,
                      detail::Helpers* helpers) {
     if (n == 0) return;
+    const int width = pool_threads_;
     {
       std::lock_guard<std::mutex> lk(batch_mu_);
       ++inflight_batches_;
@@ -1157,13 +1041,12 @@ class SpGemmEngine {
 
     // Seats the running lane holds; the smalls pack onto the other
     // width - seats.  A lane whose width leaves no seat free (drain mode,
-    // a one-worker pool) runs after the smalls when any request carries a
+    // a one-worker engine) runs after the smalls when any request carries a
     // deadline: latency-sensitive small work must not wait out a
     // multi-second fan-out.  Otherwise the lane holds its seats from the
     // start, so the helpers gate on it from their very first claim.
     const int first_lane =
-        large.empty() ? 0 : lane_width_for(products[large.front()].flop,
-                                           width);
+        large.empty() ? 0 : lane_width_for(products[large.front()].flop);
     const bool smalls_first = any_deadline && first_lane >= width;
     std::atomic<int> seats{smalls_first ? 0 : first_lane};
 
@@ -1177,7 +1060,7 @@ class SpGemmEngine {
     const bool lanes = opts_.work_conserving;
     const auto run_larges = [&] {
       for (const std::size_t i : large) {
-        const int lw = lane_width_for(products[i].flop, width);
+        const int lw = lane_width_for(products[i].flop);
         serve(i, lw, lanes ? &seats : nullptr, 0, lanes ? "lane" : "large",
               [&] {
                 if (!lanes) return;
@@ -1261,7 +1144,7 @@ class SpGemmEngine {
   }
 
   /// Deadline gate before running: a request already past its deadline
-  /// fails kDeadlineExceeded without burning pool time.
+  /// fails kDeadlineExceeded without burning worker time.
   bool admit_deadline(const Request& r, std::exception_ptr& error,
                       const TraceCtx& tc) {
     if (error) return false;
@@ -1462,73 +1345,25 @@ class SpGemmEngine {
     }
   }
 
-  /// Any pool holding queued requests?  (callers hold queue_mu_)
-  [[nodiscard]] bool any_backlog() const {
-    for (const auto& pool : pools_) {
-      if (!pool->queue.empty()) return true;
-    }
-    return false;
-  }
-
-  /// Move the back half of the longest BUSY pool's backlog into `self`
-  /// (callers hold queue_mu_, self.queue empty).  Only busy victims: an
-  /// idle pool is about to serve its own queue, and stealing from it would
-  /// defeat affinity for nothing.
-  void try_steal(Pool& self) {
-    Pool* victim = nullptr;
-    for (const auto& pool : pools_) {
-      if (pool.get() == &self || !pool->busy || pool->queue.empty()) {
-        continue;
-      }
-      if (victim == nullptr || pool->queue.size() > victim->queue.size()) {
-        victim = pool.get();
-      }
-    }
-    if (victim == nullptr) return;
-    const std::size_t take = (victim->queue.size() + 1) / 2;
-    const std::size_t keep = victim->queue.size() - take;
-    for (std::size_t k = keep; k < victim->queue.size(); ++k) {
-      victim->queued_flop -= victim->queue[k].flop_est;
-      self.queued_flop += victim->queue[k].flop_est;
-      self.queue.push_back(std::move(victim->queue[k]));
-    }
-    victim->queue.resize(keep);
-    pool_steals_.fetch_add(static_cast<std::uint64_t>(take),
-                           std::memory_order_relaxed);
-    detail::EngineTelemetry::get().pool_steals.add(
-        static_cast<std::uint64_t>(take));
-  }
-
-  /// One pool's dispatcher: drain whatever has accumulated on this pool
-  /// since the last wake-up into one batch — natural batching under load,
-  /// immediate service when idle — steal from a busy sibling when this
-  /// pool is empty, and deliver each promise AS ITS PRODUCT SETTLES (an
-  /// overlay small resolves its future while the lane is still running —
-  /// the whole point of work conservation).
-  void pool_loop(Pool& self) {
+  /// The dispatcher: drain whatever has accumulated since the last wake-up
+  /// into one batch — natural batching under load, immediate service when
+  /// idle — and deliver each promise AS ITS PRODUCT SETTLES (an overlay
+  /// small resolves its future while the lane is still running — the whole
+  /// point of work conservation).  Returns once stopping with an empty
+  /// queue.
+  void dispatch_loop() {
     std::unique_lock<std::mutex> lk(queue_mu_);
     for (;;) {
       queue_cv_.wait(lk, [&] {
-        return stopping_ || (!paused_ && any_backlog());
+        return stopping_ || (!paused_ && !queue_.empty());
       });
-      if (self.queue.empty() && !paused_) try_steal(self);
-      if (self.queue.empty()) {
-        if (stopping_ && !any_backlog()) return;
-        // Backlog belongs to a non-stealable (momentarily idle) sibling;
-        // give it a beat to claim its own queue.
-        queue_cv_.wait_for(lk, std::chrono::milliseconds(1));
-        continue;
-      }
-      std::vector<Pending> batch = std::move(self.queue);
-      self.queue.clear();
-      self.queued_flop = 0;
-      self.busy = true;
+      if (queue_.empty()) return;
+      std::vector<Pending> batch = std::move(queue_);
+      queue_.clear();
+      queued_flop_ = 0;
       lk.unlock();
 
       const std::size_t n = batch.size();
-      telemetry::TraceRing* ring =
-          trace_[static_cast<std::size_t>(self.index)].get();
-      const std::uint32_t pid = static_cast<std::uint32_t>(self.index);
       std::vector<Request> reqs(n);
       std::vector<Product> products(n);
       std::vector<std::exception_ptr> errors(n);
@@ -1538,8 +1373,8 @@ class SpGemmEngine {
         ids[i] = batch[i].trace_id;
       }
       if (telemetry::enabled()) {
-        // Queue-wait spans: enqueue (submit time) to dispatch, on the
-        // pool's lane track so waits sit under the spans they precede.
+        // Queue-wait spans: enqueue (submit time) to dispatch, on the lane
+        // track so waits sit under the spans they precede.
         const std::uint64_t now_ns = monotonic_ns();
         for (std::size_t i = 0; i < n; ++i) {
           if (ids[i] == 0) continue;
@@ -1549,14 +1384,12 @@ class SpGemmEngine {
           e.ph = 'X';
           e.ts_ns = to_monotonic_ns(batch[i].enqueued);
           e.dur_ns = now_ns > e.ts_ns ? now_ns - e.ts_ns : 0;
-          e.pid = pid;
-          e.tid = 0;
           e.trace_id = ids[i];
-          ring->record(e);
+          dispatch_trace_.record(e);
         }
       }
       process_batch(
-          reqs.data(), n, products.data(), errors.data(), self.width,
+          reqs.data(), n, products.data(), errors.data(),
           [&](std::size_t i) {
             if (errors[i]) {
               batch[i].promise.set_exception(errors[i]);
@@ -1566,16 +1399,13 @@ class SpGemmEngine {
               batch[i].promise.set_value(std::move(products[i]));
             }
           },
-          ring, pid, ids.data(), &self.helpers);
-
+          &dispatch_trace_, 0, ids.data(), &helpers_);
       lk.lock();
-      self.busy = false;
     }
   }
 
   EngineOptions opts_;
   int pool_threads_;
-  int npools_;
   PlanCache<IT, VT> cache_;
 
   std::atomic<std::uint64_t> shed_{0};
@@ -1587,7 +1417,6 @@ class SpGemmEngine {
   std::atomic<std::uint64_t> lane_busy_us_{0};
   std::atomic<std::uint64_t> overlay_execs_{0};
   std::atomic<std::uint64_t> overlay_busy_us_{0};
-  std::atomic<std::uint64_t> pool_steals_{0};
 
   struct TenantShard {
     mutable std::mutex mu;
@@ -1598,15 +1427,20 @@ class SpGemmEngine {
   std::mutex batch_mu_;
   int inflight_batches_ = 0;  ///< guarded by batch_mu_
 
+  /// The submit queue.  Queue operations are tiny and rare next to the
+  /// products they admit, so one mutex guards the queue, its flop weight
+  /// and the pause/stop flags.
   std::mutex queue_mu_;
   std::condition_variable queue_cv_;
-  bool stopping_ = false;  ///< guarded by queue_mu_
-  bool paused_ = false;    ///< guarded by queue_mu_
+  std::vector<Pending> queue_;  ///< guarded by queue_mu_
+  Offset queued_flop_ = 0;      ///< guarded by queue_mu_
+  bool stopping_ = false;       ///< guarded by queue_mu_
+  bool paused_ = false;         ///< guarded by queue_mu_
 
-  /// Bounded trace windows: one ring per pool dispatcher plus a trailing
-  /// ring (index npools_) for the synchronous callers.  Declared before
-  /// pools_ so the rings outlive the worker threads recording into them.
-  std::vector<std::unique_ptr<telemetry::TraceRing>> trace_;
+  /// Bounded trace windows of the dispatcher (pid 0) and of the
+  /// synchronous callers (pid kSyncTracePid).
+  telemetry::TraceRing dispatch_trace_;
+  telemetry::TraceRing sync_trace_;
   /// stop() flushes SPGEMM_TELEMETRY_DIR exactly once (idempotent stop).
   std::atomic<bool> telemetry_flushed_{false};
 
@@ -1615,9 +1449,12 @@ class SpGemmEngine {
   std::mutex sync_helpers_mu_;
   detail::Helpers sync_helpers_;
 
-  /// Last member: pool worker threads join (via stop()) before the rest
-  /// of the engine dies.
-  std::vector<std::unique_ptr<Pool>> pools_;
+  /// The dispatcher's small packers and admission splitters, parked
+  /// between batches.  Declared before dispatcher_, which uses them.
+  detail::Helpers helpers_;
+  /// Last member: the dispatcher joins (via stop()) before the rest of the
+  /// engine dies.
+  std::thread dispatcher_;
 };
 
 }  // namespace spgemm::engine

@@ -3,12 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#if defined(__linux__)
-#include <sys/stat.h>
-
-#include <cstdio>
-#endif
-
 namespace spgemm::model {
 
 TierParams knl_ddr() {
@@ -208,29 +202,6 @@ BlockGrid choose_block_grid(Offset nnz_a, Offset nnz_b, Offset flop,
   gi = std::min(gi, inner_dim);
   grid.grid_inner = gi;
   return grid;
-}
-
-int detect_numa_nodes() {
-#if defined(__linux__)
-  // Probe node0, node1, ... until one is missing.  dirent iteration would
-  // also work but stat() of the known layout keeps this allocation-free.
-  int nodes = 0;
-  for (int n = 0; n < 1024; ++n) {
-    char path[64];
-    std::snprintf(path, sizeof(path), "/sys/devices/system/node/node%d", n);
-    struct stat st{};
-    if (stat(path, &st) != 0 || !S_ISDIR(st.st_mode)) break;
-    ++nodes;
-  }
-  if (nodes > 0) return nodes;
-#endif
-  return 1;
-}
-
-int choose_engine_pools(int requested, int workers) {
-  if (workers < 1) workers = 1;
-  const int pools = requested > 0 ? requested : detect_numa_nodes();
-  return std::clamp(pools, 1, workers);
 }
 
 double mcdram_speedup(AccessPattern pattern, double flop, double nnz_out,

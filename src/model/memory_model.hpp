@@ -91,21 +91,6 @@ double mcdram_speedup(AccessPattern pattern, double flop, double nnz_out,
                       double edge_factor, bool sorted_output,
                       double working_set_gb, int threads = 64);
 
-// ---- Engine worker-pool sizing (engine/spgemm_engine.hpp) -----------------
-
-/// Number of NUMA nodes the host exposes (Linux: count of
-/// /sys/devices/system/node/node<N> directories).  Returns 1 when the
-/// topology is not detectable (non-Linux, sysfs unavailable) — a safe
-/// single-pool default, never 0.
-int detect_numa_nodes();
-
-/// Number of dispatcher pools for the serving engine: one per NUMA node so
-/// repeated products stay cache- and memory-local, but never more pools
-/// than workers (each pool needs at least one worker).  `requested` > 0
-/// short-circuits detection (the SPGEMM_ENGINE_POOLS / EngineOptions::pools
-/// override CI uses to exercise the multi-pool path on one node).
-int choose_engine_pools(int requested, int workers);
-
 // ---- Block-sharded execution sizing (shard/) ------------------------------
 
 /// A 2D blocking decision for the sharded driver (shard/sharded_spgemm.hpp):

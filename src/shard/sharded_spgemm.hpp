@@ -51,7 +51,7 @@
 // sorted inputs.
 //
 // Threading: multiply() is single-caller (it owns the ShardStore walk);
-// the engine underneath parallelises each block product across its pool.
+// the engine underneath parallelises each block product across its workers.
 #pragma once
 
 #include <cstdint>
@@ -239,7 +239,7 @@ class ShardedSpGemm {
     // Shard I/O instants land on the engine's synchronous-caller trace
     // track, beside the block products this walk submits.
     store_opts.trace = engine_.sync_trace_ring();
-    store_opts.trace_pid = engine_.pools();
+    store_opts.trace_pid = static_cast<int>(Engine::kSyncTracePid);
     Store store(store_opts);
 
     // Cut the operands into the store.  A: grid_rows x grid_inner,

@@ -1,5 +1,6 @@
-// Per-request trace spans: a bounded-overwrite ring of span/instant events
-// per engine pool, dumpable as Chrome trace_event JSON (chrome://tracing or
+// Per-request trace spans: bounded-overwrite rings of span/instant events
+// (an engine keeps one for its dispatcher, one for its synchronous callers),
+// dumpable as Chrome trace_event JSON (chrome://tracing or
 // Perfetto loadable).
 //
 // Events carry static-lifetime name/category strings (no allocation on the
@@ -26,7 +27,7 @@ struct TraceEvent {
   char ph = 'X';
   std::uint64_t ts_ns = 0;   ///< start, monotonic_ns epoch
   std::uint64_t dur_ns = 0;  ///< 'X' only
-  std::uint32_t pid = 0;     ///< trace "process": engine pool index
+  std::uint32_t pid = 0;     ///< trace "process": engine ring (0 = dispatcher)
   std::uint32_t tid = 0;     ///< trace "thread": 0 = lane, 1+w = overlay w
   std::uint64_t trace_id = 0;  ///< request trace id (0 = none)
   const char* arg_name = nullptr;  ///< optional numeric arg, static literal

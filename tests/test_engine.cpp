@@ -424,16 +424,16 @@ TEST(EngineSubmit, ConcurrentProducersRaceFree) {
 }
 
 // ---------------------------------------------------------------------------
-// Work-conserving lanes + shard-affine pools: concurrent mixed streams must
-// be bit-identical to the serial oracle in EVERY lane/pool configuration,
-// and the QoS machinery must behave exactly as it does drain-ordered.
+// Work-conserving lanes: concurrent mixed streams must be bit-identical to
+// the serial oracle at EVERY worker width, and the QoS machinery must
+// behave exactly as it does drain-ordered.
 // ---------------------------------------------------------------------------
 
 TEST(EngineLanes, MixedStreamsBitIdenticalAcrossLaneAndPoolConfigs) {
   // Two large structures (they fan out on a bounded lane) and three small
   // ones (they run on the overlay while a lane is busy).  Results must be
-  // bitwise the serial reference no matter which lane width, overlay slot
-  // or pool served them — the whole point of deterministic lane sizing.
+  // bitwise the serial reference no matter which lane width or overlay
+  // slot served them — the whole point of deterministic lane sizing.
   std::vector<Matrix> inputs;
   inputs.push_back(unit_valued_rmat(9, 8, 600));  // large
   inputs.push_back(dense_row_among_empties(600)); // large, skewed
@@ -444,50 +444,44 @@ TEST(EngineLanes, MixedStreamsBitIdenticalAcrossLaneAndPoolConfigs) {
   for (const Matrix& m : inputs) oracles.push_back(spgemm_reference(m, m));
 
   for (const int threads : {1, 2, 4, 8}) {
-    for (const int pools : {1, 2, 4}) {
-      engine::EngineOptions eo;
-      eo.plan.algorithm = Algorithm::kHash;
-      eo.threads = threads;
-      eo.pools = pools;
-      Engine eng(eo);
-      ASSERT_EQ(eng.pools(), std::min(pools, eng.pool_threads()));
+    engine::EngineOptions eo;
+    eo.plan.algorithm = Algorithm::kHash;
+    eo.threads = threads;
+    Engine eng(eo);
 
-      // Burst from several producers so larges and smalls land in the same
-      // dispatch windows and the overlay actually overlaps the lanes.
-      constexpr int kProducers = 3;
-      constexpr int kPerProducer = 12;
-      std::vector<std::vector<std::future<Engine::Product>>> futures(
-          kProducers);
-      std::vector<std::thread> producers;
-      for (int p = 0; p < kProducers; ++p) {
-        producers.emplace_back([&, p] {
-          for (int i = 0; i < kPerProducer; ++i) {
-            const Matrix& m = inputs[(p + i) % inputs.size()];
-            futures[p].push_back(eng.submit(m, m));
-          }
-        });
-      }
-      for (std::thread& t : producers) t.join();
-      for (int p = 0; p < kProducers; ++p) {
+    // Burst from several producers so larges and smalls land in the same
+    // dispatch windows and the overlay actually overlaps the lanes.
+    constexpr int kProducers = 3;
+    constexpr int kPerProducer = 12;
+    std::vector<std::vector<std::future<Engine::Product>>> futures(
+        kProducers);
+    std::vector<std::thread> producers;
+    for (int p = 0; p < kProducers; ++p) {
+      producers.emplace_back([&, p] {
         for (int i = 0; i < kPerProducer; ++i) {
-          const Engine::Product prod = futures[p][i].get();
-          expect_bitwise_equal(
-              prod.c, oracles[(p + i) % oracles.size()],
-              "t" + std::to_string(threads) + " pools" +
-                  std::to_string(pools) + " producer " + std::to_string(p) +
-                  " req " + std::to_string(i));
+          const Matrix& m = inputs[(p + i) % inputs.size()];
+          futures[p].push_back(eng.submit(m, m));
         }
+      });
+    }
+    for (std::thread& t : producers) t.join();
+    for (int p = 0; p < kProducers; ++p) {
+      for (int i = 0; i < kPerProducer; ++i) {
+        const Engine::Product prod = futures[p][i].get();
+        expect_bitwise_equal(
+            prod.c, oracles[(p + i) % oracles.size()],
+            "t" + std::to_string(threads) + " producer " +
+                std::to_string(p) + " req " + std::to_string(i));
       }
-      // run_batch and multiply agree with the same oracles on the same
-      // engine (the synchronous paths share the lane machinery).
-      std::vector<Engine::Request> reqs;
-      for (const Matrix& m : inputs) reqs.push_back({&m, &m});
-      const auto batch = eng.run_batch(reqs);
-      for (std::size_t i = 0; i < batch.size(); ++i) {
-        expect_bitwise_equal(batch[i].c, oracles[i],
-                             "run_batch t" + std::to_string(threads) +
-                                 " pools" + std::to_string(pools));
-      }
+    }
+    // run_batch and multiply agree with the same oracles on the same
+    // engine (the synchronous paths share the lane machinery).
+    std::vector<Engine::Request> reqs;
+    for (const Matrix& m : inputs) reqs.push_back({&m, &m});
+    const auto batch = eng.run_batch(reqs);
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      expect_bitwise_equal(batch[i].c, oracles[i],
+                           "run_batch t" + std::to_string(threads));
     }
   }
 }
@@ -500,7 +494,6 @@ TEST(EngineLanes, LaneWidthIsDeterministicAndCacheStaysValid) {
   engine::EngineOptions eo;
   eo.plan.algorithm = Algorithm::kHash;
   eo.threads = 4;
-  eo.pools = 1;
   Engine eng(eo);
   const Engine::Product first = eng.multiply(big, big);
   EXPECT_FALSE(first.cache_hit);
@@ -508,14 +501,55 @@ TEST(EngineLanes, LaneWidthIsDeterministicAndCacheStaysValid) {
   const Engine::Product again = eng.multiply(big, big);
   EXPECT_TRUE(again.cache_hit);
   EXPECT_EQ(again.threads_used, first.threads_used);
-  // Work conservation reserves overlay slots: the lane never takes the
-  // whole pool when there is more than one worker.
+  // Work conservation reserves overlay slots: the lane never takes every
+  // worker when there is more than one.
   EXPECT_LT(first.threads_used, eng.pool_threads());
   EXPECT_GE(first.threads_used, 1);
   const auto es = eng.engine_stats();
   EXPECT_EQ(es.lane_execs, 2u);
   EXPECT_EQ(es.lane_width_sum,
             2u * static_cast<std::uint64_t>(first.threads_used));
+  // The dispatcher and run_batch size the lane against the same width as
+  // multiply, so both replay the plan multiply built.
+  const Engine::Product submitted = eng.submit(big, big).get();
+  EXPECT_TRUE(submitted.cache_hit);
+  EXPECT_EQ(submitted.threads_used, first.threads_used);
+  const Engine::Request req{&big, &big};
+  const auto batch = eng.run_batch({&req, 1});
+  ASSERT_EQ(batch.size(), 1u);
+  EXPECT_TRUE(batch[0].cache_hit);
+  EXPECT_EQ(batch[0].threads_used, first.threads_used);
+  EXPECT_EQ(eng.cache_stats().misses, 1u);
+  EXPECT_EQ(eng.engine_stats().lane_width_sum,
+            4u * static_cast<std::uint64_t>(first.threads_used));
+}
+
+TEST(EngineDispatcher, PoolsAcceptsOnlyOneDispatcher) {
+  engine::EngineOptions eo;
+  eo.plan.algorithm = Algorithm::kHash;
+  eo.threads = 4;
+  eo.pools = 2;
+  try {
+    Engine eng(eo);
+    ADD_FAILURE() << "pools = 2 constructed an engine";
+  } catch (const SpGemmError& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kBadInput);
+  }
+  // pools = 1 is the one dispatcher, over every worker.  A 1 MB fast tier
+  // sizes lanes by kLaneMinFlopPerWorker on any host, so this large takes
+  // a lane wider than one seat, and the dispatcher replays the plan
+  // multiply built at that width (a dispatcher with fewer workers would
+  // pick a narrower lane and replan).
+  eo.pools = 1;
+  eo.plan.fast_tier.capacity_gb = 1e-3;
+  Engine eng(eo);
+  const Matrix big = unit_valued_rmat(9, 8, 615);
+  const Engine::Product planned = eng.multiply(big, big);
+  EXPECT_GT(planned.threads_used, 1);
+  const Engine::Product served = eng.submit(big, big).get();
+  expect_bitwise_equal(served.c, spgemm_reference(big, big), "pools = 1");
+  EXPECT_TRUE(served.cache_hit);
+  EXPECT_EQ(served.threads_used, planned.threads_used);
 }
 
 TEST(EngineLanes, OverlayRunsSmallsDuringLargeLane) {
@@ -531,7 +565,6 @@ TEST(EngineLanes, OverlayRunsSmallsDuringLargeLane) {
   engine::EngineOptions eo;
   eo.plan.algorithm = Algorithm::kHash;
   eo.threads = 4;
-  eo.pools = 1;
   Engine eng(eo);
   eng.pause();
   std::vector<std::future<Engine::Product>> futures;
@@ -554,14 +587,13 @@ TEST(EngineLanes, OverlayRunsSmallsDuringLargeLane) {
 
 TEST(EngineLanes, EdfOrdersDeadlineSmallsFirst) {
   // Packed smalls with deadlines run earliest-deadline-first, ahead of
-  // deadline-free ones.  Serial engine (1 thread, 1 pool) + one paused
+  // deadline-free ones.  Serial engine (1 thread) + one paused
   // dispatch make completion order — and with near-identical enqueue
   // times, delivered latency order — deterministic.
   const Matrix m = unit_valued_rmat(5, 4, 630);
   engine::EngineOptions eo;
   eo.plan.algorithm = Algorithm::kHash;
   eo.threads = 1;
-  eo.pools = 1;
   Engine eng(eo);
   eng.multiply(m, m);  // warm the plan so runs are uniform
   eng.pause();
@@ -594,7 +626,7 @@ TEST(EngineLanes, EdfOrdersDeadlineSmallsFirst) {
 
 TEST(EngineLanes, SmallsFollowFreeSeatsAndDeadlines) {
   // The order one dispatch serves a large and its smalls in.  A lane that
-  // leaves no seat free (drain mode, or a one-worker pool) runs before the
+  // leaves no seat free (drain mode, or a one-worker engine) runs before the
   // smalls, unless a request carries a deadline, which puts the smalls
   // first.  A work-conserving lane on four workers leaves seats free, so
   // the smalls finish while it runs, a lone small too.  Each case is one
@@ -630,7 +662,6 @@ TEST(EngineLanes, SmallsFollowFreeSeatsAndDeadlines) {
     engine::EngineOptions eo;
     eo.plan.algorithm = Algorithm::kHash;
     eo.threads = c.threads;
-    eo.pools = 1;
     eo.work_conserving = c.work_conserving;
     Engine eng(eo);
     ASSERT_GT(model::estimate_flop(big, big), eo.small_flop_cutoff);
@@ -671,13 +702,11 @@ TEST(EngineLanes, SmallsFollowFreeSeatsAndDeadlines) {
 
 TEST(EngineLanes, QosSurvivesLanesAndPools) {
   // Shed/deadline/pause semantics must be untouched by the lane scheduler:
-  // same structure -> same pool, so per-pool admission behaves exactly
-  // like the old single-queue engine.
+  // every submit contends for the dispatcher's one bounded queue.
   const Matrix m = unit_valued_rmat(5, 4, 640);
   engine::EngineOptions eo;
   eo.plan.algorithm = Algorithm::kHash;
   eo.threads = 4;
-  eo.pools = 2;
   eo.max_queue = 2;
   Engine eng(eo);
   eng.pause();
@@ -725,12 +754,11 @@ TEST(EngineLanes, PauseFreezesEveryPool) {
   engine::EngineOptions eo;
   eo.plan.algorithm = Algorithm::kHash;
   eo.threads = 4;
-  eo.pools = 4;
   Engine eng(eo);
   eng.pause();
   std::vector<std::future<Engine::Product>> futures;
   for (int i = 0; i < 8; ++i) futures.push_back(eng.submit(m, m));
-  // Nothing may be served while paused — across ALL pools.
+  // Nothing may be served while paused.
   for (auto& f : futures) {
     EXPECT_EQ(f.wait_for(std::chrono::milliseconds(30)),
               std::future_status::timeout);
@@ -756,7 +784,6 @@ TEST(EngineLanes, FaultSweepSurvivableUnderLanesAndPools) {
     engine::EngineOptions eo;
     eo.plan.algorithm = Algorithm::kHash;
     eo.threads = 4;
-    eo.pools = 2;
     Engine eng(eo);
     {
       fault::ScopedFault f(point, 1);
@@ -810,7 +837,7 @@ TEST(EnginePools, DrainModeMatchesOracleToo) {
       EXPECT_FALSE(p.overlay);
     }
   }
-  // Drain mode runs larges at the full pool width.
+  // Drain mode runs larges at the full worker width.
   EXPECT_EQ(eng.engine_stats().lane_execs, 0u);
 }
 

@@ -1,4 +1,4 @@
-// Tests for the inspector-executor SpGemmHandle (legacy SpGemmPlan shape)
+// Tests for the inspector-executor SpGemmHandle (plan once, execute many)
 // and the row-adaptive poly-algorithm kernel.  Deeper handle coverage lives
 // in test_handle.cpp.
 #include <gtest/gtest.h>

@@ -479,11 +479,8 @@ TEST(Resilience, BackpressureShedsLowestPriorityTyped) {
 TEST(Resilience, FlopBudgetShedsButAdmitsOversizeWhenIdle) {
   engine::EngineOptions opts;
   opts.queue_flop_budget = 1;  // nothing fits — except into an empty queue
-  // One pool: big and small are different structures, and the budget
-  // arithmetic below assumes they contend for the SAME queue (with
-  // fingerprint routing they would land on different pools and both be
-  // admitted into empty queues).
-  opts.pools = 1;
+  // big and small are different structures; both contend for the
+  // dispatcher's one queue, which the budget arithmetic below relies on.
   Engine eng(std::move(opts));
   eng.pause();
 

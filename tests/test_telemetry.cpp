@@ -375,7 +375,6 @@ class JsonParser {
 
 TEST_F(TelemetryTest, DumpTraceEmitsWellFormedChromeJsonWithDistinctTracks) {
   engine::EngineOptions opts;
-  opts.pools = 1;
   opts.threads = 4;
   opts.plan.sort_output = SortOutput::kNo;
   Engine eng(opts);
@@ -519,7 +518,6 @@ TEST_F(TelemetryTest, PrometheusExpositionPassesFormatLint) {
 TEST_F(TelemetryTest, ProductsAreBitIdenticalWithTelemetryOnAndOff) {
   const Matrix a = rmat_matrix<I, double>(RmatParams::g500(8, 8, 7));
   engine::EngineOptions opts;
-  opts.pools = 1;
   opts.threads = 2;
 
   telemetry::set_enabled(false);
