@@ -9,8 +9,8 @@
 //                    kOutOfMemory gate (the "this would not have fit"
 //                    signal);
 //   sharded-incore   the sharded driver under a generous budget: the grid
-//                    stays coarse, nothing spills, and the rate must stay
-//                    within 2x of monolithic;
+//                    stays coarse, nothing spills; its time is printed as a
+//                    ratio to monolithic's (not checked);
 //   sharded-spill    the same product under the capped budget the
 //                    monolithic gate rejected: blocks spill to disk, the
 //                    result is verified BIT-IDENTICAL to the monolithic C,
@@ -98,7 +98,7 @@ int main() {
 
   // monolithic: the reference result and rate.  Timed COLD (first product
   // on a fresh engine) because sharded-incore below also runs cold on a
-  // fresh engine — the in-core 2x contract compares first-product to
+  // fresh engine — the in-core ratio compares first-product to
   // first-product; sharded-repeat shows the warm (plan-cache) rate.
   Matrix reference;
   double mono_ms = 0.0;
@@ -180,8 +180,7 @@ int main() {
     double ms = 0.0;
     run_sharded("sharded-incore", driver, &ms);
     const double ratio = mono_ms > 0.0 ? ms / mono_ms : 0.0;
-    std::printf("sharded-incore vs monolithic: %.2fx (contract: <= 2x)\n",
-                ratio);
+    std::printf("sharded-incore vs monolithic: %.2fx\n", ratio);
   }
 
   // sharded-spill and sharded-repeat share one warm engine: the repeat's

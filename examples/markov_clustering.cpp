@@ -49,9 +49,9 @@ int main(int argc, char** argv) {
   std::printf("MCL: %d clusters in %d iterations (%.2f ms), %s\n",
               result.clusters, result.iterations, timer.millis(),
               result.converged ? "converged" : "iteration budget hit");
-  std::printf("expansion plans: %d symbolic builds, %d numeric-only replays "
-              "(structure froze %s convergence)\n",
-              result.plan_builds, result.plan_reuses,
+  std::printf("expansions: %d one-shot first sights, %d plan builds, "
+              "%d numeric-only replays (structure froze %s convergence)\n",
+              result.one_shots, result.plan_builds, result.plan_reuses,
               result.plan_reuses > 0 ? "before" : "only at");
 
   // Score: fraction of vertices whose label matches the majority label of

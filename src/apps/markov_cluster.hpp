@@ -3,11 +3,22 @@
 // benchmarks as "squaring a matrix"), inflation (elementwise power and
 // column re-normalization) and pruning of small entries until the matrix
 // reaches a fixed point; clusters are read off the attractor structure.
+//
+// Pruning changes M's structure from one iteration to the next until the
+// iteration nears its fixed point, so a replayable plan pays only for a
+// structure that comes back.  The handle front plans only what it has just
+// seen: an expansion whose M fingerprint differs from the previous
+// iteration's ("first sight") runs one-shot and keeps no plan
+// (MclResult::one_shots); a repeat plans on its first return
+// (plan_builds) and replays after that (plan_reuses).  The engine front
+// keeps the engine's own plan cache, which plans every new structure.
 #pragma once
 
 #include <cmath>
 #include <cstdint>
 #include <numeric>
+#include <optional>
+#include <utility>
 #include <vector>
 
 #include "core/multiply.hpp"
@@ -39,13 +50,19 @@ struct MclResult {
   IT clusters = 0;
   int iterations = 0;
   bool converged = false;
-  /// Inspector-executor observability: expansions that had to re-run the
-  /// symbolic phase because pruning changed M's structure, vs expansions
-  /// served by numeric-only replay of the previous plan.  As the iteration
-  /// approaches its fixed point the structure stabilizes and replays take
-  /// over.
+  /// How each expansion ran; the three sum to `iterations`.  one_shots ran
+  /// without a plan (handle front, first sight of a structure); plan_builds
+  /// built a replayable plan (the handle on a structure's first repeat, the
+  /// engine on a plan-cache miss); plan_reuses replayed one.  As the
+  /// iteration approaches its fixed point the structure stabilizes and
+  /// replays take over.
+  int one_shots = 0;
   int plan_builds = 0;
   int plan_reuses = 0;
+  /// Every expansion's SpGemmStats, summed: flop, nnz_out (kept entries
+  /// when fused), symbolic_ms (0 for a replay or a one-phase kernel),
+  /// numeric_ms, epilogue_rows and epilogue_ms.
+  SpGemmStats expansion_stats;
 };
 
 namespace detail {
@@ -158,37 +175,58 @@ CsrMatrix<IT, VT> mcl_initial_matrix(const CsrMatrix<IT, VT>& graph) {
   return m;
 }
 
+/// How one expansion ran (MclResult's three counters).
+enum class ExpansionRun { kOneShot, kPlanBuilt, kPlanReused };
+
+/// One M^2, owned: the product, its stats and how it ran.
+template <IndexType IT, ValueType VT>
+struct Expansion {
+  CsrMatrix<IT, VT> c;
+  SpGemmStats stats;
+  ExpansionRun run = ExpansionRun::kOneShot;
+};
+
 /// The expand-inflate-prune fixed-point loop plus cluster interpretation,
 /// shared by the handle-based and engine-based fronts.  `expand` computes
-/// one M^2: (m, fingerprint(m), out bool reused) -> expanded matrix
-/// reference valid until the next expand call.  M's structure fingerprint
-/// rides along incrementally: paid once up front, then maintained by
-/// inflate_and_prune while it scans, so stabilized iterations validate
-/// their plan (or hit the plan cache) in O(1) instead of re-hashing
-/// O(nnz) every expansion.
+/// one M^2: (m, fingerprint(m)) -> Expansion, whose product run_mcl takes
+/// by value.  M's structure fingerprint rides along incrementally: paid
+/// once up front, then maintained by inflate_and_prune while it scans, so
+/// stabilized iterations validate their plan (or hit the plan cache) in
+/// O(1) instead of re-hashing O(nnz) every expansion.
 template <IndexType IT, ValueType VT, typename Expand>
 MclResult<IT> run_mcl(CsrMatrix<IT, VT> m, const MclParams& params,
                       Expand&& expand) {
   MclResult<IT> out;
   std::uint64_t m_hash = structure_fingerprint(m);
   for (int iter = 0; iter < params.max_iterations; ++iter) {
-    bool reused = false;
-    const CsrMatrix<IT, VT>& expanded = expand(m, m_hash, reused);
-    if (reused) {
-      ++out.plan_reuses;
-    } else {
-      ++out.plan_builds;
+    Expansion<IT, VT> expanded = expand(m, m_hash);
+    switch (expanded.run) {
+      case ExpansionRun::kOneShot:
+        ++out.one_shots;
+        break;
+      case ExpansionRun::kPlanBuilt:
+        ++out.plan_builds;
+        break;
+      case ExpansionRun::kPlanReused:
+        ++out.plan_reuses;
+        break;
     }
+    SpGemmStats& sum = out.expansion_stats;
+    sum.flop += expanded.stats.flop;
+    sum.nnz_out += expanded.stats.nnz_out;
+    sum.symbolic_ms += expanded.stats.symbolic_ms;
+    sum.numeric_ms += expanded.stats.numeric_ms;
+    sum.epilogue_rows += expanded.stats.epilogue_rows;
+    sum.epilogue_ms += expanded.stats.epilogue_ms;
     std::uint64_t next_hash = 0;
     CsrMatrix<IT, VT> next;
     if (params.fuse_epilogue) {
       // The expansion already inflated and pruned each row in its numeric
-      // pass (kPruneScale epilogue); copy out of the serving plan and
-      // fingerprint the small kept structure.
-      next = expanded;
+      // pass (kPruneScale epilogue); fingerprint the small kept structure.
+      next = std::move(expanded.c);
       next_hash = structure_fingerprint(next);
     } else {
-      next = inflate_and_prune(expanded, params.inflation,
+      next = inflate_and_prune(expanded.c, params.inflation,
                                params.prune_below, &next_hash);
     }
     normalize_columns(next);
@@ -240,34 +278,62 @@ MclResult<IT> run_mcl(CsrMatrix<IT, VT> m, const MclParams& params,
 
 }  // namespace detail
 
-/// Run MCL on the (undirected) graph adjacency matrix.  Expansion runs
-/// through one persistent inspector-executor handle: pruning changes M's
-/// structure in early iterations (replan), but near the fixed point the
-/// pattern freezes and each M^2 is a numeric-only replay of the last plan.
+/// Run MCL on the (undirected) graph adjacency matrix.  A first sight of
+/// M's structure (its fingerprint differs from the previous iteration's)
+/// runs a one-shot expansion, multiply_with_epilogue when fused or
+/// multiply when not, with the caller's kernel; under kAuto a dense output
+/// row that fits recipe::kDenseRowMaxBytes makes that the one-phase SPA.
+/// A repeated structure goes through one persistent inspector-executor
+/// handle: it plans on the first repeat and each later M^2 is a
+/// numeric-only replay.  Every path gives Hash's bytes, so the clustering
+/// does not depend on which ran.
 template <IndexType IT, ValueType VT>
 MclResult<IT> markov_cluster(const CsrMatrix<IT, VT>& graph,
                              const MclParams& params = {},
                              SpGemmOptions opts = {}) {
-  // Expansion runs through the inspector-executor handle, so it needs a
-  // two-phase kernel; kAuto resolves through plan()'s recipe, one-phase
-  // requests map to Hash.
-  if (opts.algorithm != Algorithm::kAuto &&
-      !is_two_phase(opts.algorithm)) {
-    opts.algorithm = Algorithm::kHash;
-  }
   if (params.fuse_epilogue) {
     opts.epilogue.kind = EpilogueKind::kPruneScale;
     opts.epilogue.inflation = params.inflation;
     opts.epilogue.prune_below = params.prune_below;
   }
+  // The one-shot runs what multiply_with_epilogue runs; the handle needs a
+  // two-phase kernel (kAuto resolves through plan()'s recipe).  Other
+  // requests map to Hash on both.
+  SpGemmOptions once = opts;
+  if (once.algorithm != Algorithm::kAuto &&
+      !spgemm::detail::runs_epilogue(once.algorithm)) {
+    once.algorithm = Algorithm::kHash;
+  }
+  SpGemmOptions planned = opts;
+  if (planned.algorithm != Algorithm::kAuto &&
+      !is_two_phase(planned.algorithm)) {
+    planned.algorithm = Algorithm::kHash;
+  }
   SpGemmHandle<IT, VT> expansion;
+  std::optional<std::uint64_t> last_hash;
   return detail::run_mcl<IT, VT>(
       detail::mcl_initial_matrix(graph), params,
-      [&](const CsrMatrix<IT, VT>& m, std::uint64_t m_hash,
-          bool& reused) -> const CsrMatrix<IT, VT>& {
-        reused = !expansion.ensure_planned_hashed(m, m, m_hash, m_hash,
-                                                  opts);
-        return expansion.execute(m, m);
+      [&](const CsrMatrix<IT, VT>& m, std::uint64_t m_hash) {
+        detail::Expansion<IT, VT> e;
+        const bool repeat = last_hash == m_hash;
+        last_hash = m_hash;
+        if (!repeat) {
+          e.c = params.fuse_epilogue
+                    ? multiply_with_epilogue(m, m, once, nullptr, nullptr,
+                                             &e.stats)
+                    : multiply(m, m, once, &e.stats);
+          return e;
+        }
+        e.run = expansion.ensure_planned_hashed(m, m, m_hash, m_hash, planned)
+                    ? detail::ExpansionRun::kPlanBuilt
+                    : detail::ExpansionRun::kPlanReused;
+        expansion.execute_into(m, m, e.c, PlusTimes{}, &e.stats);
+        // A replay runs no symbolic phase; the handle's stats keep the
+        // figure of the plan it replays.
+        if (e.run == detail::ExpansionRun::kPlanReused) {
+          e.stats.symbolic_ms = 0.0;
+        }
+        return e;
       });
 }
 
@@ -276,8 +342,10 @@ MclResult<IT> markov_cluster(const CsrMatrix<IT, VT>& graph,
 /// fingerprints ride along from inflate_and_prune, so stabilized
 /// iterations hit the engine's PlanCache — and because the cache is the
 /// ENGINE's, many concurrent clusterings (or any other tenants) share one
-/// plan store and one worker pool.  plan_builds/plan_reuses report cache
-/// misses/hits as seen by this stream.
+/// plan store and one worker pool.  The engine plans every structure it
+/// has not cached, so one_shots stays 0 and plan_builds/plan_reuses report
+/// cache misses/hits as seen by this stream; expansion_stats folds each
+/// Product's stats.
 template <IndexType IT, ValueType VT>
 MclResult<IT> markov_cluster(const CsrMatrix<IT, VT>& graph,
                              engine::SpGemmEngine<IT, VT>& eng,
@@ -288,11 +356,9 @@ MclResult<IT> markov_cluster(const CsrMatrix<IT, VT>& graph,
     epilogue.inflation = params.inflation;
     epilogue.prune_below = params.prune_below;
   }
-  typename engine::SpGemmEngine<IT, VT>::Product product;
   return detail::run_mcl<IT, VT>(
       detail::mcl_initial_matrix(graph), params,
-      [&](const CsrMatrix<IT, VT>& m, std::uint64_t m_hash,
-          bool& reused) -> const CsrMatrix<IT, VT>& {
+      [&](const CsrMatrix<IT, VT>& m, std::uint64_t m_hash) {
         typename engine::SpGemmEngine<IT, VT>::Request req;
         req.a = &m;
         req.b = &m;
@@ -300,9 +366,11 @@ MclResult<IT> markov_cluster(const CsrMatrix<IT, VT>& graph,
         req.fp_b = m_hash;
         req.has_fingerprints = true;
         req.epilogue = epilogue;
-        product = eng.submit(req).get();
-        reused = product.cache_hit;
-        return product.c;
+        auto product = eng.submit(req).get();
+        return detail::Expansion<IT, VT>{
+            std::move(product.c), product.stats,
+            product.cache_hit ? detail::ExpansionRun::kPlanReused
+                              : detail::ExpansionRun::kPlanBuilt};
       });
 }
 

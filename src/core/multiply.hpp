@@ -6,8 +6,10 @@
 // output row, b.ncols values, fits recipe::kDenseRowMaxBytes (256 KiB, an
 // L2-resident row).  That SPA folds in Hash's order and emits Hash's rows,
 // sorted or in first-occurrence order, so the rule changes time, not bytes.
-// multiply_over, multiply_with_epilogue, SpGemmHandle and multiply_rap
-// cannot run SPA-1p and keep Hash.
+// multiply() and multiply_with_epilogue() take the rule; the fused one runs
+// its epilogue in the one-phase driver, so its bytes stay Hash's fused
+// bytes.  multiply_over, SpGemmHandle and multiply_rap cannot run SPA-1p
+// and keep Hash.
 //
 // Every TWO-PHASE kernel (hash, hashvec, SPA, kkhash, adaptive) runs the
 // row pipeline's one-shot pass (KernelPlan::multiply_once in
@@ -46,6 +48,12 @@ namespace detail {
 /// Kernels whose accumulators fold values through the semiring policy.
 constexpr bool supports_semiring(Algorithm algo) {
   return algo == Algorithm::kHeap || is_two_phase(algo);
+}
+
+/// Kernels that run a fused row epilogue: the two-phase row pipeline and
+/// the one-phase SPA.
+constexpr bool runs_epilogue(Algorithm algo) {
+  return algo == Algorithm::kSpa1p || is_two_phase(algo);
 }
 
 /// One-shot multiply for any two-phase kernel: the row pipeline with the
@@ -101,10 +109,12 @@ CsrMatrix<IT, VT> multiply_over(const CsrMatrix<IT, VT>& a,
 /// One-shot SpGEMM with a fused per-row epilogue (opts.epilogue): the
 /// epilogue runs on each output row inside the numeric row loop, while the
 /// row is cache-hot, and only the kept entries are ever staged — the full
-/// intermediate never materializes.  Two-phase kernels only (kAuto resolves
-/// to one, falling back to kHash).  `mask` is the kMaskReduce operand;
-/// `result` receives the scalar outputs (reduction, column sums).  kRap
-/// products go through multiply_rap() (core/spgemm_rap.hpp) instead.
+/// intermediate never materializes.  Two-phase kernels and SPA-1p only;
+/// kAuto resolves as multiply()'s does (SPA-1p when a dense output row fits
+/// recipe::kDenseRowMaxBytes), falling back to kHash.  `mask` is the
+/// kMaskReduce operand; `result` receives the scalar outputs (reduction,
+/// column sums).  kRap products go through multiply_rap()
+/// (core/spgemm_rap.hpp) instead.
 template <IndexType IT, ValueType VT>
 CsrMatrix<IT, VT> multiply_with_epilogue(
     const CsrMatrix<IT, VT>& a, const CsrMatrix<IT, VT>& b,
@@ -120,13 +130,18 @@ CsrMatrix<IT, VT> multiply_with_epilogue(
     throw std::invalid_argument(
         "multiply_with_epilogue: kRap runs through multiply_rap()");
   }
-  opts.algorithm = recipe::resolve(opts.algorithm, a, b, opts.sort_output,
-                                   recipe::Operation::kSquare, is_two_phase);
-  if (!is_two_phase(opts.algorithm)) {
+  opts.algorithm =
+      recipe::resolve(opts.algorithm, a, b, opts.sort_output,
+                      recipe::Operation::kSquare, detail::runs_epilogue);
+  if (!detail::runs_epilogue(opts.algorithm)) {
     throw std::invalid_argument(
-        "multiply_with_epilogue: fused epilogues need a two-phase kernel");
+        "multiply_with_epilogue: fused epilogues need a two-phase kernel or "
+        "kSpa1p");
   }
   const detail::EpilogueContext<IT, VT> ectx{mask, result};
+  if (opts.algorithm == Algorithm::kSpa1p) {
+    return spgemm_spa1p(a, b, opts, stats, &ectx);
+  }
   return detail::multiply_fused<PlusTimes>(a, b, opts, stats, &ectx);
 }
 

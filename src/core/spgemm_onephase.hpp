@@ -4,12 +4,14 @@
 // masked SpGEMM and the direct Adaptive kernel never count a row before
 // computing it.  Each row is computed into room sized by an upper bound on
 // its nnz (its flop, or its mask row's nnz for the masked product, capped
-// at C's column count) and the staged rows are compacted into the exact-
-// size CSR once every row is known.  one_phase_product() below is that
-// pass; a kernel supplies only a per-thread factory for its row function.
-// It reports the two-phase one-shot's phases minus the symbolic one
-// (oneshot.setup, oneshot.numeric for the row pass, oneshot.placement for
-// the scan and compaction) under the oneshot.multiply span.
+// at C's column count) and the staged rows are copied into the exact-size
+// CSR once every row is known.  one_phase_product() below is that pass; a
+// kernel supplies only a per-thread factory for its row function.  A fused
+// row epilogue (core/epilogue.hpp; SPA-1p under multiply_with_epilogue)
+// runs on each row as soon as the row function returns, and only its kept
+// entries stay staged.  The pass reports the two-phase one-shot's phases
+// minus the symbolic one (oneshot.setup, oneshot.numeric for the row pass,
+// oneshot.placement for the scan and copy) under the oneshot.multiply span.
 //
 // opts.schedule selects the paper's Fig. 9 variants:
 //   kStatic/kDynamic/kGuided   plain OpenMP row loops, single staging
@@ -17,20 +19,28 @@
 //   kBalancedParallel          flop-balanced owner split, per-owner staging
 //                              allocated inside the owning thread (the
 //                              paper's winning configuration)
-// The single staging buffer deliberately uses ::operator new so the large-
-// deallocation cliff of §3.2 remains observable; per-owner staging goes
-// through the scalable pool.  Every row is computed by the same row code
-// whichever thread runs it, so the output never depends on the variant or
-// the thread count.
+// Staging: each owner's staging is sized by the bounds of its rows.  Under
+// the balanced schedules an owner writes each row at its running cursor,
+// right after the rows it kept before, so its staged rows stay contiguous:
+// the pages it touches hold about its kept entries plus one row's room, and
+// placement copies each owner's staging to C in one block.  The plain loops
+// hand rows to threads out of order, so each row keeps its own room at its
+// bound's prefix offset and is placed row by row.  The single staging
+// buffer deliberately uses ::operator new so the large-deallocation cliff
+// of §3.2 remains observable; per-owner staging goes through the scalable
+// pool.  Every row is computed by the same row code whichever thread runs
+// it, so the output never depends on the variant or the thread count.
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <new>
 #include <vector>
 
 #include "common/timer.hpp"
 #include "common/types.hpp"
+#include "core/epilogue.hpp"
 #include "core/spgemm_options.hpp"
 #include "matrix/csr.hpp"
 #include "mem/pool_allocator.hpp"
@@ -71,18 +81,15 @@ std::size_t emit_row(Acc& acc, bool sorted, IT* cols, VT* vals) {
   return count;
 }
 
-/// Row i of a one-phase product into its staging room, which starts at
-/// room[i] - row0 of cols/vals; the row function sees the row's bound
-/// bounds[i+1] - bounds[i].  Kept out of line: inlined into the driver's row
-/// loop, a row body's inner loop competes with the loop's own state for
-/// registers and spills (multiply_masked ran ~20% slower).
+/// Row i of a one-phase product into staging at cols/vals, room for
+/// min(bound, C's column count) entries; returns the row's nnz.  Kept out of
+/// line: inlined into the driver's row loop, a row body's inner loop
+/// competes with the loop's own state for registers and spills
+/// (multiply_masked ran ~20% slower).
 template <typename Row, IndexType IT, ValueType VT>
-[[gnu::noinline]] Offset stage_row(Row& row, std::size_t i,
-                                   const Offset* bounds, const Offset* room,
-                                   Offset row0, IT* cols, VT* vals) {
-  const auto at = static_cast<std::size_t>(room[i] - row0);
-  return static_cast<Offset>(
-      row(i, bounds[i + 1] - bounds[i], cols + at, vals + at));
+[[gnu::noinline]] std::size_t stage_row(Row& row, std::size_t i, Offset bound,
+                                        IT* cols, VT* vals) {
+  return static_cast<std::size_t>(row(i, bound, cols, vals));
 }
 
 /// The exclusive prefix of each row's staging room: its bound, capped at
@@ -105,27 +112,32 @@ inline std::vector<Offset> staging_prefix(const Offset* bounds,
 /// `max_bound` is the largest bound among the rows that row function may
 /// see.  `bound_prefix` (size nrows+1, exclusive) bounds each row's nnz; null
 /// bounds every row by its flop, which is also what the row function sees.
-/// The result claims sortedness per opts.sort_output; kernels that always
-/// sort override the claim.
+/// A non-null `epi` with a row-fused opts.epilogue (kPruneScale,
+/// kMaskReduce) runs the epilogue on each row in its staging, keeps only
+/// what it keeps, and folds its partials into epi->result.  The result
+/// claims sortedness per opts.sort_output; kernels that always sort
+/// override the claim.
 template <IndexType IT, ValueType VT, typename MakeRow>
-CsrMatrix<IT, VT> one_phase_product(const CsrMatrix<IT, VT>& a,
-                                    const CsrMatrix<IT, VT>& b,
-                                    const SpGemmOptions& opts,
-                                    SpGemmStats* stats, MakeRow&& make_row,
-                                    const Offset* bound_prefix = nullptr) {
-  using parallel::SchedulePolicy;
+CsrMatrix<IT, VT> one_phase_product(
+    const CsrMatrix<IT, VT>& a, const CsrMatrix<IT, VT>& b,
+    const SpGemmOptions& opts, SpGemmStats* stats, MakeRow&& make_row,
+    const Offset* bound_prefix = nullptr,
+    const EpilogueContext<IT, VT>* epi = nullptr) {
   TELEM_SPAN("oneshot.multiply");
   const int nthreads = parallel::resolve_threads(opts.threads);
   parallel::ScopedNumThreads scoped(opts.threads);
 
   Timer timer;
   const auto nrows = static_cast<std::size_t>(a.nrows);
+  const auto ncols = static_cast<std::size_t>(b.ncols);
   const parallel::RowPartition part =
       partition_rows(a, b, opts.schedule, nthreads);
   const Offset* bounds =
       bound_prefix != nullptr ? bound_prefix : part.flop_prefix.data();
   const std::vector<Offset> room =
       staging_prefix(bounds, nrows, static_cast<Offset>(b.ncols));
+  const bool fused = epi != nullptr && epilogue_fuses_rows(opts.epilogue);
+  if (fused) validate_epilogue(opts.epilogue, *epi, a, b);
   const double setup_s = timer.seconds();
   const auto max_bound = [bounds](std::size_t begin, std::size_t end) {
     Offset best = 0;
@@ -135,12 +147,18 @@ CsrMatrix<IT, VT> one_phase_product(const CsrMatrix<IT, VT>& a,
     return best;
   };
 
-  // Owner t stages row i in buffer slot(t) at room[i] - base(t): the single
-  // buffer (slot 0, base 0), or its own buffer, whose base is the room
-  // offset of its first row.
+  // Owner t stages in buffer slot(t), from region(t) on: the single buffer
+  // (slot 0), or its own buffer.  Balanced owners start at their first
+  // row's room and write each row at their cursor; the plain loops write
+  // row i at room[i].
   timer.reset();
-  const bool per_owner = opts.schedule == SchedulePolicy::kBalancedParallel;
+  const bool balanced = parallel::is_balanced(opts.schedule);
+  const bool per_owner =
+      opts.schedule == parallel::SchedulePolicy::kBalancedParallel;
   const int owners = part.threads();
+  const auto first_row = [&part](int t) {
+    return part.offsets[static_cast<std::size_t>(t)];
+  };
   std::vector<IT*> stage_cols(static_cast<std::size_t>(per_owner ? owners : 1));
   std::vector<VT*> stage_vals(stage_cols.size());
   if (!per_owner) {
@@ -151,30 +169,57 @@ CsrMatrix<IT, VT> one_phase_product(const CsrMatrix<IT, VT>& a,
   const auto slot = [per_owner](int t) {
     return per_owner ? static_cast<std::size_t>(t) : std::size_t{0};
   };
-  const auto base = [&](int t) {
-    return per_owner ? room[part.offsets[static_cast<std::size_t>(t)]]
-                     : Offset{0};
+  const auto region = [&](int t) {
+    return per_owner ? std::size_t{0}
+                     : static_cast<std::size_t>(room[first_row(t)]);
+  };
+
+  // One epilogue state per owner, or per team thread under the plain loops.
+  std::vector<EpilogueState> epi_states(
+      fused ? static_cast<std::size_t>(balanced ? owners : nthreads) : 0);
+  // The row's kept count: all of it unfused (null state), else what the
+  // epilogue keeps after compacting the row in place.
+  const auto finish_row = [&](EpilogueState* st, std::size_t i, IT* cols,
+                              VT* vals, std::size_t nnz) {
+    if (st == nullptr) return nnz;
+    const std::uint64_t t0 = monotonic_ns();
+    const std::size_t kept = apply_row_epilogue(opts.epilogue, *epi, *st, i,
+                                                cols, vals, nnz, cols, vals);
+    st->seconds += static_cast<double>(monotonic_ns() - t0) * 1e-9;
+    return kept;
+  };
+  const auto begin_state = [&](int t) -> EpilogueState* {
+    if (!fused) return nullptr;
+    EpilogueState* st = &epi_states[static_cast<std::size_t>(t)];
+    st->begin_pass(opts.epilogue, ncols);
+    return st;
   };
 
   CsrMatrix<IT, VT> c(a.nrows, b.ncols);
-  if (parallel::is_balanced(opts.schedule)) {
+  if (balanced) {
 #pragma omp parallel num_threads(nthreads)
     parallel::for_each_owner(owners, [&](int t) {
-      const std::size_t begin = part.offsets[static_cast<std::size_t>(t)];
-      const std::size_t end = part.offsets[static_cast<std::size_t>(t) + 1];
+      const std::size_t begin = first_row(t);
+      const std::size_t end = first_row(t + 1);
       if (per_owner) {
         const auto mine = static_cast<std::size_t>(
-            std::max<Offset>(room[end] - base(t), 1));
+            std::max<Offset>(room[end] - room[begin], 1));
         stage_cols[slot(t)] =
             static_cast<IT*>(mem::pool_malloc(mine * sizeof(IT)));
         stage_vals[slot(t)] =
             static_cast<VT*>(mem::pool_malloc(mine * sizeof(VT)));
       }
+      EpilogueState* st = begin_state(t);
+      IT* cols = stage_cols[slot(t)] + region(t);
+      VT* vals = stage_vals[slot(t)] + region(t);
       auto row = make_row(max_bound(begin, end));
+      std::size_t at = 0;
       for (std::size_t i = begin; i < end; ++i) {
-        c.rpts[i + 1] =
-            stage_row(row, i, bounds, room.data(), base(t),
-                      stage_cols[slot(t)], stage_vals[slot(t)]);
+        const std::size_t nnz = stage_row(row, i, bounds[i + 1] - bounds[i],
+                                          cols + at, vals + at);
+        const std::size_t kept = finish_row(st, i, cols + at, vals + at, nnz);
+        c.rpts[i + 1] = static_cast<Offset>(kept);
+        at += kept;
       }
     });
   } else {
@@ -182,38 +227,50 @@ CsrMatrix<IT, VT> one_phase_product(const CsrMatrix<IT, VT>& a,
     const Offset widest = max_bound(0, nrows);
 #pragma omp parallel num_threads(nthreads)
     {
+      EpilogueState* st = begin_state(omp_get_thread_num());
       auto row = make_row(widest);
 #pragma omp for schedule(runtime)
       for (std::size_t i = 0; i < nrows; ++i) {
-        c.rpts[i + 1] = stage_row(row, i, bounds, room.data(), 0,
-                                  stage_cols[0], stage_vals[0]);
+        IT* cols = stage_cols[0] + room[i];
+        VT* vals = stage_vals[0] + room[i];
+        const std::size_t nnz =
+            stage_row(row, i, bounds[i + 1] - bounds[i], cols, vals);
+        c.rpts[i + 1] =
+            static_cast<Offset>(finish_row(st, i, cols, vals, nnz));
       }
     }
   }
   const double numeric_s = timer.seconds();
 
-  // Scan, then compact: each owner copies its rows to their final offsets
-  // and frees its own staging in the thread that allocated it.
+  // Scan, then copy: a balanced owner's kept rows are one block, the plain
+  // loops' rows are copied one by one.  Each owner frees its own staging in
+  // the thread that allocated it.
   timer.reset();
   for (std::size_t i = 0; i < nrows; ++i) c.rpts[i + 1] += c.rpts[i];
   const auto nnz_c = static_cast<std::size_t>(c.rpts[nrows]);
   c.cols.resize(nnz_c);
   c.vals.resize(nnz_c);
+  const auto place = [&](std::size_t s, std::size_t from, std::size_t row_begin,
+                         std::size_t row_end) {
+    const auto dst = static_cast<std::size_t>(c.rpts[row_begin]);
+    const auto len = static_cast<std::size_t>(c.rpts[row_end]) - dst;
+    std::copy_n(stage_cols[s] + from, len, c.cols.data() + dst);
+    std::copy_n(stage_vals[s] + from, len, c.vals.data() + dst);
+  };
 #pragma omp parallel num_threads(nthreads)
   parallel::for_each_owner(owners, [&](int t) {
-    const std::size_t s = slot(t);
-    const Offset row0 = base(t);
-    for (std::size_t i = part.offsets[static_cast<std::size_t>(t)];
-         i < part.offsets[static_cast<std::size_t>(t) + 1]; ++i) {
-      const auto at = static_cast<std::size_t>(room[i] - row0);
-      const auto len = static_cast<std::size_t>(c.rpts[i + 1] - c.rpts[i]);
-      const auto dst = static_cast<std::size_t>(c.rpts[i]);
-      std::copy_n(stage_cols[s] + at, len, c.cols.data() + dst);
-      std::copy_n(stage_vals[s] + at, len, c.vals.data() + dst);
+    const std::size_t begin = first_row(t);
+    const std::size_t end = first_row(t + 1);
+    if (balanced) {
+      place(slot(t), region(t), begin, end);
+    } else {
+      for (std::size_t i = begin; i < end; ++i) {
+        place(0, static_cast<std::size_t>(room[i]), i, i + 1);
+      }
     }
     if (per_owner) {
-      mem::pool_free(stage_cols[s]);
-      mem::pool_free(stage_vals[s]);
+      mem::pool_free(stage_cols[slot(t)]);
+      mem::pool_free(stage_vals[slot(t)]);
     }
   });
   if (!per_owner) {
@@ -226,6 +283,13 @@ CsrMatrix<IT, VT> one_phase_product(const CsrMatrix<IT, VT>& a,
   telemetry::phase_observe("oneshot.setup", setup_s);
   telemetry::phase_observe("oneshot.numeric", numeric_s);
   telemetry::phase_observe("oneshot.placement", place_s);
+  SpGemmStats epi_stats;
+  if (fused) {
+    fold_epilogue(
+        opts.epilogue, ncols, epi_states,
+        [](const EpilogueState& st) -> const EpilogueState& { return st; },
+        epi->result, epi_stats);
+  }
   if (stats != nullptr) {
     stats->setup_ms = setup_s * 1e3;
     stats->flop = part.total_flop();
@@ -233,6 +297,8 @@ CsrMatrix<IT, VT> one_phase_product(const CsrMatrix<IT, VT>& a,
     stats->numeric_ms = (numeric_s + place_s) * 1e3;
     stats->nnz_out = c.rpts[nrows];
     stats->probes = 0;
+    stats->epilogue_rows = epi_stats.epilogue_rows;
+    stats->epilogue_ms = epi_stats.epilogue_ms;
   }
   c.sortedness = opts.sort_output == SortOutput::kYes ? Sortedness::kSorted
                                                       : Sortedness::kUnsorted;

@@ -2,12 +2,15 @@
 //
 // No symbolic phase: rows are accumulated with the dense SPA and staged
 // into flop-upper-bound room by the shared one-phase driver
-// (core/spgemm_onephase.hpp), then compacted.  Output is unsorted by
+// (core/spgemm_onephase.hpp), then copied out.  Output is unsorted by
 // default, matching the paper's Table 1 entry for MKL-inspector (1 phase,
 // Any/Unsorted); sorted extraction is available for API uniformity.
-// multiply()'s kAuto runs this kernel where Table 4 picks Hash and a dense
-// output row fits recipe::kDenseRowMaxBytes: the SPA folds each row in
-// Hash's order and emits Hash's row order, so the output bytes are Hash's.
+// The kAuto of multiply() and multiply_with_epilogue() runs this kernel
+// where Table 4 picks Hash and a dense output row fits
+// recipe::kDenseRowMaxBytes: the SPA folds each row in Hash's order and
+// emits Hash's row order, so the output bytes are Hash's.  A fused
+// epilogue (`epi`, from multiply_with_epilogue) runs on each emitted row in
+// the driver, so a fused product's bytes are Hash's fused bytes too.
 #pragma once
 
 #include <cstddef>
@@ -24,7 +27,9 @@ template <IndexType IT, ValueType VT>
 CsrMatrix<IT, VT> spgemm_spa1p(const CsrMatrix<IT, VT>& a,
                                const CsrMatrix<IT, VT>& b,
                                const SpGemmOptions& opts = {},
-                               SpGemmStats* stats = nullptr) {
+                               SpGemmStats* stats = nullptr,
+                               const detail::EpilogueContext<IT, VT>* epi =
+                                   nullptr) {
   const bool sorted = opts.sort_output == SortOutput::kYes;
   const auto make_row = [&](Offset /*max_flop*/) {
     SpaAccumulator<IT, VT> spa;
@@ -43,7 +48,8 @@ CsrMatrix<IT, VT> spgemm_spa1p(const CsrMatrix<IT, VT>& a,
       return detail::emit_row(acc, sorted, cols, vals);
     };
   };
-  return detail::one_phase_product(a, b, opts, stats, make_row);
+  return detail::one_phase_product(a, b, opts, stats, make_row,
+                                   /*bound_prefix=*/nullptr, epi);
 }
 
 }  // namespace spgemm

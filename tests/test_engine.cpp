@@ -887,10 +887,29 @@ TEST(EngineApps, MclStreamAgreesWithHandleMcl) {
   EXPECT_EQ(via_engine.iterations, via_handle.iterations);
   EXPECT_EQ(via_engine.converged, via_handle.converged);
   EXPECT_EQ(via_engine.cluster_of, via_handle.cluster_of);
-  // Stabilized iterations must be served from the engine's cache, exactly
-  // as the handle's ensure_planned_hashed serves them in handle mode.
-  EXPECT_EQ(via_engine.plan_reuses, via_handle.plan_reuses);
+  // The engine plans every structure it has not cached; the handle front
+  // runs a first sight one-shot and plans only a repeat.  So each engine
+  // miss is a handle one-shot, and each engine hit a handle plan build or
+  // replay.
+  EXPECT_EQ(via_engine.one_shots, 0);
+  EXPECT_EQ(via_engine.plan_builds, via_handle.one_shots);
+  EXPECT_EQ(via_engine.plan_reuses,
+            via_handle.plan_builds + via_handle.plan_reuses);
   EXPECT_GT(via_engine.plan_reuses, 0);
+  // Both fronts square the same matrices into the same bytes, so their
+  // folded expansion counters agree exactly; only the timings differ.
+  const SpGemmStats& h = via_handle.expansion_stats;
+  const SpGemmStats& e = via_engine.expansion_stats;
+  EXPECT_GT(h.flop, 0);
+  EXPECT_EQ(e.flop, h.flop);
+  EXPECT_EQ(e.nnz_out, h.nnz_out);
+  // Every expansion ran the fused prune on every row.
+  EXPECT_EQ(h.epilogue_rows,
+            static_cast<std::uint64_t>(g.nrows) *
+                static_cast<std::uint64_t>(via_handle.iterations));
+  EXPECT_EQ(e.epilogue_rows, h.epilogue_rows);
+  EXPECT_GT(h.numeric_ms, 0.0);
+  EXPECT_GT(e.numeric_ms, 0.0);
 }
 
 TEST(EngineApps, GalerkinLevelsShareOneCache) {

@@ -105,11 +105,14 @@ TEST(MultiplyDispatch, RectangularChainMatchesReference) {
   EXPECT_TRUE(approx_equal(c, spgemm_reference(a, f)));
 }
 
-TEST(MultiplyDispatch, NarrowAutoRunsSpa1pOnlyThroughMultiply) {
+TEST(MultiplyDispatch, NarrowAutoRunsSpa1pThroughMultiplyAndFusedEpilogue) {
   // 256 columns: a dense output row fits kDenseRowMaxBytes, so kAuto takes
-  // SPA-1p where Table 4 says Hash.  The entry points that need a symbolic
-  // phase, a semiring fold or a fused epilogue keep Hash: their statistics
-  // match an explicit kHash call's, probe for probe.
+  // SPA-1p where Table 4 says Hash, in multiply() and in
+  // multiply_with_epilogue(), whose one-phase driver runs the epilogue and
+  // writes the explicit-kHash call's bytes.  The entry points that need a
+  // symbolic phase or a semiring fold keep Hash: their statistics match an
+  // explicit kHash call's, probe for probe.  count_triangles_fused resolves
+  // its own kernel and keeps Hash too.
   RmatParams params = RmatParams::g500(8, 8, 41);
   params.symmetric = true;
   const Matrix a = rmat_matrix<I, double>(params);
@@ -149,9 +152,18 @@ TEST(MultiplyDispatch, NarrowAutoRunsSpa1pOnlyThroughMultiply) {
   SpGemmOptions prune_hash = prune;
   prune_hash.algorithm = Algorithm::kHash;
   got = want = SpGemmStats{};
-  multiply_with_epilogue(a, a, prune, nullptr, nullptr, &got);
-  multiply_with_epilogue(a, a, prune_hash, nullptr, nullptr, &want);
-  expect_hash_stats(got, want, "multiply_with_epilogue");
+  const Matrix fused = multiply_with_epilogue(a, a, prune, nullptr, nullptr,
+                                              &got);
+  const Matrix fused_hash =
+      multiply_with_epilogue(a, a, prune_hash, nullptr, nullptr, &want);
+  EXPECT_EQ(got.symbolic_ms, 0.0);  // the one-phase SPA ran
+  EXPECT_EQ(got.tile_count, 0u);
+  EXPECT_GT(want.tile_count, 0u);
+  EXPECT_EQ(got.nnz_out, want.nnz_out);
+  EXPECT_EQ(got.epilogue_rows, want.epilogue_rows);
+  EXPECT_EQ(fused.rpts, fused_hash.rpts);
+  EXPECT_EQ(fused.cols, fused_hash.cols);
+  EXPECT_EQ(fused.vals, fused_hash.vals);
 
   expect_hash_stats(apps::count_triangles_fused(a, auto_opts).spgemm_stats,
                     apps::count_triangles_fused(a, hash_opts).spgemm_stats,

@@ -17,6 +17,9 @@
 //   * Every one-phase kernel gives the same bytes under all five
 //     opts.schedule variants, any thread count and a short team, and on
 //     unit values its sorted rows are spgemm_reference's.
+//   * A fused epilogue run by the one-phase driver (SPA-1p under
+//     multiply_with_epilogue) gives the explicit-Hash fused one-shot's
+//     bytes under every schedule variant, thread count and a short team.
 #include <gtest/gtest.h>
 #include <omp.h>
 
@@ -570,6 +573,99 @@ TEST(DenseRowRule, AutoMatchesHashBitwiseUnderEveryScheduleAndThreadCount) {
         expect_bitwise_equal(c, expected, label);
         EXPECT_EQ(c.sortedness, expected.sortedness) << label;
         EXPECT_EQ(stats.symbolic_ms, 0.0) << label;  // one-phase SPA ran
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Fused epilogues in the one-phase driver: SPA-1p gives Hash's fused bytes.
+// ---------------------------------------------------------------------------
+
+/// The one-phase epilogues under test: prune-and-scale with and without
+/// column sums, and the masked reduction (mask = A).
+std::vector<EpilogueSpec> one_phase_epilogues() {
+  EpilogueSpec sums = prune_spec();
+  sums.collect_column_sums = true;
+  EpilogueSpec mask;
+  mask.kind = EpilogueKind::kMaskReduce;
+  return {prune_spec(), sums, mask};
+}
+
+std::string epilogue_label(const EpilogueSpec& spec) {
+  if (spec.kind == EpilogueKind::kMaskReduce) return "mask_reduce";
+  return spec.collect_column_sums ? "prune_scale+sums" : "prune_scale";
+}
+
+/// Column sums of a matrix's entries, in row order.
+std::vector<double> column_sums(const Matrix& m) {
+  std::vector<double> sums(static_cast<std::size_t>(m.ncols), 0.0);
+  for (std::size_t j = 0; j < m.cols.size(); ++j) {
+    sums[static_cast<std::size_t>(m.cols[j])] += m.vals[j];
+  }
+  return sums;
+}
+
+TEST(OnePhaseEpilogue, Spa1pMatchesHashFusedUnderEveryScheduleAndTeam) {
+  // Unit values: every product entry, power, reduction and column sum is
+  // an exact integer, so the scalars must be exact under any fold order.
+  const Matrix a = unit_rmat(8, 8, 131);
+  const Matrix full = spgemm_reference(a, a);
+  const double mask_oracle = masked_sum(full, a);
+  for (const EpilogueSpec& spec : one_phase_epilogues()) {
+    const bool masked = spec.kind == EpilogueKind::kMaskReduce;
+    const Matrix kept_oracle = prune_scale_ref(full, spec);
+    for (const SortOutput sorted : {SortOutput::kYes, SortOutput::kNo}) {
+      SpGemmOptions hash_opts;
+      hash_opts.algorithm = Algorithm::kHash;
+      hash_opts.threads = 1;
+      hash_opts.sort_output = sorted;
+      hash_opts.epilogue = spec;
+      EpilogueResult hash_result;
+      const Matrix expected =
+          multiply_with_epilogue(a, a, hash_opts, &hash_result, &a);
+      const auto check = [&](const SpGemmOptions& opts, bool short_team) {
+        const std::string label =
+            epilogue_label(spec) + " " + one_phase_label(OnePhase::kSpa1p, opts) +
+            (short_team ? " short team" : "");
+        EpilogueResult result;
+        SpGemmStats stats;
+        const auto run = [&] {
+          return multiply_with_epilogue(a, a, opts, &result, &a, &stats);
+        };
+        const Matrix c = short_team ? in_short_team(run) : run();
+        expect_bitwise_equal(c, expected, label);
+        EXPECT_EQ(c.sortedness, expected.sortedness) << label;
+        EXPECT_EQ(stats.symbolic_ms, 0.0) << label;  // one-phase SPA ran
+        EXPECT_EQ(stats.epilogue_rows, static_cast<std::uint64_t>(a.nrows))
+            << label;
+        EXPECT_EQ(result.rows, static_cast<std::uint64_t>(a.nrows)) << label;
+        EXPECT_EQ(stats.nnz_out, static_cast<Offset>(c.nnz())) << label;
+        if (masked) {
+          EXPECT_EQ(c.nnz(), std::size_t{0}) << label;
+          EXPECT_EQ(result.reduce, mask_oracle) << label;
+          EXPECT_EQ(result.reduce, hash_result.reduce) << label;
+        } else {
+          EXPECT_EQ(c.nnz(), kept_oracle.nnz()) << label;
+          const std::vector<double> sums =
+              spec.collect_column_sums ? column_sums(kept_oracle)
+                                       : std::vector<double>{};
+          EXPECT_EQ(result.col_sums, sums) << label;
+          EXPECT_EQ(result.col_sums, hash_result.col_sums) << label;
+        }
+      };
+      for (const parallel::SchedulePolicy policy : kPolicies) {
+        SpGemmOptions opts;
+        opts.algorithm = Algorithm::kSpa1p;
+        opts.schedule = policy;
+        opts.sort_output = sorted;
+        opts.epilogue = spec;
+        for (const int threads : {1, 2, 3}) {
+          opts.threads = threads;
+          check(opts, /*short_team=*/false);
+        }
+        opts.threads = kRequestedThreads;
+        check(opts, /*short_team=*/true);
       }
     }
   }
