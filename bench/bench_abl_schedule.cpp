@@ -1,16 +1,14 @@
 // Ablation: the ExecutionSchedule — tile-fused one-shot vs unfused
-// plan+execute-once, schedule policies under skew, and memory-model-derived
-// budgets (machine-readable; needs no google-benchmark).
+// plan+execute-once, and memory-model-derived budgets (machine-readable;
+// needs no google-benchmark).
 //
-// Three experiments, all emitted to BENCH_abl_schedule.json:
-//   1. fused-vs-unfused: one-shot multiply() now runs the tile-fused driver
+// Two experiments, both emitted to BENCH_abl_schedule.json:
+//   1. fused-vs-unfused: one-shot multiply() runs the tile-fused driver
 //      (symbolic+numeric back to back per tile, A/B rows cache-hot) on the
 //      same schedule the handle plans with.  Rows "fused one-shot" vs
 //      "plan+execute once" on the scale-16 G500 squaring benchmark show
 //      what the fusion is worth for a product computed exactly once.
-//   2. schedule policies: static vs dynamic vs stealing wall time (and
-//      recorded steals) on a skewed power-law RMAT at max threads.
-//   3. budget source: fixed cache-constant tiles vs fast-tier-derived
+//   2. budget source: fixed cache-constant tiles vs fast-tier-derived
 //      budgets (model::derive_schedule_budgets on the host LLC tier).
 #include <algorithm>
 #include <string>
@@ -50,7 +48,7 @@ double time_median(Fn&& fn) {
 
 int main() {
   print_banner("schedule ablation",
-               "ExecutionSchedule: fused one-shot, policies, budget source");
+               "ExecutionSchedule: fused one-shot, budget source");
   JsonReporter json("abl_schedule");
   const int threads = bench_threads();
 
@@ -102,42 +100,7 @@ int main() {
     json.add(std::move(unfused));
   }
 
-  // ---- 2. Schedule policies on a skewed power-law RMAT. -------------------
-  {
-    const int scale = bench_scale(full_scale() ? 16 : 14);
-    Matrix a = rmat_matrix<I, double>(RmatParams::g500(scale, 8, 77));
-    for (auto& v : a.vals) v = 1.0;
-    const std::string matrix_name =
-        "g500_s" + std::to_string(scale) + "_e8_skew";
-    std::printf("\nschedule policies on %s at max threads\n",
-                matrix_name.c_str());
-    print_header("schedule", {"total ms", "steals"}, 14);
-
-    for (const parallel::TileSchedule policy :
-         {parallel::TileSchedule::kStatic, parallel::TileSchedule::kDynamic,
-          parallel::TileSchedule::kStealing}) {
-      SpGemmOptions opts;
-      opts.algorithm = Algorithm::kHash;
-      opts.sort_output = SortOutput::kNo;
-      opts.threads = threads;
-      opts.tile_schedule = policy;
-      SpGemmStats stats;
-      const double ms = time_median([&] { multiply(a, a, opts, &stats); });
-      print_row(parallel::tile_schedule_name(policy),
-                {ms, static_cast<double>(stats.tile_steals)}, "%14.2f");
-      BenchRecord rec;
-      rec.kernel = parallel::tile_schedule_name(policy);
-      rec.matrix = matrix_name;
-      rec.threads = threads;
-      rec.total_ms = ms;
-      rec.flop = stats.flop;
-      rec.nnz_out = stats.nnz_out;
-      rec.tile_steals = static_cast<long long>(stats.tile_steals);
-      json.add(std::move(rec));
-    }
-  }
-
-  // ---- 3. Budget source: fixed constant vs memory-model tiles. ------------
+  // ---- 2. Budget source: fixed constant vs memory-model tiles. ------------
   {
     const int scale = bench_scale(full_scale() ? 16 : 14);
     Matrix a = rmat_matrix<I, double>(RmatParams::g500(scale, 16, 11));

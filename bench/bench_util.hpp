@@ -41,8 +41,6 @@ struct BenchRecord {
   double plan_ms = 0.0;
   double execute_ms = 0.0;
   long long executions = 0;
-  /// Tiles run off their owner thread (stealing schedule; bench_abl_schedule).
-  long long tile_steals = 0;
   /// Serving-throughput metrics (bench_engine_throughput and future serving
   /// benches): completed products per second over the measured window and
   /// per-product latency percentiles.  Zero for per-multiply rows.
@@ -161,7 +159,7 @@ class JsonReporter {
           "\"total_ms\": %.4f, \"symbolic_ms\": %.4f, \"numeric_ms\": %.4f, "
           "\"mflops\": %.2f, \"reuse_hit_rate\": %.4f, \"flop\": %lld, "
           "\"nnz_out\": %lld, \"plan_ms\": %.4f, \"execute_ms\": %.4f, "
-          "\"executions\": %lld, \"tile_steals\": %lld, "
+          "\"executions\": %lld, "
           "\"products_per_sec\": %.2f, \"p50_ms\": %.4f, "
           "\"p99_ms\": %.4f, \"p999_ms\": %.4f, "
           "\"overlay_occupancy\": %.4f, \"paired_ratio\": %.4f, "
@@ -175,7 +173,7 @@ class JsonReporter {
           r.threads, r.total_ms, r.symbolic_ms, r.numeric_ms, r.mflops,
           r.reuse_hit_rate, static_cast<long long>(r.flop),
           static_cast<long long>(r.nnz_out), r.plan_ms, r.execute_ms,
-          r.executions, r.tile_steals, r.products_per_sec, r.p50_ms,
+          r.executions, r.products_per_sec, r.p50_ms,
           r.p99_ms, r.p999_ms, r.overlay_occupancy, r.paired_ratio,
           r.probe_rounds,
           r.keys_per_round, r.shed,

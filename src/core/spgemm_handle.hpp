@@ -82,7 +82,6 @@ struct HandleTelemetry {
   telemetry::Counter& numeric_probes;
   telemetry::Counter& numeric_keys;
   telemetry::Counter& flop;
-  telemetry::Counter& tile_steals;
   static HandleTelemetry& get() {
     auto& reg = telemetry::registry();
     static HandleTelemetry t{
@@ -101,9 +100,7 @@ struct HandleTelemetry {
                     "Accumulator keys resolved by phase.", "phase", "numeric"),
         reg.counter("spgemm_flop_total",
                     "Scalar multiplications planned (per plan, not per "
-                    "execute)."),
-        reg.counter("spgemm_tile_steals_total",
-                    "Tiles run by a thread other than their owner.")};
+                    "execute).")};
     return t;
   }
 };
@@ -246,7 +243,6 @@ class SpGemmHandle {
     stats_.symbolic_keys = core_.symbolic_keys;
     stats_.probes = core_.symbolic_probes;
     stats_.tile_count = core_.tile_count;
-    stats_.tile_steals = core_.schedule.steals();
     stats_.reuse_rows_captured = core_.rows_captured;
     stats_.reuse_rows_total = static_cast<std::uint64_t>(a.nrows);
     stats_.plan_ms = plan_timer.millis();
@@ -256,7 +252,6 @@ class SpGemmHandle {
       t.symbolic_probes.add(stats_.symbolic_probes);
       t.symbolic_keys.add(stats_.symbolic_keys);
       t.flop.add(static_cast<std::uint64_t>(stats_.flop));
-      t.tile_steals.add(stats_.tile_steals);
     }
     if (stats != nullptr) *stats = stats_;
   }
@@ -346,7 +341,7 @@ class SpGemmHandle {
   [[nodiscard]] const SpGemmStats& stats() const { return stats_; }
 
   /// Bytes this handle retains across execute() calls: the output skeleton,
-  /// every thread's capture streams / staged columns / tile+row records,
+  /// every thread's capture streams / staged columns / row records,
   /// and the pooled output.  Capacities, not sizes — grow-only recycling
   /// means capacity is what the handle actually keeps from the allocator.
   /// Accumulator tables are excluded: their storage is pool-backed scratch
@@ -363,8 +358,6 @@ class SpGemmHandle {
                   tp.out_cols.capacity()) * sizeof(IT);
         bytes += tp.out_vals.capacity() * sizeof(VT);
         bytes += tp.rows.capacity() * sizeof(detail::PlannedRow<IT>);
-        bytes += (tp.tiles.capacity() + tp.out_tiles.capacity()) *
-                 sizeof(detail::PlannedTile);
       }
     });
     return bytes;
@@ -386,12 +379,6 @@ class SpGemmHandle {
   /// Tile size (row cap) the plan settled on.
   [[nodiscard]] std::size_t planned_tile_rows() const {
     return core_.tile_rows;
-  }
-
-  /// The persisted tile schedule the plan's symbolic pass ran under and
-  /// whose frozen assignment every execute() replays.
-  [[nodiscard]] const parallel::ExecutionSchedule& schedule() const {
-    return core_.schedule;
   }
 
   /// Engine lanes hook: count the seats this handle's plan/execute passes
@@ -542,7 +529,7 @@ class SpGemmHandle {
       if (fill_skeleton && !fused) {
         TELEM_SPAN("handle.placement");
         c.rpts = core_.rpts;
-        kernel.place_tiles(core_, core_.rpts.data(), c, /*skeleton=*/true);
+        kernel.place_blocks(core_, core_.rpts.data(), c, /*skeleton=*/true);
         // Default-init resize: vals pages are first touched by the numeric
         // pass below, inside the thread that owns each row range.
         c.vals.resize(static_cast<std::size_t>(core_.rpts.back()));

@@ -92,6 +92,20 @@ template <typename Row, IndexType IT, ValueType VT>
   return static_cast<std::size_t>(row(i, bound, cols, vals));
 }
 
+/// Copy rows [row_begin, row_end), staged contiguously at cols/vals, to
+/// their offsets rpts[row_begin..] in c; null `vals` copies columns only.
+/// Both row drivers place through here: one block per owner (the balanced
+/// one-phase schedules and every two-phase pass), or one row at a time
+/// (the one-phase plain OpenMP loops).
+template <IndexType IT, ValueType VT>
+void place_rows(const Offset* rpts, std::size_t row_begin, std::size_t row_end,
+                const IT* cols, const VT* vals, CsrMatrix<IT, VT>& c) {
+  const auto dst = static_cast<std::size_t>(rpts[row_begin]);
+  const auto len = static_cast<std::size_t>(rpts[row_end]) - dst;
+  std::copy_n(cols, len, c.cols.data() + dst);
+  if (vals != nullptr) std::copy_n(vals, len, c.vals.data() + dst);
+}
+
 /// The exclusive prefix of each row's staging room: its bound, capped at
 /// `ncols` because a row never holds more entries than C has columns.
 inline std::vector<Offset> staging_prefix(const Offset* bounds,
@@ -250,22 +264,18 @@ CsrMatrix<IT, VT> one_phase_product(
   const auto nnz_c = static_cast<std::size_t>(c.rpts[nrows]);
   c.cols.resize(nnz_c);
   c.vals.resize(nnz_c);
-  const auto place = [&](std::size_t s, std::size_t from, std::size_t row_begin,
-                         std::size_t row_end) {
-    const auto dst = static_cast<std::size_t>(c.rpts[row_begin]);
-    const auto len = static_cast<std::size_t>(c.rpts[row_end]) - dst;
-    std::copy_n(stage_cols[s] + from, len, c.cols.data() + dst);
-    std::copy_n(stage_vals[s] + from, len, c.vals.data() + dst);
-  };
 #pragma omp parallel num_threads(nthreads)
   parallel::for_each_owner(owners, [&](int t) {
     const std::size_t begin = first_row(t);
     const std::size_t end = first_row(t + 1);
     if (balanced) {
-      place(slot(t), region(t), begin, end);
+      place_rows(c.rpts.data(), begin, end, stage_cols[slot(t)] + region(t),
+                 stage_vals[slot(t)] + region(t), c);
     } else {
       for (std::size_t i = begin; i < end; ++i) {
-        place(0, static_cast<std::size_t>(room[i]), i, i + 1);
+        const auto from = static_cast<std::size_t>(room[i]);
+        place_rows(c.rpts.data(), i, i + 1, stage_cols[0] + from,
+                   stage_vals[0] + from, c);
       }
     }
     if (per_owner) {

@@ -213,12 +213,6 @@ struct SpGemmOptions {
   /// 0 = derive from the budget source.  An explicit value is honoured as a
   /// pure row cut (exactly ceil(rows/tile_rows) tiles per thread range).
   std::size_t tile_rows = 0;
-  /// How tiles are assigned to threads: static keeps the flop-balanced
-  /// per-thread row ranges of Fig. 6; dynamic feeds flop-balanced tiles to
-  /// whichever thread is free; stealing runs the static schedule until a
-  /// thread drains its own queue, then steals from the back of the nearest
-  /// busy neighbour (locality of static, tail behaviour of dynamic).
-  parallel::TileSchedule tile_schedule = parallel::TileSchedule::kStatic;
   /// Symbolic-structure capture toggle (see StructureReuse).
   StructureReuse reuse = StructureReuse::kAuto;
   /// Per-thread byte budget for the captured slot streams.  Rows whose
@@ -282,9 +276,6 @@ struct SpGemmStats {
   std::uint64_t tile_count = 0;
   std::uint64_t reuse_rows_captured = 0;
   std::uint64_t reuse_rows_total = 0;
-  /// Tiles run by a thread other than their owner (stealing schedule only;
-  /// 0 under static/dynamic, which have no ownership to violate).
-  std::uint64_t tile_steals = 0;
   /// Fused-epilogue observability: rows the epilogue hook processed and the
   /// wall time spent inside it (max across threads, like the phase spans).
   std::uint64_t epilogue_rows = 0;

@@ -22,9 +22,10 @@
 //
 // Scheduling: the coarse rows run on the row pipeline's PlanCore — a flop-
 // balanced owner split of the R*(A*P) flop prefix (parallel::
-// partition_from_prefix), cut into tiles by the ExecutionSchedule, so
-// opts.tile_schedule and the tile options apply — and land through the
-// pipeline's staging and place_tiles().
+// partition_from_prefix), each owner's range cut into tiles by the
+// ExecutionSchedule, so the tile options apply.  Each owner stages its rows
+// at a running cursor, one block in row order, which the pipeline's
+// place_output() copies out (or adopts, on one owner).
 #pragma once
 
 #include <algorithm>
@@ -114,12 +115,7 @@ CsrMatrix<IT, VT> multiply_rap(const CsrMatrix<IT, VT>& r,
           mem::ThreadScratch<VT> ap_vals;
           IT* apc = ap_cols.ensure(static_cast<std::size_t>(max_flop_ap) + 1);
           VT* apv = ap_vals.ensure(static_cast<std::size_t>(max_flop_ap) + 1);
-          core.schedule.for_each_tile(owner, [&](std::size_t /*index*/,
-                                                 const parallel::TileRange&
-                                                     tile,
-                                                 bool /*stolen*/) {
-            tp.out_tiles.push_back(
-                {tile.row_begin, tile.row_end, tp.out_cols.size()});
+          core.schedule.for_each_tile(owner, [&](const auto& tile) {
             ++tp.tally.tiles;
             for (std::size_t i = tile.row_begin; i < tile.row_end; ++i) {
               const bool force_sorted =
@@ -171,7 +167,6 @@ CsrMatrix<IT, VT> multiply_rap(const CsrMatrix<IT, VT>& r,
     stats->nnz_out = c.rpts[nc];
     stats->epilogue_rows = nc;
     stats->tile_count = tiles;
-    stats->tile_steals = core.schedule.steals();
   }
   if (telemetry::enabled()) {
     detail::EpilogueTelemetry::get().rap_rows.add(nc);

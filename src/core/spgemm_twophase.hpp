@@ -2,8 +2,8 @@
 //
 // Gustavson's algorithm (paper Fig. 1) parallelized over rows with the
 // paper's architecture-specific structure:
-//   * a flop-balanced row partition (Fig. 6) cut into tiles by a
-//     parallel::ExecutionSchedule (static, dynamic or work-stealing),
+//   * a flop-balanced row partition (Fig. 6), each owner's range cut into
+//     tiles by a parallel::ExecutionSchedule and run by that owner alone,
 //   * one accumulator per owner, allocated inside the thread that runs it
 //     ("parallel" memory scheme, §3.2) and reinitialized per row,
 //   * a symbolic phase that counts nnz per output row, an exclusive scan
@@ -22,7 +22,7 @@
 //   * build() / execute() — SpGemmHandle's plan and its numeric replays;
 //   * multiply_rap() (core/spgemm_rap.hpp) — an on-demand A*P row source
 //     on the same PlanCore, schedule and placement.
-// They share symbolic_row(), numeric_row() and place_tiles(), so one-shot
+// They share symbolic_row(), numeric_row() and place_blocks(), so one-shot
 // and plan/execute products are bit-identical by construction.
 //
 // ---- Slot-stream capture protocol -----------------------------------------
@@ -45,13 +45,17 @@
 // ---- Staging and placement ------------------------------------------------
 //
 // A pass whose output offsets are unknown until every row is counted (the
-// one-shot product, fused-epilogue executes, RAP) computes each tile into
-// its owner's staging buffers; after an exclusive scan over the per-row
-// counts, place_tiles() copies each tile to its final offset.  Staging and
-// output arrays are mem::Buffer (default-init), so sizing C costs no
-// zeroing pass and each placement copy is the first touch of its pages, in
-// the thread that staged them.  An unfused execute knows its offsets from
-// the plan and writes values in place.
+// one-shot product, fused-epilogue executes, RAP) computes each owner's
+// rows, tile after tile, at a running cursor in its staging buffers, so an
+// owner's staged rows are one contiguous block in row order.  After an
+// exclusive scan over the per-row counts, place_blocks() copies each
+// owner's block to its final offset (detail::place_rows, which the
+// one-phase driver places through too).  The handle's skeleton columns are
+// staged the same way, in build().  Staging and output arrays are
+// mem::Buffer (default-init), so sizing C costs no zeroing pass and each
+// placement copy is the first touch of its pages, in the thread that
+// staged them.  An unfused execute knows its offsets from the plan and
+// writes values in place.
 //
 // Every per-owner region runs its owners through parallel::for_each_owner,
 // so a team shorter than requested (OMP_THREAD_LIMIT, a call from inside a
@@ -402,7 +406,7 @@ struct PlanCore {
       tile_flop = static_cast<Offset>(
           std::max(1.0, avg_row_flop * static_cast<double>(tile_rows)));
     }
-    schedule.build(part, opts.tile_schedule, tile_rows, tile_flop);
+    schedule.build(part, tile_rows, tile_flop);
   }
 
   /// Capture slots owner `t` needs (0 with capture off): a tile never
@@ -429,14 +433,6 @@ struct PlannedRow {
   bool sorted = false;    ///< columns emitted in ascending order
 };
 
-/// A row-range tile run by one owner, with its offset into the owner's
-/// staged buffers.
-struct PlannedTile {
-  std::size_t row_begin = 0;
-  std::size_t row_end = 0;
-  std::size_t stage_begin = 0;
-};
-
 /// One owner's work in the current pass, folded after the parallel region.
 struct PassTally {
   std::uint64_t sym_probes = 0;
@@ -450,19 +446,18 @@ struct PassTally {
 };
 
 /// Everything one owner keeps between passes.  The handle persists the
-/// accumulator (prepared, keys clean), the captured slot streams, the tile
-/// list, the row records and the skeleton columns.  The out_* staging holds
-/// the rows of a pass whose offsets are known only after it, until
-/// place_tiles() copies them out.  All of it is recycled grow-only.
+/// accumulator (prepared, keys clean), the captured slot streams, the row
+/// records and the skeleton columns, all in the owner's row order.  The
+/// out_* staging holds the rows of a pass whose offsets are known only
+/// after it, until place_blocks() copies them out.  All of it is recycled
+/// grow-only.
 template <IndexType IT, ValueType VT, typename Acc>
 struct ThreadPlan {
   explicit ThreadPlan(Acc a) : acc(std::move(a)) {}
   Acc acc;
   mem::ThreadScratch<IT> capture;
-  std::vector<PlannedTile> tiles;
-  std::vector<PlannedRow<IT>> rows;  ///< tile processing order
-  mem::Buffer<IT> staged_cols;       ///< skeleton cols, processing order
-  std::vector<PlannedTile> out_tiles;
+  std::vector<PlannedRow<IT>> rows;  ///< the owner's rows, in order
+  mem::Buffer<IT> staged_cols;       ///< skeleton cols, one block
   mem::Buffer<IT> out_cols;
   mem::Buffer<VT> out_vals;
   EpilogueState epi;
@@ -553,10 +548,12 @@ struct KernelPlan {
   }
 
   /// Run fn(owner's ThreadPlan, owner) for every owner in one parallel
-  /// region, whatever team size OpenMP delivers.  Each owner's tally
-  /// restarts at zero and its share of the pass ends with worker_done().
+  /// region, whatever team size OpenMP delivers.  The pass charges every
+  /// seat first; each owner's tally restarts at zero and its share of the
+  /// pass ends with worker_done().
   template <typename Fn>
   void run_owners(const PlanCore<IT, VT>& core, Fn&& fn) {
+    core.schedule.reset_occupancy();
 #pragma omp parallel num_threads(core.nthreads)
     parallel::for_each_owner(core.nthreads, [&](int owner) {
       Thread& tp = threads[static_cast<std::size_t>(owner)];
@@ -628,22 +625,22 @@ struct KernelPlan {
   }
 
   /// The numeric row loop, over one tile whose row records start at `rows`
-  /// and whose captured columns start at cols[tile.stage_begin].  With
-  /// `in_place`, values (and re-probed columns) land at their final offsets
-  /// core.rpts[i] in c.  Otherwise each row is computed at `out` in the
-  /// owner's staging, compacted there by the fused epilogue `epi` if any,
-  /// and its kept count goes to c.rpts[i].
+  /// and whose captured columns start at cols[stage]; both cursors move
+  /// past the tile.  With `in_place`, values (and re-probed columns) land at
+  /// their final offsets core.rpts[i] in c.  Otherwise each row is computed
+  /// at `out` in the owner's staging, compacted there by the fused epilogue
+  /// `epi` if any, and its kept count goes to c.rpts[i].
   template <typename SR>
   void numeric_tile(const PlanCore<IT, VT>& core, Thread& tp, Acc& acc,
                     const IT* cap, const CsrMatrix<IT, VT>& a,
-                    const CsrMatrix<IT, VT>& b, const PlannedTile& tile,
-                    const PlannedRow<IT>* rows, const mem::Buffer<IT>& cols,
-                    CsrMatrix<IT, VT>& c, bool in_place,
+                    const CsrMatrix<IT, VT>& b,
+                    const parallel::TileRange& tile,
+                    const PlannedRow<IT>*& rows, const mem::Buffer<IT>& cols,
+                    std::size_t& stage, CsrMatrix<IT, VT>& c, bool in_place,
                     const EpilogueContext<IT, VT>* epi, std::size_t out) {
     const Timer timer;
     const std::uint64_t probes0 = acc.probes();
     const std::uint64_t keys0 = keys_resolved_of(acc);
-    std::size_t stage = tile.stage_begin;
     for (std::size_t i = tile.row_begin; i < tile.row_end; ++i) {
       const PlannedRow<IT>& row = *rows++;
       policy.begin_row(acc, core.row_flop(i));
@@ -687,30 +684,23 @@ struct KernelPlan {
     tp.tally.num_s += timer.seconds();
   }
 
-  /// The placement loop: copy every owner's staged tiles to their final
-  /// offsets in c (sized here), in the thread that staged them.  `skeleton`
-  /// copies the plan's columns (tiles over staged_cols) and leaves c.vals
-  /// alone; a counted row's columns arrive unwritten, and every execute
-  /// extracts them in place.  Otherwise the out_* staging moves, columns
-  /// and values.
-  void place_tiles(const PlanCore<IT, VT>& core, const Offset* rpts,
-                   CsrMatrix<IT, VT>& c, bool skeleton) const {
+  /// The placement loop: copy every owner's staged block to its final
+  /// offset in c (sized here), in the thread that staged it.  `skeleton`
+  /// copies the plan's columns (staged_cols) and leaves c.vals alone; a
+  /// counted row's columns arrive unwritten, and every execute extracts
+  /// them in place.  Otherwise the out_* staging moves, columns and values.
+  void place_blocks(const PlanCore<IT, VT>& core, const Offset* rpts,
+                    CsrMatrix<IT, VT>& c, bool skeleton) const {
     const auto nnz = static_cast<std::size_t>(rpts[core.nrows]);
     c.cols.resize(nnz);
     if (!skeleton) c.vals.resize(nnz);
 #pragma omp parallel num_threads(core.nthreads)
     parallel::for_each_owner(core.nthreads, [&](int owner) {
-      const Thread& tp = threads[static_cast<std::size_t>(owner)];
-      for (const PlannedTile& tile : skeleton ? tp.tiles : tp.out_tiles) {
-        const auto dst = static_cast<std::size_t>(rpts[tile.row_begin]);
-        const auto len = static_cast<std::size_t>(rpts[tile.row_end]) - dst;
-        const IT* src = (skeleton ? tp.staged_cols : tp.out_cols).data();
-        std::copy_n(src + tile.stage_begin, len, c.cols.data() + dst);
-        if (!skeleton) {
-          std::copy_n(tp.out_vals.data() + tile.stage_begin, len,
-                      c.vals.data() + dst);
-        }
-      }
+      const auto t = static_cast<std::size_t>(owner);
+      const Thread& tp = threads[t];
+      place_rows(rpts, core.part.offsets[t], core.part.offsets[t + 1],
+                 (skeleton ? tp.staged_cols : tp.out_cols).data(),
+                 skeleton ? nullptr : tp.out_vals.data(), c);
     });
   }
 
@@ -727,7 +717,7 @@ struct KernelPlan {
       c.vals = std::move(threads[0].out_vals);
       return;
     }
-    place_tiles(core, c.rpts.data(), c, /*skeleton=*/false);
+    place_blocks(core, c.rpts.data(), c, /*skeleton=*/false);
   }
 
   /// The owners' tallies of the last pass: counters summed, phase seconds
@@ -760,34 +750,25 @@ struct KernelPlan {
   }
 
   /// Plan: the symbolic pass over every tile, capturing slot streams and
-  /// staging the skeleton columns; per-row counts go to core.rpts, scanned.
-  /// The tile assignment this pass settles on (steals included) is frozen
-  /// into each owner's tile list, which execute() replays with perfect
-  /// affinity.
+  /// staging the skeleton columns, each owner's in one block in row order;
+  /// per-row counts go to core.rpts, scanned.
   void build(PlanCore<IT, VT>& core, const CsrMatrix<IT, VT>& a,
              const CsrMatrix<IT, VT>& b) {
     const auto nrows = static_cast<std::size_t>(core.nrows);
     ensure_threads(core.nthreads);
     core.rpts.resize(nrows + 1);
-    core.schedule.begin_pass();
     run_owners(core, [&](Thread& tp, int owner) {
       BatchScratch<IT> scratch;
       BatchScratch<IT>* batch = prepare(core, tp.acc, owner, scratch);
       const std::size_t cap_entries = core.capture_entries(owner);
       IT* cap = cap_entries > 0 ? tp.capture.ensure(cap_entries) : nullptr;
-      tp.tiles.clear();
       tp.rows.clear();
       tp.staged_cols.clear();
       std::size_t cap_used = 0;
-      core.schedule.for_each_tile(
-          owner, [&](std::size_t /*index*/, const parallel::TileRange& tile,
-                     bool /*stolen*/) {
-            tp.tiles.push_back(
-                {tile.row_begin, tile.row_end, tp.staged_cols.size()});
-            symbolic_tile(core, tp, tp.acc, batch, a, b, tile, cap,
-                          cap_entries, cap_used, tp.staged_cols,
-                          core.rpts.data());
-          });
+      core.schedule.for_each_tile(owner, [&](const parallel::TileRange& tile) {
+        symbolic_tile(core, tp, tp.acc, batch, a, b, tile, cap, cap_entries,
+                      cap_used, tp.staged_cols, core.rpts.data());
+      });
     });
     core.rpts[nrows] = 0;
     parallel::exclusive_scan_inplace(core.rpts.data(), nrows + 1);
@@ -809,25 +790,20 @@ struct KernelPlan {
                     const CsrMatrix<IT, VT>& b, CsrMatrix<IT, VT>& c,
                     const EpilogueContext<IT, VT>* epi) {
     if (epi != nullptr) c.rpts.resize(static_cast<std::size_t>(core.nrows) + 1);
-    core.schedule.reset_occupancy();
-    run_owners(core, [&](Thread& tp, int /*owner*/) {
+    run_owners(core, [&](Thread& tp, int owner) {
       if (epi != nullptr) {
         tp.epi.begin_pass(core.opts.epilogue,
                           static_cast<std::size_t>(core.ncols));
-        tp.out_tiles.clear();
         tp.out_cols.clear();
         tp.out_vals.clear();
       }
       const PlannedRow<IT>* rows = tp.rows.data();
-      for (const PlannedTile& tile : tp.tiles) {
-        const std::size_t out = tp.out_cols.size();
+      std::size_t stage = 0;
+      core.schedule.for_each_tile(owner, [&](const parallel::TileRange& tile) {
         numeric_tile<SR>(core, tp, tp.acc, tp.capture.data(), a, b, tile,
-                         rows, tp.staged_cols, c, epi == nullptr, epi, out);
-        if (epi != nullptr) {
-          tp.out_tiles.push_back({tile.row_begin, tile.row_end, out});
-        }
-        rows += tile.row_end - tile.row_begin;
-      }
+                         rows, tp.staged_cols, stage, c, epi == nullptr, epi,
+                         tp.out_cols.size());
+      });
     });
     if (epi != nullptr) place_output(core, c, /*adopt=*/false);
     return tally();
@@ -857,28 +833,25 @@ struct KernelPlan {
         tp.epi.begin_pass(core.opts.epilogue,
                           static_cast<std::size_t>(core.ncols));
       }
-      if (core.opts.tile_schedule == parallel::TileSchedule::kStatic) {
-        // Reserve at an optimistic compression ratio to limit regrowth.
-        const auto flop =
-            static_cast<std::size_t>(core.schedule.capture_flop_bound(owner));
-        tp.out_cols.reserve(flop / 4 + 64);
-        tp.out_vals.reserve(flop / 4 + 64);
-      }
-      core.schedule.for_each_tile(
-          owner, [&](std::size_t /*index*/, const parallel::TileRange& range,
-                     bool /*stolen*/) {
-            const PlannedTile tile{range.row_begin, range.row_end,
-                                   tp.out_cols.size()};
-            std::size_t cap_used = 0;
-            tp.rows.clear();
-            symbolic_tile(core, tp, acc, batch, a, b, range, cap, cap_entries,
-                          cap_used, tp.out_cols, c.rpts.data());
-            tp.out_vals.resize(tp.out_cols.size());
-            numeric_tile<SR>(core, tp, acc, cap, a, b, tile, tp.rows.data(),
-                             tp.out_cols, c, /*in_place=*/false, epi,
-                             tile.stage_begin);
-            tp.out_tiles.push_back(tile);
-          });
+      // Reserve at an optimistic compression ratio to limit regrowth.
+      const auto flop =
+          static_cast<std::size_t>(core.schedule.capture_flop_bound(owner));
+      tp.out_cols.reserve(flop / 4 + 64);
+      tp.out_vals.reserve(flop / 4 + 64);
+      core.schedule.for_each_tile(owner, [&](const parallel::TileRange& tile) {
+        // The tile's columns are staged at the owner's cursor, and its
+        // numeric pass compacts its rows from there.
+        const std::size_t out = tp.out_cols.size();
+        std::size_t stage = out;
+        std::size_t cap_used = 0;
+        tp.rows.clear();
+        symbolic_tile(core, tp, acc, batch, a, b, tile, cap, cap_entries,
+                      cap_used, tp.out_cols, c.rpts.data());
+        tp.out_vals.resize(tp.out_cols.size());
+        const PlannedRow<IT>* rows = tp.rows.data();
+        numeric_tile<SR>(core, tp, acc, cap, a, b, tile, rows, tp.out_cols,
+                         stage, c, /*in_place=*/false, epi, out);
+      });
     });
     return c;
   }
@@ -945,7 +918,6 @@ CsrMatrix<IT, VT> spgemm_two_phase(const CsrMatrix<IT, VT>& a,
     stats->symbolic_keys = t.sym_keys;
     stats->numeric_keys = t.num_keys;
     stats->tile_count = t.tiles;
-    stats->tile_steals = core.schedule.steals();
     stats->reuse_rows_captured = t.captured;
     stats->reuse_rows_total = static_cast<std::size_t>(a.nrows);
     stats->epilogue_rows = epi_stats.epilogue_rows;

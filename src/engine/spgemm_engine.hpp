@@ -1251,14 +1251,6 @@ class SpGemmEngine {
         opts.epilogue.mask_fp == 0 && r.epilogue_mask != nullptr) {
       opts.epilogue.mask_fp = structure_fingerprint(*r.epilogue_mask);
     }
-    // Fused plans never share a cache entry with unfused ones over the same
-    // structure: the epilogue fingerprint perturbs the pair key.
-    const auto epilogue_key = [&](std::uint64_t pair) {
-      if (opts.epilogue.enabled()) {
-        pair ^= opts.epilogue.fingerprint() * 0x9e3779b97f4a7c15ULL;
-      }
-      return pair;
-    };
     const bool degraded = attempt >= 2;
     if (degraded) {
       opts.reuse = StructureReuse::kOff;
@@ -1274,75 +1266,67 @@ class SpGemmEngine {
     }
     out.cache_hit = false;
     out.threads_used = opts.threads;
-    if (!opts_.cache_enabled || degraded) {
-      const std::uint64_t pair =
-          epilogue_key(pair_structure_hash(fp_a, fp_b));
-      SpGemmHandle<IT, VT> handle;
+    // Plan (or adopt the retained plan) and execute on `handle`: a leased
+    // cache entry, or a local handle that plans every time.  Attach (or
+    // detach, when this run carries no sink) the seat sink BEFORE any pass:
+    // a cached handle may still point at a dead batch's counter from its
+    // previous serving.  Detach again after — the sink dies with this
+    // batch, the handle does not.  Same discipline for the epilogue mask:
+    // it belongs to this request, not to the retained plan.
+    const auto serve = [&](SpGemmHandle<IT, VT>& handle) {
       handle.set_seat_sink(seats);
       handle.set_epilogue_mask(r.epilogue_mask);
       {
         const std::uint64_t t0 = trace_now(tc);
-        handle.plan(*r.a, *r.b, opts, nullptr, &pair);
-        trace_span(tc, "plan", t0);
+        out.cache_hit =
+            !handle.ensure_planned_hashed(*r.a, *r.b, fp_a, fp_b, opts);
+        if (out.cache_hit) {
+          trace_instant(tc, "cache-hit", "cache");
+        } else {
+          trace_span(tc, "plan", t0);
+        }
       }
       {
         const std::uint64_t t0 = trace_now(tc);
         handle.execute_into(*r.a, *r.b, out.c, PlusTimes{}, &out.stats);
         trace_span(tc, "numeric", t0);
       }
-      if (opts.epilogue.enabled()) out.epilogue = handle.epilogue_result();
-    } else {
-      // Lease RAII: an exception from here on unwinds into a quarantine —
-      // the possibly half-built plan leaves the cache and is never served
-      // again; only the release() below puts the entry back on the LRU.
-      typename PlanCache<IT, VT>::Lease lease =
-          cache_.acquire(epilogue_key(pair_structure_hash(fp_a, fp_b)));
-      std::size_t bytes = 0;
-      {
-        std::lock_guard<std::mutex> lk(lease.exec_mutex());
-        // Attach (or detach, when this run carries no sink) the seat sink
-        // BEFORE any pass: a cached handle may still point at a dead
-        // batch's counter from its previous serving.  Detach again after —
-        // the sink dies with this batch, the handle does not.
-        // Same discipline for the epilogue mask: it belongs to this
-        // request, not to the retained plan.
-        lease.handle().set_seat_sink(seats);
-        lease.handle().set_epilogue_mask(r.epilogue_mask);
-        {
-          const std::uint64_t t0 = trace_now(tc);
-          out.cache_hit = !lease.handle().ensure_planned_hashed(
-              *r.a, *r.b, fp_a, fp_b, opts);
-          if (out.cache_hit) {
-            trace_instant(tc, "cache-hit", "cache");
-          } else {
-            trace_span(tc, "plan", t0);
-          }
-        }
-        {
-          const std::uint64_t t0 = trace_now(tc);
-          lease.handle().execute_into(*r.a, *r.b, out.c, PlusTimes{},
-                                      &out.stats);
-          trace_span(tc, "numeric", t0);
-        }
-        if (out.cache_hit) {
-          // A replay runs no setup or symbolic phase; the retained handle's
-          // plan-time figures belong to the request that planned it.
-          out.stats.setup_ms = 0.0;
-          out.stats.symbolic_ms = 0.0;
-          out.stats.symbolic_probes = 0;
-          out.stats.symbolic_keys = 0;
-          out.stats.plan_ms = 0.0;
-          out.stats.probes = out.stats.numeric_probes;
-        }
-        if (opts.epilogue.enabled()) {
-          out.epilogue = lease.handle().epilogue_result();
-        }
-        lease.handle().set_seat_sink(nullptr);
-        lease.handle().set_epilogue_mask(nullptr);
-        bytes = lease.handle().retained_bytes();
+      if (out.cache_hit) {
+        // A replay runs no setup or symbolic phase; the retained handle's
+        // plan-time figures belong to the request that planned it.
+        out.stats.setup_ms = 0.0;
+        out.stats.symbolic_ms = 0.0;
+        out.stats.symbolic_probes = 0;
+        out.stats.symbolic_keys = 0;
+        out.stats.plan_ms = 0.0;
+        out.stats.probes = out.stats.numeric_probes;
       }
-      cache_.release(std::move(lease), out.cache_hit, bytes);
+      if (opts.epilogue.enabled()) out.epilogue = handle.epilogue_result();
+      handle.set_seat_sink(nullptr);
+      handle.set_epilogue_mask(nullptr);
+    };
+    if (!opts_.cache_enabled || degraded) {
+      SpGemmHandle<IT, VT> handle;
+      serve(handle);
+      return;
     }
+    // Fused plans never share a cache entry with unfused ones over the same
+    // structure: the epilogue fingerprint perturbs the pair key.
+    std::uint64_t key = pair_structure_hash(fp_a, fp_b);
+    if (opts.epilogue.enabled()) {
+      key ^= opts.epilogue.fingerprint() * 0x9e3779b97f4a7c15ULL;
+    }
+    // Lease RAII: an exception from here on unwinds into a quarantine — the
+    // possibly half-built plan leaves the cache and is never served again;
+    // only the release() below puts the entry back on the LRU.
+    typename PlanCache<IT, VT>::Lease lease = cache_.acquire(key);
+    std::size_t bytes = 0;
+    {
+      std::lock_guard<std::mutex> lk(lease.exec_mutex());
+      serve(lease.handle());
+      bytes = lease.handle().retained_bytes();
+    }
+    cache_.release(std::move(lease), out.cache_hit, bytes);
   }
 
   /// The dispatcher: drain whatever has accumulated since the last wake-up

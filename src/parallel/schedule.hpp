@@ -21,26 +21,6 @@ enum class SchedulePolicy {
   kBalancedParallel,  ///< RowsToThreads partition, "parallel" temp allocation
 };
 
-/// How an ExecutionSchedule (parallel/execution_schedule.hpp) hands row
-/// tiles to threads.
-enum class TileSchedule {
-  kStatic,    ///< tiles stay inside each thread's flop-balanced row range
-  kDynamic,   ///< one global tile pool, claimed atomically in row order
-  kStealing,  ///< per-thread deques; idle threads steal from neighbours
-};
-
-inline const char* tile_schedule_name(TileSchedule s) {
-  switch (s) {
-    case TileSchedule::kStatic:
-      return "static-tiles";
-    case TileSchedule::kDynamic:
-      return "dynamic-tiles";
-    case TileSchedule::kStealing:
-      return "stealing-tiles";
-  }
-  return "?";
-}
-
 inline const char* schedule_policy_name(SchedulePolicy p) {
   switch (p) {
     case SchedulePolicy::kStatic:

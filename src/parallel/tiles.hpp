@@ -6,9 +6,8 @@
 // row partition so that each holds roughly `target_flop` scalar
 // multiplications (a dense row cannot stall its owner for long) and never
 // more than `row_cap` rows (a run of empty rows cannot balloon one tile's
-// bookkeeping).  How the cut tiles are *assigned* to threads — statically,
-// through a global claim counter, or through work-stealing deques — is the
-// ExecutionSchedule's job, not this header's.
+// bookkeeping).  The ExecutionSchedule cuts each thread's own row range
+// here, and that thread alone runs the tiles, in row order.
 #pragma once
 
 #include <cstddef>

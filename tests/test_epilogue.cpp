@@ -534,7 +534,6 @@ TEST(EpiloguePlanCache, FusedAndUnfusedOccupyDistinctEntries) {
 TEST(EpilogueEngine, MaskReduceServedThroughEngine) {
   const Matrix a = unit_valued_rmat(6, 8, 61);
   const TriangularSplit<I, double> split = prepare_triangle_split(a);
-  Engine eng;
 
   Engine::Request req;
   req.a = &split.lower;
@@ -546,16 +545,24 @@ TEST(EpilogueEngine, MaskReduceServedThroughEngine) {
   oracle_opts.sort_output = SortOutput::kYes;
   const double expected = masked_sum_ref(
       multiply(split.lower, split.upper, oracle_opts), split.lower);
-  const Engine::Product first = eng.submit(req).get();
-  EXPECT_EQ(first.epilogue.reduce, expected);
-  const Engine::Product again = eng.submit(req).get();
-  EXPECT_TRUE(again.cache_hit);
-  EXPECT_EQ(again.epilogue.reduce, expected);
+  // With the plan cache off every request plans on a fresh handle, so the
+  // repeat is not a hit but must reduce to the same value.
+  for (const bool cache : {true, false}) {
+    engine::EngineOptions eo;
+    eo.cache_enabled = cache;
+    Engine eng(eo);
+    const std::string label = cache ? "cache on" : "cache off";
+    const Engine::Product first = eng.submit(req).get();
+    EXPECT_EQ(first.epilogue.reduce, expected) << label;
+    const Engine::Product again = eng.submit(req).get();
+    EXPECT_EQ(again.cache_hit, cache) << label;
+    EXPECT_EQ(again.epilogue.reduce, expected) << label;
 
-  // A kMaskReduce request without its mask is a typed admission error.
-  Engine::Request bad = req;
-  bad.epilogue_mask = nullptr;
-  EXPECT_THROW(eng.submit(bad).get(), SpGemmError);
+    // A kMaskReduce request without its mask is a typed admission error.
+    Engine::Request bad = req;
+    bad.epilogue_mask = nullptr;
+    EXPECT_THROW(eng.submit(bad).get(), SpGemmError) << label;
+  }
 }
 
 }  // namespace

@@ -1,13 +1,12 @@
 // ExecutionSchedule contracts (parallel/execution_schedule.hpp) and the
 // memory-model budget derivation behind it (model::derive_schedule_budgets).
 //
-// The schedule-level tests drive for_each_tile() SEQUENTIALLY — one
-// simulated thread at a time — which makes otherwise racy properties
-// deterministic: a thread that traverses before the owner ever runs MUST
-// steal the owner's entire queue.  The SpGEMM-level tests then check the
-// property that makes any of this safe: the assignment policy can never
-// change the product, only who computes it, so static, dynamic and stealing
-// runs are bit-identical to the serial oracle under adversarial row skew.
+// The schedule-level tests drive for_each_tile() one simulated thread at a
+// time: every row is covered exactly once, each thread walks its own range
+// in row order, and each thread's accumulator is sized to its own widest
+// row.  The SpGEMM-level tests then check that the tile cuts never change
+// the product: runs at every thread count are bit-identical to the serial
+// oracle under adversarial row skew.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -31,7 +30,6 @@ using Matrix = CsrMatrix<I, double>;
 using parallel::ExecutionSchedule;
 using parallel::RowPartition;
 using parallel::TileRange;
-using parallel::TileSchedule;
 
 /// Partition `flops` (one entry per row) across `nthreads`, flop-balanced.
 RowPartition partition_of(const std::vector<Offset>& flops, int nthreads) {
@@ -57,157 +55,67 @@ RowPartition partition_of(const std::vector<Offset>& flops, int nthreads) {
   return part;
 }
 
-/// A deliberately imbalanced partition: thread 0 owns every row, the other
-/// threads own empty ranges (what rows_equal produces when all nonzeros sit
-/// in the first rows).
-RowPartition single_owner_partition(const std::vector<Offset>& flops,
-                                    int nthreads) {
-  RowPartition part = partition_of(flops, 1);
-  part.offsets.assign(static_cast<std::size_t>(nthreads) + 1, flops.size());
-  part.offsets[0] = 0;
-  return part;
-}
-
 /// Sequentially drain every simulated thread in `order`; returns how many
 /// times each row was visited.
-std::vector<int> drain(ExecutionSchedule& schedule,
+std::vector<int> drain(const ExecutionSchedule& schedule,
                        const std::vector<int>& order, std::size_t nrows) {
   std::vector<int> visits(nrows, 0);
   for (const int tid : order) {
-    schedule.for_each_tile(
-        tid, [&](std::size_t /*index*/, const TileRange& tile,
-                 bool /*stolen*/) {
-          for (std::size_t r = tile.row_begin; r < tile.row_end; ++r) {
-            ++visits[r];
-          }
-        });
+    schedule.for_each_tile(tid, [&](const TileRange& tile) {
+      for (std::size_t r = tile.row_begin; r < tile.row_end; ++r) {
+        ++visits[r];
+      }
+    });
   }
   return visits;
 }
 
-TEST(ExecutionSchedule, EveryPolicyCoversEveryRowExactlyOnce) {
+TEST(ExecutionSchedule, TilesCoverEveryRowExactlyOnce) {
   const std::vector<Offset> flops = {0, 7, 1, 0,  900, 3, 3,  0,
                                      5, 0, 2, 40, 1,   0, 60, 9};
   for (const int nthreads : {1, 2, 3, 5}) {
     const RowPartition part = partition_of(flops, nthreads);
-    for (const TileSchedule policy :
-         {TileSchedule::kStatic, TileSchedule::kDynamic,
-          TileSchedule::kStealing}) {
-      ExecutionSchedule schedule;
-      schedule.build(part, policy, /*row_cap=*/2, /*target_flop=*/10);
-      std::vector<int> order;
-      for (int t = 0; t < nthreads; ++t) order.push_back(t);
-      const std::vector<int> visits = drain(schedule, order, flops.size());
-      for (std::size_t r = 0; r < flops.size(); ++r) {
-        EXPECT_EQ(visits[r], 1)
-            << "row " << r << " threads " << nthreads << " policy "
-            << parallel::tile_schedule_name(policy);
-      }
+    ExecutionSchedule schedule;
+    schedule.build(part, /*row_cap=*/2, /*target_flop=*/10);
+    std::vector<int> order;
+    for (int t = 0; t < nthreads; ++t) order.push_back(t);
+    const std::vector<int> visits = drain(schedule, order, flops.size());
+    for (std::size_t r = 0; r < flops.size(); ++r) {
+      EXPECT_EQ(visits[r], 1) << "row " << r << " threads " << nthreads;
+    }
+    // Each thread runs its own range, tile after tile in row order: the
+    // rows it stages form one contiguous block.
+    for (int t = 0; t < nthreads; ++t) {
+      std::size_t next = part.offsets[static_cast<std::size_t>(t)];
+      schedule.for_each_tile(t, [&](const TileRange& tile) {
+        EXPECT_EQ(tile.row_begin, next) << "thread " << t;
+        next = tile.row_end;
+      });
+      EXPECT_EQ(next, part.offsets[static_cast<std::size_t>(t) + 1])
+          << "thread " << t;
     }
   }
 }
 
-TEST(ExecutionSchedule, RepeatedPassesAfterBeginPass) {
-  const std::vector<Offset> flops(64, 4);
-  const RowPartition part = partition_of(flops, 3);
-  for (const TileSchedule policy :
-       {TileSchedule::kDynamic, TileSchedule::kStealing}) {
-    ExecutionSchedule schedule;
-    schedule.build(part, policy, 4, 0);
-    for (int pass = 0; pass < 3; ++pass) {
-      schedule.begin_pass();
-      const std::vector<int> visits = drain(schedule, {0, 1, 2}, 64);
-      for (std::size_t r = 0; r < 64; ++r) {
-        EXPECT_EQ(visits[r], 1) << "pass " << pass;
-      }
-    }
-  }
-}
-
-TEST(ExecutionSchedule, IdleThreadStealsEntireBusyQueue) {
-  // All flop sits in thread 0's range; simulated thread 1 runs FIRST, so
-  // every one of thread 0's tiles must arrive via steals — fully
-  // deterministic because the traversal is sequential.
-  const std::vector<Offset> flops(32, 8);
-  const RowPartition part = single_owner_partition(flops, 2);
-  ASSERT_EQ(part.offsets[1], 32u) << "thread 1 must own an empty range";
-
-  ExecutionSchedule schedule;
-  schedule.build(part, TileSchedule::kStealing, 4, 0);
-  ASSERT_GT(schedule.tile_count(), 1u);
-  EXPECT_EQ(schedule.owned_count(0), schedule.tile_count());
-  EXPECT_EQ(schedule.owned_count(1), 0u);
-
-  std::size_t thread1_tiles = 0;
-  std::size_t stolen_tiles = 0;
-  schedule.for_each_tile(1, [&](std::size_t /*index*/, const TileRange&,
-                                bool stolen) {
-    ++thread1_tiles;
-    if (stolen) ++stolen_tiles;
-  });
-  EXPECT_EQ(thread1_tiles, schedule.tile_count());
-  EXPECT_EQ(stolen_tiles, schedule.tile_count());
-  EXPECT_EQ(schedule.steals(), schedule.tile_count());
-
-  // The rightful owner arrives late and finds nothing.
-  std::size_t thread0_tiles = 0;
-  schedule.for_each_tile(0, [&](std::size_t, const TileRange&, bool) {
-    ++thread0_tiles;
-  });
-  EXPECT_EQ(thread0_tiles, 0u);
-}
-
-TEST(ExecutionSchedule, ThievesTakeFromTheBackOwnersFromTheFront) {
-  // Let the owner claim its first tile, then a thief steals once: the
-  // stolen tile must be the LAST of the owner's deque (coldest for the
-  // owner), and the owner's own traversal runs front-to-back.
-  const std::vector<Offset> flops(24, 8);
-  const RowPartition part = single_owner_partition(flops, 2);
-  ExecutionSchedule schedule;
-  schedule.build(part, TileSchedule::kStealing, 4, 0);
-  const std::size_t ntiles = schedule.tile_count();
-  ASSERT_GE(ntiles, 3u);
-
-  std::vector<std::size_t> thief_order;
-  schedule.for_each_tile(1, [&](std::size_t index, const TileRange&,
-                                bool stolen) {
-    EXPECT_TRUE(stolen);
-    thief_order.push_back(index);
-  });
-  ASSERT_EQ(thief_order.size(), ntiles);
-  for (std::size_t k = 0; k < ntiles; ++k) {
-    EXPECT_EQ(thief_order[k], ntiles - 1 - k) << "steals must run back-first";
-  }
-}
-
-TEST(ExecutionSchedule, StaticAndDynamicRecordNoSteals) {
-  const std::vector<Offset> flops(16, 2);
-  const RowPartition part = partition_of(flops, 2);
-  for (const TileSchedule policy :
-       {TileSchedule::kStatic, TileSchedule::kDynamic}) {
-    ExecutionSchedule schedule;
-    schedule.build(part, policy, 2, 0);
-    drain(schedule, {0, 1}, 16);
-    EXPECT_EQ(schedule.steals(), 0u);
-  }
-}
-
-TEST(ExecutionSchedule, SizingCoversAnyTileUnderRoamingPolicies) {
+TEST(ExecutionSchedule, SizingCoversEachOwnersWidestRow) {
   std::vector<Offset> flops(16, 1);
   flops[3] = 500;  // the global worst row sits in thread 0's range
   const RowPartition part = partition_of(flops, 4);
-  for (const TileSchedule policy :
-       {TileSchedule::kDynamic, TileSchedule::kStealing}) {
-    ExecutionSchedule schedule;
-    schedule.build(part, policy, 4, 0);
-    for (int t = 0; t < 4; ++t) {
-      EXPECT_EQ(schedule.sizing_max_row_flop(t), 500)
-          << "any thread may run the dense row under a roaming policy";
-    }
+  ExecutionSchedule schedule;
+  schedule.build(part, 4, 0);
+  EXPECT_EQ(schedule.sizing_max_row_flop(0), 500);
+  for (int t = 0; t < 4; ++t) {
+    const auto ut = static_cast<std::size_t>(t);
+    EXPECT_EQ(schedule.sizing_max_row_flop(t), part.max_row_flop(t))
+        << "thread " << t << " runs only its own rows";
+    EXPECT_EQ(schedule.capture_flop_bound(t),
+              part.flop_prefix[part.offsets[ut + 1]] -
+                  part.flop_prefix[part.offsets[ut]])
+        << "thread " << t;
   }
-  ExecutionSchedule static_schedule;
-  static_schedule.build(part, TileSchedule::kStatic, 4, 0);
-  EXPECT_EQ(static_schedule.sizing_max_row_flop(0), 500);
+  for (int t = 1; t < 4; ++t) {
+    EXPECT_LT(schedule.sizing_max_row_flop(t), 500) << "thread " << t;
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -288,7 +196,7 @@ TEST(ScheduleBudgets, HandleTileRowsRespondToModeledTier) {
 }
 
 // ---------------------------------------------------------------------------
-// Scheduler policies under adversarial row skew: bit-identical products.
+// Adversarial row skew: bit-identical products at every thread count.
 // ---------------------------------------------------------------------------
 
 /// One fully dense row in a sea of empties — the worst static imbalance.
@@ -307,7 +215,7 @@ Matrix powerlaw_rmat(int scale) {
   return m;
 }
 
-TEST(SchedulePolicySkew, AllPoliciesBitIdenticalToSerialOracle) {
+TEST(ScheduleSkew, BitIdenticalToSerialOracle) {
   const std::vector<std::pair<std::string, Matrix>> inputs = [] {
     std::vector<std::pair<std::string, Matrix>> v;
     v.emplace_back("dense_row", dense_row_among_empties(256));
@@ -318,91 +226,39 @@ TEST(SchedulePolicySkew, AllPoliciesBitIdenticalToSerialOracle) {
     const Matrix oracle = spgemm_reference(a, a);
     for (const Algorithm algo : {Algorithm::kHash, Algorithm::kAdaptive}) {
       for (const int threads : {1, 2, 4, 8}) {
-        for (const TileSchedule policy :
-             {TileSchedule::kStatic, TileSchedule::kDynamic,
-              TileSchedule::kStealing}) {
-          SpGemmOptions opts;
-          opts.algorithm = algo;
-          opts.threads = threads;
-          opts.tile_schedule = policy;
-          SpGemmStats stats;
-          const Matrix c = multiply(a, a, opts, &stats);
-          const std::string label =
-              name + " " + algorithm_name(algo) + " t" +
-              std::to_string(threads) + " " +
-              parallel::tile_schedule_name(policy);
-          ASSERT_EQ(c.rpts, oracle.rpts) << label;
-          ASSERT_EQ(c.cols, oracle.cols) << label;
-          for (std::size_t i = 0; i < c.vals.size(); ++i) {
-            ASSERT_EQ(c.vals[i], oracle.vals[i]) << label << " vals[" << i
-                                                 << "]";
-          }
-          if (policy != TileSchedule::kStealing) {
-            EXPECT_EQ(stats.tile_steals, 0u) << label;
-          }
+        SpGemmOptions opts;
+        opts.algorithm = algo;
+        opts.threads = threads;
+        const Matrix c = multiply(a, a, opts);
+        const std::string label = name + " " + algorithm_name(algo) + " t" +
+                                  std::to_string(threads);
+        ASSERT_EQ(c.rpts, oracle.rpts) << label;
+        ASSERT_EQ(c.cols, oracle.cols) << label;
+        for (std::size_t i = 0; i < c.vals.size(); ++i) {
+          ASSERT_EQ(c.vals[i], oracle.vals[i]) << label << " vals[" << i
+                                               << "]";
         }
       }
     }
   }
 }
 
-TEST(SchedulePolicySkew, StealingRunRecordsSteals) {
-  // Equal-rows partition + every nonzero in the first rows: thread 0 owns
-  // all the work, the other threads idle and must steal.  The OS could in
-  // principle let thread 0 finish before the others ever run (this host may
-  // have a single core), so retry a few times; the imbalanced workload
-  // makes a steal-free run vanishingly unlikely across attempts.
-  const I n = 4096;
-  std::vector<std::tuple<I, I, double>> trips;
-  for (I i = 0; i < n / 8; ++i) {
-    for (I k = 0; k < 48; ++k) {
-      trips.emplace_back(i, (i * 97 + k * 131) % n, 1.0);
-    }
-  }
-  for (I i = n / 8; i < n; i += 7) trips.emplace_back(i, i, 1.0);
-  const Matrix a = csr_from_triplets<I, double>(n, n, trips);
-
-  SpGemmOptions opts;
-  opts.algorithm = Algorithm::kHash;
-  opts.threads = 4;
-  opts.schedule = parallel::SchedulePolicy::kStatic;  // equal rows: skewed
-  opts.tile_schedule = TileSchedule::kStealing;
-  opts.tile_rows = 16;
-
-  const Matrix expected = multiply(a, a, SpGemmOptions{});
-  std::uint64_t steals = 0;
-  for (int attempt = 0; attempt < 50 && steals == 0; ++attempt) {
-    SpGemmStats stats;
-    const Matrix c = multiply(a, a, opts, &stats);
-    steals = stats.tile_steals;
-    ASSERT_EQ(c.rpts, expected.rpts);
-    ASSERT_EQ(c.cols, expected.cols);
-  }
-  EXPECT_GT(steals, 0u) << "no attempt recorded a steal";
-}
-
-TEST(SchedulePolicySkew, HandlePlansAndReplaysUnderEveryPolicy) {
-  // A handle planned under dynamic/stealing freezes whatever assignment the
-  // build pass settled on; repeated executes must replay bit-identically.
+TEST(ScheduleSkew, HandlePlansAndReplays) {
+  // Repeated executes of a 4-thread plan replay bit-identically.
   const Matrix a = powerlaw_rmat(8);
   SpGemmOptions baseline_opts;
   baseline_opts.algorithm = Algorithm::kHash;
   const Matrix expected = multiply(a, a, baseline_opts);
-  for (const TileSchedule policy :
-       {TileSchedule::kStatic, TileSchedule::kDynamic,
-        TileSchedule::kStealing}) {
-    SpGemmOptions opts;
-    opts.algorithm = Algorithm::kHash;
-    opts.threads = 4;
-    opts.tile_schedule = policy;
-    SpGemmHandle<I, double> handle(a, a, opts);
-    for (int round = 0; round < 3; ++round) {
-      const Matrix& c = handle.execute(a, a);
-      ASSERT_EQ(c.rpts, expected.rpts);
-      ASSERT_EQ(c.cols, expected.cols);
-      for (std::size_t i = 0; i < c.vals.size(); ++i) {
-        ASSERT_EQ(c.vals[i], expected.vals[i]);
-      }
+  SpGemmOptions opts;
+  opts.algorithm = Algorithm::kHash;
+  opts.threads = 4;
+  SpGemmHandle<I, double> handle(a, a, opts);
+  for (int round = 0; round < 3; ++round) {
+    const Matrix& c = handle.execute(a, a);
+    ASSERT_EQ(c.rpts, expected.rpts);
+    ASSERT_EQ(c.cols, expected.cols);
+    for (std::size_t i = 0; i < c.vals.size(); ++i) {
+      ASSERT_EQ(c.vals[i], expected.vals[i]);
     }
   }
 }

@@ -29,6 +29,7 @@
 
 #include "common/error.hpp"
 #include "common/fault_injection.hpp"
+#include "core/multiply.hpp"
 #include "core/spgemm_ref.hpp"
 #include "engine/plan_cache.hpp"
 #include "engine/spgemm_engine.hpp"
@@ -273,6 +274,25 @@ TEST(Resilience, LadderDegradesAfterRepeatedAllocFailure) {
   EXPECT_EQ(eng.cache().total_pins(), 0);
   // Degraded plans bypass the cache: nothing crippled was retained.
   EXPECT_EQ(eng.cache_stats().entries, 0u);
+
+  // A fused request walks the same ladder: its degraded rung plans on a
+  // local handle and must give the fused one-shot's bytes.
+  Engine::Request fused;
+  fused.a = &a;
+  fused.b = &a;
+  fused.epilogue.kind = EpilogueKind::kPruneScale;
+  fused.epilogue.inflation = 2.0;
+  fused.epilogue.prune_below = 2.5;
+  const fault::ScopedFault again("handle.plan.alloc", 1, 2);
+  const Engine::Product q = eng.run_batch({&fused, 1})[0];
+  EXPECT_TRUE(q.degraded);
+  SpGemmOptions opts;
+  opts.threads = q.threads_used;
+  opts.epilogue = fused.epilogue;
+  expect_bitwise_equal(q.c, multiply_with_epilogue(a, a, opts),
+                       "degraded fused execution");
+  EXPECT_EQ(eng.engine_stats().degraded_execs, 2u);
+  EXPECT_EQ(eng.cache().total_pins(), 0);
 }
 
 TEST(Resilience, LadderExhaustsToOutOfMemory) {

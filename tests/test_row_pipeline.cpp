@@ -11,9 +11,9 @@
 //     inner region gets a team of one while the options ask for four.
 //   * One-shot == planned execute, bitwise, across the configuration
 //     lattice the other suites leave out: fused epilogues, capture-overflow
-//     rows, unsorted output, thread counts and all three tile schedules.
+//     rows, unsorted output and thread counts.
 //   * multiply_rap runs on the tile schedule: bit-identical to the
-//     two-step product under every schedule, with its tiles reported.
+//     two-step product at every thread count, with its tiles reported.
 //   * Every one-phase kernel gives the same bytes under all five
 //     opts.schedule variants, any thread count and a short team, and on
 //     unit values its sorted rows are spgemm_reference's.
@@ -56,10 +56,6 @@ constexpr Algorithm kAllAlgorithms[] = {
     Algorithm::kHashVector, Algorithm::kSpa,   Algorithm::kSpa1p,
     Algorithm::kKkHash,     Algorithm::kMerge, Algorithm::kIkj,
     Algorithm::kAdaptive,   Algorithm::kReference};
-
-constexpr parallel::TileSchedule kSchedules[] = {
-    parallel::TileSchedule::kStatic, parallel::TileSchedule::kDynamic,
-    parallel::TileSchedule::kStealing};
 
 Matrix rmat(int scale, int edge_factor, std::uint64_t seed) {
   return rmat_matrix<I, double>(RmatParams::g500(scale, edge_factor, seed));
@@ -250,15 +246,13 @@ struct LatticePoint {
   int capture;  ///< 0 default budget, 1 a 2 KiB budget, 2 reuse off
   SortOutput sorted;
   int threads;
-  parallel::TileSchedule schedule;
 
   [[nodiscard]] std::string label() const {
     return std::string(algorithm_name(algo)) + " epi" +
            std::to_string(static_cast<int>(epilogue)) + " cap" +
            std::to_string(capture) +
            (sorted == SortOutput::kYes ? " sorted" : " unsorted") + " t" +
-           std::to_string(threads) + " sched" +
-           std::to_string(static_cast<int>(schedule));
+           std::to_string(threads);
   }
 
   [[nodiscard]] SpGemmOptions options() const {
@@ -266,7 +260,6 @@ struct LatticePoint {
     opts.algorithm = algo;
     opts.threads = threads;
     opts.sort_output = sorted;
-    opts.tile_schedule = schedule;
     if (capture == 1) opts.reuse_budget_bytes = 2048;
     if (capture == 2) opts.reuse = StructureReuse::kOff;
     if (epilogue == EpilogueKind::kPruneScale) {
@@ -281,8 +274,8 @@ struct LatticePoint {
   }
 };
 
-/// Per-owner partial sums fold in owner order; which rows an owner ran
-/// depends on the schedule, so the scalars agree to rounding only.
+/// Per-owner partial sums fold in owner order; the scalars are compared to
+/// rounding, so the check does not pin that fold order.
 void expect_results_close(const EpilogueResult& x, const EpilogueResult& y,
                           const std::string& label) {
   EXPECT_EQ(x.rows, y.rows) << label;
@@ -339,10 +332,7 @@ TEST(RowPipelineLattice, OneShotMatchesPlannedExecute) {
       for (const int capture : {0, 1, 2}) {
         for (const SortOutput sorted : {SortOutput::kYes, SortOutput::kNo}) {
           for (const int threads : {1, 2, 4}) {
-            for (const parallel::TileSchedule schedule : kSchedules) {
-              check_lattice_point(
-                  a, {algo, epi, capture, sorted, threads, schedule});
-            }
+            check_lattice_point(a, {algo, epi, capture, sorted, threads});
           }
         }
       }
@@ -358,8 +348,7 @@ TEST(RowPipelineLattice, EveryTwoPhaseKernelOverflowsCapture) {
        {Algorithm::kHashVector, Algorithm::kSpa, Algorithm::kKkHash}) {
     for (const EpilogueKind epi :
          {EpilogueKind::kNone, EpilogueKind::kPruneScale}) {
-      const LatticePoint pt{algo,  epi, 1, SortOutput::kNo, 2,
-                            parallel::TileSchedule::kStealing};
+      const LatticePoint pt{algo, epi, 1, SortOutput::kNo, 2};
       check_lattice_point(a, pt);
       SpGemmStats stats;
       multiply(a, a, pt.options(), &stats);
@@ -373,32 +362,27 @@ TEST(RowPipelineLattice, EveryTwoPhaseKernelOverflowsCapture) {
 // multiply_rap on the tile schedule.
 // ---------------------------------------------------------------------------
 
-TEST(RowPipelineRap, BitIdenticalToTwoStepUnderEverySchedule) {
+TEST(RowPipelineRap, BitIdenticalToTwoStepAtEveryThreadCount) {
   const Matrix a = apps::poisson_2d<I, double>(20, 20);
   const Matrix p = apps::aggregation_prolongator<I, double>(a.nrows, 3);
   const Matrix r = transpose(p);
-  for (const parallel::TileSchedule schedule : kSchedules) {
-    for (const int threads : {1, 2, 3, 4}) {
-      SpGemmOptions opts;
-      opts.algorithm = Algorithm::kHash;
-      opts.threads = threads;
-      opts.sort_output = SortOutput::kYes;
-      opts.tile_schedule = schedule;
-      opts.tile_rows = 16;
-      const std::string label = "sched" +
-                                std::to_string(static_cast<int>(schedule)) +
-                                " t" + std::to_string(threads);
-      SpGemmStats stats;
-      const Matrix fused = multiply_rap(r, a, p, opts, &stats);
-      expect_bitwise_equal(fused, multiply(r, multiply(a, p, opts), opts),
-                           label);
-      // tile_rows caps every tile at 16 rows of an owner's range.
-      EXPECT_GE(stats.tile_count,
-                static_cast<std::uint64_t>((r.nrows + 15) / 16))
-          << label;
-      EXPECT_EQ(stats.epilogue_rows, static_cast<std::uint64_t>(r.nrows))
-          << label;
-    }
+  for (const int threads : {1, 2, 3, 4}) {
+    SpGemmOptions opts;
+    opts.algorithm = Algorithm::kHash;
+    opts.threads = threads;
+    opts.sort_output = SortOutput::kYes;
+    opts.tile_rows = 16;
+    const std::string label = "t" + std::to_string(threads);
+    SpGemmStats stats;
+    const Matrix fused = multiply_rap(r, a, p, opts, &stats);
+    expect_bitwise_equal(fused, multiply(r, multiply(a, p, opts), opts),
+                         label);
+    // tile_rows caps every tile at 16 rows of an owner's range.
+    EXPECT_GE(stats.tile_count,
+              static_cast<std::uint64_t>((r.nrows + 15) / 16))
+        << label;
+    EXPECT_EQ(stats.epilogue_rows, static_cast<std::uint64_t>(r.nrows))
+        << label;
   }
 }
 

@@ -3,10 +3,9 @@
 // The capture/replay pipeline folds numeric contributions in exactly the
 // traversal order of the classic re-probing path, so reuse-on and reuse-off
 // products must be BIT-identical — structure and values — in both sorted
-// and unsorted modes, at any thread count, under both tile schedules, and
-// across capture-budget fallbacks (dense rows spilling the budget).  With
-// integer-valued doubles the products are exact, so the reference oracle
-// must match bitwise too.
+// and unsorted modes, at any thread count, and across capture-budget
+// fallbacks (dense rows spilling the budget).  With integer-valued doubles
+// the products are exact, so the reference oracle must match bitwise too.
 #include <gtest/gtest.h>
 
 #include <cctype>
@@ -71,7 +70,6 @@ struct ReuseParam {
   Algorithm algo;
   SortOutput sort;
   int threads;
-  parallel::TileSchedule tiles;
 };
 
 std::string reuse_name(const ::testing::TestParamInfo<ReuseParam>& info) {
@@ -79,8 +77,6 @@ std::string reuse_name(const ::testing::TestParamInfo<ReuseParam>& info) {
   std::string name = algorithm_name(p.algo);
   name += p.sort == SortOutput::kYes ? "_sorted" : "_unsorted";
   name += "_t" + std::to_string(p.threads);
-  name += "_";
-  name += parallel::tile_schedule_name(p.tiles);
   for (char& c : name) {
     if (!std::isalnum(static_cast<unsigned char>(c))) c = '_';
   }
@@ -97,7 +93,6 @@ TEST_P(ReuseSweep, ReuseOnOffAndReferenceBitIdentical) {
   opts.algorithm = p.algo;
   opts.sort_output = p.sort;
   opts.threads = p.threads;
-  opts.tile_schedule = p.tiles;
 
   opts.reuse = StructureReuse::kOn;
   SpGemmStats on_stats;
@@ -111,9 +106,9 @@ TEST_P(ReuseSweep, ReuseOnOffAndReferenceBitIdentical) {
   EXPECT_NO_THROW(with_reuse.validate());
 
   // Batched vs per-key probing must be bit-identical too (the batch-capture
-  // contract of accumulator/hash_table.hpp) across kernels, sortedness,
-  // threads and tile schedules.  kOn overrides the table-size gate so the
-  // batch pipeline really runs on these small inputs; kOff forbids it.
+  // contract of accumulator/hash_table.hpp) across kernels, sortedness and
+  // threads.  kOn overrides the table-size gate so the batch pipeline
+  // really runs on these small inputs; kOff forbids it.
   opts.reuse = StructureReuse::kOn;
   opts.probe_batching = ProbeBatch::kOn;
   const Matrix batch_probed = multiply(a, a, opts);
@@ -150,11 +145,7 @@ std::vector<ReuseParam> build_reuse_sweep() {
         Algorithm::kKkHash}) {
     for (const SortOutput sort : {SortOutput::kYes, SortOutput::kNo}) {
       for (const int threads : {1, 4}) {
-        for (const parallel::TileSchedule tiles :
-             {parallel::TileSchedule::kStatic,
-              parallel::TileSchedule::kDynamic}) {
-          out.push_back({algo, sort, threads, tiles});
-        }
+        out.push_back({algo, sort, threads});
       }
     }
   }
@@ -337,14 +328,8 @@ TEST(ReuseEdgeCases, ThreadCountInvariance) {
   const Matrix baseline = multiply(a, a, opts);
   for (const int threads : {2, 3, 8}) {
     opts.threads = threads;
-    for (const parallel::TileSchedule tiles :
-         {parallel::TileSchedule::kStatic,
-          parallel::TileSchedule::kDynamic}) {
-      opts.tile_schedule = tiles;
-      const Matrix c = multiply(a, a, opts);
-      expect_bitwise_equal(c, baseline,
-                           "threads=" + std::to_string(threads));
-    }
+    const Matrix c = multiply(a, a, opts);
+    expect_bitwise_equal(c, baseline, "threads=" + std::to_string(threads));
   }
 }
 
