@@ -1,6 +1,5 @@
 // Ablation: inspector-executor amortization — plan once, execute N, versus
-// N one-shot multiplies (machine-readable companion of bench_abl_plan.cpp;
-// needs no google-benchmark).
+// N one-shot multiplies (machine-readable; needs no google-benchmark).
 //
 // Two workloads exercise the SpGemmHandle surface end to end:
 //   * A^2 on a scale-16 Graph500 RMAT (the paper's squaring benchmark) for

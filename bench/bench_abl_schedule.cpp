@@ -7,7 +7,12 @@
 //      (symbolic+numeric back to back per tile, A/B rows cache-hot) on the
 //      same schedule the handle plans with.  Rows "fused one-shot" vs
 //      "plan+execute once" on the scale-16 G500 squaring benchmark show
-//      what the fusion is worth for a product computed exactly once.
+//      what the fusion is worth for a product computed exactly once.  The
+//      two run back to back in kSchedulePairs rounds, fused first in even
+//      rounds and planned first in odd ones, so neither side always runs
+//      on the other's warm caches; each row is its side's median, and the
+//      "schedule-paired" row's paired_ratio is the median per-round
+//      fused / planned time (above 1 where planning wins).
 //   2. budget source: fixed cache-constant tiles vs fast-tier-derived
 //      budgets (model::derive_schedule_budgets on the host LLC tier).
 #include <algorithm>
@@ -26,9 +31,19 @@ using namespace spgemm::bench;
 using I = std::int32_t;
 using Matrix = CsrMatrix<I, double>;
 
+/// Fused-vs-planned rounds of experiment 1.
+constexpr int kSchedulePairs = 20;
+
 double median_ms(std::vector<double> times) {
   std::sort(times.begin(), times.end());
   return times[times.size() / 2];
+}
+
+template <typename Fn>
+double time_once(Fn&& fn) {
+  Timer timer;
+  fn();
+  return timer.millis();
 }
 
 /// Median wall time of `fn` over the trial envelope (one warm-up).
@@ -72,19 +87,36 @@ int main() {
 
     // multiply() IS the fused path now; the unfused baseline is the exact
     // sequence multiply() ran before: fresh handle, plan, execute-once.
-    const double fused_ms =
-        time_median([&] { multiply(a, a, opts); });
-    const double unfused_ms = time_median([&] {
+    const auto fused_run = [&] { multiply(a, a, opts); };
+    const auto planned_run = [&] {
       SpGemmOptions handle_opts = opts;
       handle_opts.reuse_budget_bytes = model::kDefaultReuseBudgetBytes;
       SpGemmHandle<I, double> handle(a, a, handle_opts);
       Matrix c;
       handle.execute_into(a, a, c);
-    });
+    };
+    fused_run();
+    planned_run();
+    std::vector<double> fused_times;
+    std::vector<double> planned_times;
+    std::vector<double> ratios;
+    for (int i = 0; i < kSchedulePairs; ++i) {
+      const bool fused_first = i % 2 == 0;
+      const double first = fused_first ? time_once(fused_run)
+                                       : time_once(planned_run);
+      const double second = fused_first ? time_once(planned_run)
+                                        : time_once(fused_run);
+      fused_times.push_back(fused_first ? first : second);
+      planned_times.push_back(fused_first ? second : first);
+      ratios.push_back(fused_times.back() / planned_times.back());
+    }
+    const double fused_ms = median_ms(fused_times);
+    const double unfused_ms = median_ms(planned_times);
+    const double paired_ratio = median_ms(ratios);
     print_row("fused one-shot", {fused_ms}, "%14.2f");
     print_row("plan+execute once", {unfused_ms}, "%14.2f");
-    std::printf("fused speedup: %.3fx\n",
-                fused_ms > 0.0 ? unfused_ms / fused_ms : 0.0);
+    std::printf("fused / planned time, median of %d paired rounds: %.3f\n",
+                kSchedulePairs, paired_ratio);
 
     BenchRecord fused;
     fused.kernel = "fused one-shot";
@@ -98,6 +130,12 @@ int main() {
     unfused.threads = threads;
     unfused.total_ms = unfused_ms;
     json.add(std::move(unfused));
+    BenchRecord paired;
+    paired.kernel = "schedule-paired";
+    paired.matrix = matrix_name;
+    paired.threads = threads;
+    paired.paired_ratio = paired_ratio;
+    json.add(std::move(paired));
   }
 
   // ---- 2. Budget source: fixed constant vs memory-model tiles. ------------

@@ -144,23 +144,14 @@ GalerkinResult<IT, VT> galerkin_product_fused(const CsrMatrix<IT, VT>& a,
 template <IndexType IT, ValueType VT>
 class GalerkinReassembler {
  public:
-  /// `fuse_rap` routes every reassemble() through multiply_rap(): no AP
-  /// handle, no retained intermediate — the per-step cost is one fused
-  /// triple-product pass.  Trades the numeric-only replay of the planned
-  /// pipeline for the smaller working set; best when memory, not replay
-  /// latency, is the binding constraint.
   GalerkinReassembler(const CsrMatrix<IT, VT>& a, CsrMatrix<IT, VT> p,
-                      SpGemmOptions opts = {}, bool fuse_rap = false)
-      : p_(std::move(p)), r_(transpose(p_)), fuse_rap_(fuse_rap) {
+                      SpGemmOptions opts = {})
+      : p_(std::move(p)), r_(transpose(p_)) {
     // kAuto flows through to plan()'s recipe resolution; only genuinely
     // non-plannable one-phase kernels are mapped to Hash.
     if (opts.algorithm != Algorithm::kAuto &&
         !is_two_phase(opts.algorithm)) {
       opts.algorithm = Algorithm::kHash;
-    }
-    if (fuse_rap_) {
-      fused_opts_ = opts;
-      return;  // nothing to plan: each step is a one-shot fused pass
     }
     ap_handle_.plan(a, p_, opts);
     const CsrMatrix<IT, VT>& ap = ap_handle_.execute(a, p_);
@@ -206,12 +197,6 @@ class GalerkinReassembler {
       ++engine_reassemblies_;
       return coarse_product_.c;
     }
-    if (fuse_rap_) {
-      if (ap_stats != nullptr) *ap_stats = SpGemmStats{};
-      fused_coarse_ = multiply_rap(r_, a, p_, fused_opts_, rap_stats);
-      ++fused_reassemblies_;
-      return fused_coarse_;
-    }
     const CsrMatrix<IT, VT>& ap =
         ap_handle_.execute(a, p_, PlusTimes{}, ap_stats);
     return rap_handle_.execute(r_, ap, PlusTimes{}, rap_stats);
@@ -224,7 +209,7 @@ class GalerkinReassembler {
     if (engine_ != nullptr) {
       return engine_reassemblies_ > 0 ? engine_reassemblies_ - 1 : 0;
     }
-    return fuse_rap_ ? fused_reassemblies_ : rap_handle_.executions();
+    return rap_handle_.executions();
   }
   /// Whether the last reassemble()'s products both replayed cached plans.
   [[nodiscard]] bool last_step_cached() const {
@@ -237,12 +222,6 @@ class GalerkinReassembler {
   CsrMatrix<IT, VT> r_;
   SpGemmHandle<IT, VT> ap_handle_;
   SpGemmHandle<IT, VT> rap_handle_;
-
-  // Fused-RAP mode only.
-  bool fuse_rap_ = false;
-  SpGemmOptions fused_opts_;
-  CsrMatrix<IT, VT> fused_coarse_;
-  std::uint64_t fused_reassemblies_ = 0;
 
   // Engine mode only.
   engine::SpGemmEngine<IT, VT>* engine_ = nullptr;

@@ -7,6 +7,11 @@
 // into triangles: with the smallest-labelled vertex as the wedge apex,
 // every triangle {i, j, k} (k < j < i) is counted exactly once by
 // sum( (L*U) .* L ).
+//
+// count_triangles() runs that pipeline as written: it materializes W with
+// multiply() and sums it under L's mask.  count_triangles_fused() computes
+// (L*U) .* L directly with the masked product, which stages at most nnz(L)
+// entries instead of nnz(W); the two return equal counts.
 #pragma once
 
 #include <cstdint>
@@ -22,37 +27,17 @@ template <IndexType IT, ValueType VT>
 struct TriangleCountResult {
   std::int64_t triangles = 0;
   SpGemmStats spgemm_stats;   ///< timings of the L*U multiply
-  CsrMatrix<IT, VT> wedges;   ///< W = L*U (kept for inspection/tests)
+  CsrMatrix<IT, VT> wedges;   ///< W = L*U; empty from the fused count
 };
 
-/// Masked variant: fuses the L*U product with the edge-mask intersection
-/// via multiply_masked(), never materializing the wedge matrix.  Returns
-/// the same count as count_triangles() with wedges restricted to L's
-/// structure (out.wedges holds the masked product).
-template <IndexType IT, ValueType VT>
-TriangleCountResult<IT, VT> count_triangles_masked(
-    const CsrMatrix<IT, VT>& a, SpGemmOptions opts = {}) {
-  CsrMatrix<IT, VT> pattern = a;
-  for (auto& v : pattern.vals) v = VT{1};
-  TriangularSplit<IT, VT> split = prepare_triangle_split(pattern);
-  if (opts.algorithm == Algorithm::kAuto) opts.algorithm = Algorithm::kHash;
-
-  TriangleCountResult<IT, VT> out;
-  out.wedges = multiply_masked(split.lower, split.upper, split.lower, opts,
-                               &out.spgemm_stats);
-  double closed = 0.0;
-  for (const VT v : out.wedges.vals) closed += static_cast<double>(v);
-  out.triangles = static_cast<std::int64_t>(closed + 0.5);
-  return out;
-}
-
-/// Fused-epilogue variant: the wedge matrix W = L*U is never materialized.
-/// A kMaskReduce epilogue intersects each W row with L's row and folds the
-/// surviving wedge counts into a scalar while the row is still in the
-/// accumulator's staging buffer — zero entries are kept, so the pipeline's
-/// peak memory is the inputs plus thread scratch.  Counts are integer-valued
-/// doubles, so the per-thread fold is exact and the result matches
-/// count_triangles() bit-for-bit.  out.wedges stays empty.
+/// Fused count: the wedge matrix W = L*U is never materialized.  The masked
+/// product (multiply_masked, core/spgemm_masked.hpp) accumulates only the
+/// wedges whose column lies in L's row, so each row's staging is bounded by
+/// its L row and the pass stages at most nnz(L) entries, which are then
+/// summed.  Counts are integer-valued doubles, so the sum is exact and the
+/// result matches count_triangles() bit-for-bit.  out.wedges stays empty;
+/// out.spgemm_stats are the masked product's (one-phase: no symbolic phase,
+/// no tiles, nnz_out = the closed-wedge entries).
 template <IndexType IT, ValueType VT>
 TriangleCountResult<IT, VT> count_triangles_fused(
     const CsrMatrix<IT, VT>& a, SpGemmOptions opts = {}) {
@@ -60,17 +45,12 @@ TriangleCountResult<IT, VT> count_triangles_fused(
   for (auto& v : pattern.vals) v = VT{1};
   TriangularSplit<IT, VT> split = prepare_triangle_split(pattern);
 
-  opts.algorithm =
-      recipe::resolve(opts.algorithm, split.lower, split.upper,
-                      opts.sort_output, recipe::Operation::kTriangular,
-                      is_two_phase);
-  opts.epilogue.kind = EpilogueKind::kMaskReduce;
-
   TriangleCountResult<IT, VT> out;
-  EpilogueResult closed;
-  multiply_with_epilogue(split.lower, split.upper, opts, &closed,
-                         &split.lower, &out.spgemm_stats);
-  out.triangles = static_cast<std::int64_t>(closed.reduce + 0.5);
+  const CsrMatrix<IT, VT> closed_wedges = multiply_masked(
+      split.lower, split.upper, split.lower, opts, &out.spgemm_stats);
+  double closed = 0.0;
+  for (const VT v : closed_wedges.vals) closed += static_cast<double>(v);
+  out.triangles = static_cast<std::int64_t>(closed + 0.5);
   return out;
 }
 

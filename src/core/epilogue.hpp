@@ -103,7 +103,8 @@ struct EpilogueState {
   }
 };
 
-/// Process-wide mirror of SpGemmStats::epilogue_rows, by epilogue kind.
+/// Process-wide mirror of SpGemmStats::epilogue_rows, by epilogue kind;
+/// multiply_rap() counts its coarse rows under kind "rap".
 struct EpilogueTelemetry {
   telemetry::Counter& prune_scale_rows;
   telemetry::Counter& mask_reduce_rows;
@@ -126,8 +127,6 @@ struct EpilogueTelemetry {
     switch (k) {
       case EpilogueKind::kMaskReduce:
         return mask_reduce_rows;
-      case EpilogueKind::kRap:
-        return rap_rows;
       default:
         return prune_scale_rows;
     }
@@ -203,11 +202,9 @@ inline std::size_t apply_row_epilogue(const EpilogueSpec& spec,
   }
 }
 
-/// True when the spec's kind runs through the per-row hook of the drivers
-/// (kRap is executed by multiply_rap(), not the hook).
+/// True when the spec's kind runs through the per-row hook of the drivers.
 inline bool epilogue_fuses_rows(const EpilogueSpec& spec) {
-  return spec.kind == EpilogueKind::kPruneScale ||
-         spec.kind == EpilogueKind::kMaskReduce;
+  return spec.kind != EpilogueKind::kNone;
 }
 
 /// Argument validation of the fused-epilogue entry points.

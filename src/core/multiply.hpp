@@ -11,34 +11,31 @@
 // bytes.  multiply_over, SpGemmHandle and multiply_rap cannot run SPA-1p
 // and keep Hash.
 //
-// Every TWO-PHASE kernel (hash, hashvec, SPA, kkhash, adaptive) runs the
-// row pipeline's one-shot pass (KernelPlan::multiply_once in
-// core/spgemm_twophase.hpp): symbolic and numeric execute back to back per
-// tile of the ExecutionSchedule, while the A/B rows and accumulator state
-// are still cache-hot — the right shape for a product that is computed
-// exactly once.  Repeated products should plan a SpGemmHandle instead; it
-// runs the same row loops, kernel policies and schedule cuts, so their
-// outputs are bit-identical.  One-phase kernels (heap, merge, ikj, spa1p)
-// run the one-phase driver (core/spgemm_onephase.hpp); the reference oracle
-// stays serial.
+// Every TWO-PHASE kernel (hash, hashvec, SPA, kkhash, adaptive) is one
+// accumulator policy (core/spgemm_policies.hpp) and has no entry point of
+// its own: multiply(), multiply_over() and multiply_with_epilogue() pick
+// the policy through with_plan_policy() and run the row pipeline's one-shot
+// pass (KernelPlan::multiply_once in core/spgemm_twophase.hpp): symbolic
+// and numeric execute back to back per tile of the ExecutionSchedule, while
+// the A/B rows and accumulator state are still cache-hot — the right shape
+// for a product that is computed exactly once.  Repeated products should
+// plan a SpGemmHandle instead; it runs the same row loops, kernel policies
+// and schedule cuts, so their outputs are bit-identical.  One-phase kernels
+// (heap, merge, ikj, spa1p) run the one-phase driver
+// (core/spgemm_onephase.hpp); the reference oracle stays serial.
 #pragma once
 
 #include <stdexcept>
 #include <type_traits>
 
 #include "core/recipe.hpp"
-#include "core/spgemm_adaptive.hpp"
 #include "core/spgemm_handle.hpp"
-#include "core/spgemm_hash.hpp"
-#include "core/spgemm_hashvector.hpp"
 #include "core/spgemm_heap.hpp"
 #include "core/spgemm_ikj.hpp"
-#include "core/spgemm_kkhash.hpp"
 #include "core/spgemm_merge.hpp"
 #include "core/spgemm_options.hpp"
 #include "core/spgemm_policies.hpp"
 #include "core/spgemm_ref.hpp"
-#include "core/spgemm_spa.hpp"
 #include "core/spgemm_spa1p.hpp"
 #include "core/spgemm_twophase.hpp"
 
@@ -113,7 +110,7 @@ CsrMatrix<IT, VT> multiply_over(const CsrMatrix<IT, VT>& a,
 /// kAuto resolves as multiply()'s does (SPA-1p when a dense output row fits
 /// recipe::kDenseRowMaxBytes), falling back to kHash.  `mask` is the
 /// kMaskReduce operand; `result` receives the scalar outputs (reduction,
-/// column sums).  kRap products go through multiply_rap()
+/// column sums).  Triple products R*(A*P) go through multiply_rap()
 /// (core/spgemm_rap.hpp) instead.
 template <IndexType IT, ValueType VT>
 CsrMatrix<IT, VT> multiply_with_epilogue(
@@ -125,10 +122,6 @@ CsrMatrix<IT, VT> multiply_with_epilogue(
   if (a.ncols != b.nrows) {
     throw std::invalid_argument(
         "multiply_with_epilogue: inner dimensions disagree");
-  }
-  if (opts.epilogue.kind == EpilogueKind::kRap) {
-    throw std::invalid_argument(
-        "multiply_with_epilogue: kRap runs through multiply_rap()");
   }
   opts.algorithm =
       recipe::resolve(opts.algorithm, a, b, opts.sort_output,

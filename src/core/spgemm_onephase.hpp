@@ -1,17 +1,20 @@
 // The one-phase SpGEMM row pass.
 //
-// Heap (paper §4.2.3), Merge, SPA-1p (the MKL-inspector stand-in), IKJ,
-// masked SpGEMM and the direct Adaptive kernel never count a row before
-// computing it.  Each row is computed into room sized by an upper bound on
-// its nnz (its flop, or its mask row's nnz for the masked product, capped
-// at C's column count) and the staged rows are copied into the exact-size
-// CSR once every row is known.  one_phase_product() below is that pass; a
-// kernel supplies only a per-thread factory for its row function.  A fused
+// Heap (paper §4.2.3), Merge, SPA-1p (the MKL-inspector stand-in), IKJ and
+// masked SpGEMM (which the fused triangle count runs) never count a row
+// before computing it.  Each row is computed into room sized by an upper
+// bound on its nnz (its flop, or its mask row's nnz for the masked product,
+// capped at C's column count) and the staged rows are copied into the
+// exact-size CSR once every row is known.  one_phase_product() below is
+// that pass; a kernel supplies only a per-thread factory for its row
+// function.  A fused
 // row epilogue (core/epilogue.hpp; SPA-1p under multiply_with_epilogue)
 // runs on each row as soon as the row function returns, and only its kept
 // entries stay staged.  The pass reports the two-phase one-shot's phases
 // minus the symbolic one (oneshot.setup, oneshot.numeric for the row pass,
 // oneshot.placement for the scan and copy) under the oneshot.multiply span.
+// The scan is the two-phase pipeline's: kept counts at rpts[i], then
+// parallel::exclusive_scan_inplace.
 //
 // opts.schedule selects the paper's Fig. 9 variants:
 //   kStatic/kDynamic/kGuided   plain OpenMP row loops, single staging
@@ -45,6 +48,7 @@
 #include "matrix/csr.hpp"
 #include "mem/pool_allocator.hpp"
 #include "parallel/omp_utils.hpp"
+#include "parallel/prefix_sum.hpp"
 #include "parallel/rows_to_threads.hpp"
 #include "parallel/schedule.hpp"
 #include "telemetry/span.hpp"
@@ -232,7 +236,7 @@ CsrMatrix<IT, VT> one_phase_product(
         const std::size_t nnz = stage_row(row, i, bounds[i + 1] - bounds[i],
                                           cols + at, vals + at);
         const std::size_t kept = finish_row(st, i, cols + at, vals + at, nnz);
-        c.rpts[i + 1] = static_cast<Offset>(kept);
+        c.rpts[i] = static_cast<Offset>(kept);
         at += kept;
       }
     });
@@ -249,18 +253,18 @@ CsrMatrix<IT, VT> one_phase_product(
         VT* vals = stage_vals[0] + room[i];
         const std::size_t nnz =
             stage_row(row, i, bounds[i + 1] - bounds[i], cols, vals);
-        c.rpts[i + 1] =
-            static_cast<Offset>(finish_row(st, i, cols, vals, nnz));
+        c.rpts[i] = static_cast<Offset>(finish_row(st, i, cols, vals, nnz));
       }
     }
   }
   const double numeric_s = timer.seconds();
 
-  // Scan, then copy: a balanced owner's kept rows are one block, the plain
-  // loops' rows are copied one by one.  Each owner frees its own staging in
-  // the thread that allocated it.
+  // Scan the kept counts at rpts[i], then copy: a balanced owner's kept rows
+  // are one block, the plain loops' rows are copied one by one.  Each owner
+  // frees its own staging in the thread that allocated it.
   timer.reset();
-  for (std::size_t i = 0; i < nrows; ++i) c.rpts[i + 1] += c.rpts[i];
+  c.rpts[nrows] = 0;
+  parallel::exclusive_scan_inplace(c.rpts.data(), nrows + 1);
   const auto nnz_c = static_cast<std::size_t>(c.rpts[nrows]);
   c.cols.resize(nnz_c);
   c.vals.resize(nnz_c);

@@ -107,8 +107,6 @@ enum class EpilogueKind : std::uint8_t {
                 ///< (MCL's inflate+prune fused into the expansion product)
   kMaskReduce,  ///< keep nothing; sum entries whose column is in the mask
                 ///< row (tricount's masked reduction, empty output C)
-  kRap,         ///< triple-product R*(A*P) identity for plan keying/stats;
-                ///< executed by multiply_rap(), not the per-row hook
 };
 
 inline const char* epilogue_kind_name(EpilogueKind k) {
@@ -117,8 +115,6 @@ inline const char* epilogue_kind_name(EpilogueKind k) {
       return "prune_scale";
     case EpilogueKind::kMaskReduce:
       return "mask_reduce";
-    case EpilogueKind::kRap:
-      return "rap";
     default:
       return "none";
   }

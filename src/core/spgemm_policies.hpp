@@ -1,4 +1,16 @@
-// Per-kernel accumulator policies for the two-phase SpGEMM pipeline.
+// Per-kernel accumulator policies for the two-phase SpGEMM pipeline: the
+// five two-phase kernels are these policies and nothing else.
+//
+//   Hash        (paper §4.2.1) linear-probing hash table, sized per owner to
+//               the widest row flop of its range (paper Fig. 7);
+//   HashVector  (paper §4.2.2) the chunked SIMD-probed table (Fig. 8);
+//   SPA         dense sparse accumulator, O(ncols) per thread — the
+//               stand-in for MKL's sorted-capable path;
+//   KKHash      two-level chained hash map, the KokkosKernels 'kkmem'
+//               stand-in;
+//   Adaptive    per-row regimes (tiny / hash / dense SPA), after the GPU
+//               codes that bin rows by flop (§2: Liu & Vinter, Nagasaka et
+//               al. [25]).
 //
 // A policy supplies the accumulator type, its construction/sizing, and the
 // per-row hook begin_row() which may switch regimes and force sorted
@@ -7,7 +19,8 @@
 // (core/spgemm_twophase.hpp): the one-shot product, the handle's plan and
 // execute, and multiply_rap — so all of them size and probe their
 // accumulators identically, a prerequisite for their bit-identical
-// outputs.
+// outputs.  with_plan_policy() at the bottom is the one algorithm-to-policy
+// mapping they all share.
 #pragma once
 
 #include <algorithm>
@@ -21,14 +34,46 @@
 #include "accumulator/spa.hpp"
 #include "accumulator/two_level_hash.hpp"
 #include "common/types.hpp"
-#include "core/spgemm_adaptive.hpp"
 #include "core/spgemm_options.hpp"
+
+namespace spgemm {
+
+/// Per-row flop thresholds separating the Adaptive kernel's three regimes.
+struct AdaptiveThresholds {
+  Offset tiny_flop = 16;
+  /// Dense regime when flop(row) >= ncols / dense_divisor; must be >= 1.
+  Offset dense_divisor = 2;
+};
+
+}  // namespace spgemm
 
 namespace spgemm::detail {
 
+/// Largest tiny cut: a row of at most this many flop always emits sorted.
+inline constexpr Offset kTinyRowCapacity = 16;
+
+/// The regime cuts of a product into `ncols` columns: a row is tiny when
+/// flop <= tiny (checked first) and dense when flop >= dense.
+struct AdaptiveCuts {
+  Offset tiny = 0;
+  Offset dense = 0;
+};
+
+inline AdaptiveCuts adaptive_cuts(Offset ncols, AdaptiveThresholds thresholds) {
+  if (thresholds.dense_divisor < 1) {
+    throw std::invalid_argument(
+        "AdaptiveThresholds: dense_divisor must be at least 1");
+  }
+  // A tiny row is emitted sorted, which sorts it; the cut is clamped to
+  // kTinyRowCapacity so only rows that short pay for it, whatever the
+  // caller asks for.
+  return {std::min(thresholds.tiny_flop, kTinyRowCapacity),
+          ncols / thresholds.dense_divisor};
+}
+
 /// Pairs the Hash and SPA accumulators behind one accumulator interface so
-/// the Adaptive kernel's per-row regimes (tiny/hash/dense, see
-/// core/spgemm_adaptive.hpp) flow through the generic plan/execute loops.
+/// the Adaptive kernel's per-row regimes (tiny/hash/dense) flow through the
+/// generic plan/execute loops.
 /// The active sub-accumulator is chosen per row via set_dense(); slot
 /// streams recorded against one regime replay against the same regime
 /// because the regime is a pure function of the row's flop.
@@ -160,8 +205,7 @@ struct AdaptivePlanPolicy {
   Offset dense_cut = 0;
   IT ncols = 0;
 
-  /// Regime cuts for a product into `ncols_b` columns, matching the direct
-  /// spgemm_adaptive kernel's thresholds.
+  /// Regime cuts for a product into `ncols_b` columns.
   static AdaptivePlanPolicy for_product(IT ncols_b,
                                         AdaptiveThresholds thresholds = {}) {
     const AdaptiveCuts cuts = adaptive_cuts(ncols_b, thresholds);
@@ -175,8 +219,7 @@ struct AdaptivePlanPolicy {
         static_cast<std::size_t>(nc)));
   }
   /// Dense rows switch the accumulator to the SPA regime; tiny rows stay on
-  /// the hash regime but force sorted emission (the tiny-row buffer of the
-  /// one-shot Adaptive kernel always emits sorted).
+  /// the hash regime but force sorted emission.
   bool begin_row(Acc& acc, Offset row_flop) const {
     const bool dense = row_flop >= dense_cut;
     if (dense) acc.ensure_spa(static_cast<std::size_t>(ncols));

@@ -1,4 +1,4 @@
-// Fused triple product R*(A*P) — the EpilogueKind::kRap pipeline.
+// Fused triple product R*(A*P).
 //
 // AMG's Galerkin coarsening pays for A*P twice: once to materialize it, once
 // to stream it back through the R* product.  multiply_rap() computes each
@@ -7,7 +7,10 @@
 // classic Gustavson probe of core/spgemm_twophase.hpp), extracted sorted
 // while cache-hot, and folded straight into the outer accumulator scaled by
 // r_ik.  The intermediate A*P CSR is never assembled — its nnz(AP) entries
-// exist one row at a time in thread-local scratch.
+// exist one row at a time in thread-local scratch.  It is a call of its
+// own, not an epilogue kind: multiply_with_epilogue and the engine take
+// pairwise products only.  Its coarse rows count in
+// spgemm_epilogue_rows_total{kind="rap"}.
 //
 // Bit-identity contract: the inner probe folds A_k x P contributions in
 // exactly the traversal order of the two-step product's numeric pass, and

@@ -388,8 +388,8 @@ class SpGemmEngine {
     /// request only moves the aggregate counters.
     int tenant = -1;
     /// Fused per-row epilogue applied while each output row is cache-hot
-    /// (kPruneScale / kMaskReduce; kRap is rejected — it is a triple
-    /// product, use multiply_rap()).  The epilogue id is folded into the
+    /// (kPruneScale / kMaskReduce; triple products go through
+    /// multiply_rap()).  The epilogue id is folded into the
     /// plan-cache key, so fused and unfused requests over the same
     /// structure never share a plan.
     EpilogueSpec epilogue;
@@ -943,11 +943,6 @@ class SpGemmEngine {
           if (r.a->ncols != r.b->nrows) {
             throw SpGemmError(ErrorCode::kBadInput,
                               "SpGemmEngine: inner dimensions disagree");
-          }
-          if (r.epilogue.kind == EpilogueKind::kRap) {
-            throw SpGemmError(ErrorCode::kBadInput,
-                              "SpGemmEngine: kRap is a triple product — use "
-                              "multiply_rap()");
           }
           if (r.epilogue.kind == EpilogueKind::kMaskReduce &&
               r.epilogue_mask == nullptr) {

@@ -12,16 +12,16 @@
 // for the lifetime of the entry, so re-evicting a previously spilled shard
 // is free (drop the DRAM copy, keep the file).
 //
-// Read-back uses mmap when the build detected it (SPGEMM_HAVE_MMAP, see
-// CMakeLists) AND the caller opted in (Options::use_mmap): the file is
-// mapped read-only and copied straight into the shard's buffers in one
-// pass, with a plain fread fallback otherwise — both paths produce
-// byte-identical shards.
+// Read-back is one portable stdio path: the file's length is checked
+// against the sizes its header declares, then each array is fread straight
+// into the shard's buffers.  A truncated or corrupt spill therefore fails
+// before anything is allocated from the header.
 //
 // Error contract: every I/O failure surfaces as a typed SpGemmError —
-// kInternal for write/read/map failures (including the two injected fault
-// points "shard.spill.write" and "shard.load.map"), kOutOfMemory when
-// re-materialising a shard exhausts memory.  Nothing is silently dropped.
+// kInternal for write/read failures and truncated files (including the two
+// injected fault points "shard.spill.write" and "shard.load.map", the
+// read-back), kOutOfMemory when re-materialising a shard exhausts memory.
+// Nothing is silently dropped.
 //
 // Threading: NOT thread-safe.  The store belongs to the sharded driver's
 // orchestration thread; engine workers only ever see pinned (immutable,
@@ -40,15 +40,10 @@
 #include <filesystem>
 #include <limits>
 #include <list>
+#include <memory>
 #include <string>
 #include <unordered_map>
 #include <utility>
-
-#ifdef SPGEMM_HAVE_MMAP
-#include <fcntl.h>
-#include <sys/mman.h>
-#include <sys/stat.h>
-#endif
 
 #include "common/env.hpp"
 #include "common/error.hpp"
@@ -81,9 +76,6 @@ struct ShardStoreTelemetry {
 struct ShardStoreOptions {
   /// Resident-set budget in bytes; 0 means unbounded (never spill).
   std::size_t memory_budget_bytes = 0;
-  /// Map spill files on read-back instead of fread (honoured only when the
-  /// build has SPGEMM_HAVE_MMAP; otherwise the fread fallback runs).
-  bool use_mmap = true;
   /// Spill directory; empty falls back to $SPGEMM_SHARD_DIR, then the
   /// system temp directory.  The store creates (and on destruction removes)
   /// a process-unique subdirectory underneath.
@@ -379,106 +371,47 @@ class ShardStore {
     }
   }
 
-  Matrix read_file(const std::filesystem::path& path) {
-#ifdef SPGEMM_HAVE_MMAP
-    if (opts_.use_mmap) return read_mmap(path);
-#endif
-    return read_stdio(path);
+  /// True when a file of `size` bytes can hold the arrays `h` declares.
+  /// Divides rather than multiplies, so a corrupt header cannot overflow.
+  static bool holds(const FileHeader& h, std::uintmax_t size) {
+    if (size < sizeof(h)) return false;
+    const std::uintmax_t body = size - sizeof(h);
+    if (h.nrows >= body / sizeof(Offset)) return false;
+    const std::uintmax_t rest = body - (h.nrows + 1) * sizeof(Offset);
+    return h.nnz <= rest / (sizeof(IT) + sizeof(VT));
   }
 
-#ifdef SPGEMM_HAVE_MMAP
-  Matrix read_mmap(const std::filesystem::path& path) {
-    const int fd = ::open(path.c_str(), O_RDONLY);
-    if (fd < 0) {
+  struct FileCloser {
+    void operator()(std::FILE* f) const { std::fclose(f); }
+  };
+
+  Matrix read_file(const std::filesystem::path& path) {
+    const std::unique_ptr<std::FILE, FileCloser> f(
+        std::fopen(path.c_str(), "rb"));
+    if (!f) {
       throw SpGemmError(ErrorCode::kInternal,
                         "ShardStore: cannot open spill file " +
                             path.string() + ": " + std::strerror(errno));
     }
-    struct ::stat st{};
-    if (::fstat(fd, &st) != 0 || st.st_size < 0) {
-      ::close(fd);
-      throw SpGemmError(ErrorCode::kInternal,
-                        "ShardStore: cannot stat spill file " + path.string());
-    }
-    const auto size = static_cast<std::size_t>(st.st_size);
-    void* map = ::mmap(nullptr, std::max<std::size_t>(size, 1), PROT_READ,
-                       MAP_PRIVATE, fd, 0);
-    ::close(fd);
-    if (map == MAP_FAILED) {
-      throw SpGemmError(ErrorCode::kInternal,
-                        "ShardStore: mmap of spill file failed: " +
-                            std::string(std::strerror(errno)));
-    }
-    Matrix m;
-    try {
-      m = decode(static_cast<const unsigned char*>(map), size, path);
-    } catch (...) {
-      ::munmap(map, std::max<std::size_t>(size, 1));
-      throw;
-    }
-    ::munmap(map, std::max<std::size_t>(size, 1));
-    return m;
-  }
-
-  Matrix decode(const unsigned char* bytes, std::size_t size,
-                const std::filesystem::path& path) {
+    // Check the header against the file's length before sizing anything
+    // from it.
+    std::error_code ec;
+    const std::uintmax_t size = std::filesystem::file_size(path, ec);
     FileHeader h;
-    if (size < sizeof(h)) {
+    if (ec || std::fread(&h, sizeof(h), 1, f.get()) != 1 || !holds(h, size)) {
       throw SpGemmError(ErrorCode::kInternal,
                         "ShardStore: truncated spill file " + path.string());
     }
-    std::memcpy(&h, bytes, sizeof(h));
     Matrix m;
-    const std::size_t nrows = static_cast<std::size_t>(h.nrows);
-    const std::size_t nnz = static_cast<std::size_t>(h.nnz);
-    const std::size_t expect = sizeof(h) + (nrows + 1) * sizeof(Offset) +
-                               nnz * (sizeof(IT) + sizeof(VT));
-    if (size < expect) {
-      throw SpGemmError(ErrorCode::kInternal,
-                        "ShardStore: truncated spill file " + path.string());
-    }
     m.nrows = static_cast<IT>(h.nrows);
     m.ncols = static_cast<IT>(h.ncols);
     m.sortedness = h.sorted != 0 ? Sortedness::kSorted : Sortedness::kUnsorted;
-    m.rpts.resize(nrows + 1);
-    m.cols.resize(nnz);
-    m.vals.resize(nnz);
-    const unsigned char* p = bytes + sizeof(h);
-    std::memcpy(m.rpts.data(), p, (nrows + 1) * sizeof(Offset));
-    p += (nrows + 1) * sizeof(Offset);
-    std::memcpy(m.cols.data(), p, nnz * sizeof(IT));
-    p += nnz * sizeof(IT);
-    std::memcpy(m.vals.data(), p, nnz * sizeof(VT));
-    return m;
-  }
-#endif
-
-  Matrix read_stdio(const std::filesystem::path& path) {
-    std::FILE* f = std::fopen(path.c_str(), "rb");
-    if (f == nullptr) {
-      throw SpGemmError(ErrorCode::kInternal,
-                        "ShardStore: cannot open spill file " +
-                            path.string() + ": " + std::strerror(errno));
-    }
-    FileHeader h;
-    Matrix m;
-    bool ok = std::fread(&h, sizeof(h), 1, f) == 1;
-    if (ok) {
-      const std::size_t nrows = static_cast<std::size_t>(h.nrows);
-      const std::size_t nnz = static_cast<std::size_t>(h.nnz);
-      m.nrows = static_cast<IT>(h.nrows);
-      m.ncols = static_cast<IT>(h.ncols);
-      m.sortedness =
-          h.sorted != 0 ? Sortedness::kSorted : Sortedness::kUnsorted;
-      m.rpts.resize(nrows + 1);
-      m.cols.resize(nnz);
-      m.vals.resize(nnz);
-      ok = read_array(f, m.rpts.data(), m.rpts.size()) &&
-           read_array(f, m.cols.data(), m.cols.size()) &&
-           read_array(f, m.vals.data(), m.vals.size());
-    }
-    std::fclose(f);
-    if (!ok) {
+    m.rpts.resize(static_cast<std::size_t>(h.nrows) + 1);
+    m.cols.resize(static_cast<std::size_t>(h.nnz));
+    m.vals.resize(static_cast<std::size_t>(h.nnz));
+    if (!read_array(f.get(), m.rpts.data(), m.rpts.size()) ||
+        !read_array(f.get(), m.cols.data(), m.cols.size()) ||
+        !read_array(f.get(), m.vals.data(), m.vals.size())) {
       throw SpGemmError(ErrorCode::kInternal,
                         "ShardStore: short read from spill file " +
                             path.string());

@@ -9,34 +9,22 @@
 // engine's plan cache and schedules — so one budget number drives the whole
 // stack.
 //
-// Two execution modes:
-//
-//   kPanel (default) — each C block (i, j) is ONE engine request over
-//     assembled panels: the A row panel (horizontal concatenation of the
-//     A(i, k) shards — exactly rows [i] of A) times the B column panel
-//     (vertical concatenation of the B(k, j) shards — exactly the column
-//     stripe j of B, with local columns).  Restricting B to a column
-//     subset removes terms from each output element's sum without
-//     REORDERING the survivors: every surviving fold happens in the same
-//     order as the monolithic run for kernels that accumulate in VISIT
-//     order (the hash family and the SPA stand-ins), so with sorted
-//     inputs, the engine's default sorted output and a fixed such kernel,
-//     the assembled C is BIT-IDENTICAL to engine.multiply(a, b) — the
-//     contract the out-of-core path is tested against.  Under
-//     Algorithm::kAuto the recipe may pick different kernels for
-//     different block shapes, so panel mode is bit-exact only under exact
-//     arithmetic there.  One-phase kernels (kHeap, kMerge, ...) cannot be
-//     planned by the engine at all — the driver surfaces the engine's
-//     typed kBadInput unchanged.  grid_inner only sets the spill
-//     granularity of the stored shards; panels are transient.
-//
-//   kSplitK — the DBCSR shape: C(i, j) accumulates the grid_inner partial
-//     products A(i, k) * B(k, j) via spgemm::add_into in ascending k.
-//     Deterministic, but the accumulation REGROUPS floating-point sums, so
-//     it matches the monolithic result exactly only under exact arithmetic
-//     (integer-valued data; the associativity caveat every split-k scheme
-//     carries).  It exists for workloads where the inner dimension is the
-//     axis that must stream.
+// Each C block (i, j) is ONE engine request over assembled panels: the A
+// row panel (horizontal concatenation of the A(i, k) shards — exactly rows
+// [i] of A) times the B column panel (vertical concatenation of the B(k, j)
+// shards — exactly the column stripe j of B, with local columns).
+// Restricting B to a column subset removes terms from each output element's
+// sum without REORDERING the survivors: every surviving fold happens in the
+// same order as the monolithic run for kernels that accumulate in VISIT
+// order (the hash family and the SPA stand-ins), so with sorted inputs, the
+// engine's default sorted output and a fixed such kernel, the assembled C
+// is BIT-IDENTICAL to engine.multiply(a, b) — the contract the out-of-core
+// path is tested against.  Under Algorithm::kAuto the recipe may pick
+// different kernels for different block shapes, so the product is bit-exact
+// only under exact arithmetic there.  One-phase kernels (kHeap, kMerge, ...)
+// cannot be planned by the engine at all — the driver surfaces the engine's
+// typed kBadInput unchanged.  grid_inner only sets the spill granularity of
+// the stored shards; panels are transient.
 //
 // multiply_in_core() is the monolithic comparator: it estimates the
 // monolithic working state (model::monolithic_bytes_estimate) against the
@@ -63,7 +51,6 @@
 #include "common/env.hpp"
 #include "common/error.hpp"
 #include "common/types.hpp"
-#include "core/spadd.hpp"
 #include "core/structure_hash.hpp"
 #include "engine/spgemm_engine.hpp"
 #include "matrix/csr.hpp"
@@ -74,20 +61,13 @@
 
 namespace spgemm::shard {
 
-enum class ShardMode {
-  kPanel,   ///< one request per C block; bit-identical to monolithic
-  kSplitK,  ///< k-split partial products + add_into; exact-arithmetic equal
-};
-
 struct ShardedOptions {
   /// Working-state budget in bytes.  0 falls back to $SPGEMM_SHARD_BUDGET,
   /// then to half the tier's capacity.
   std::size_t memory_budget_bytes = 0;
   /// The memory tier the budget defaults derive from.
   model::TierParams tier = model::knl_ddr();
-  ShardMode mode = ShardMode::kPanel;
-  /// ShardStore spill knobs (see shard_store.hpp).
-  bool use_mmap = true;
+  /// ShardStore spill directory (see shard_store.hpp).
   std::string spill_dir;
   /// Forwarded to every engine request (per-tenant attribution).
   int tenant = -1;
@@ -162,8 +142,8 @@ class ShardedSpGemm {
   }
 
   /// The out-of-core product.  Sorted inputs (unsorted ones are sorted
-  /// first) and the engine's default sorted output make the panel-mode
-  /// result bit-identical to engine.multiply on the same inputs.
+  /// first) and the engine's default sorted output make the result
+  /// bit-identical to engine.multiply on the same inputs.
   Matrix multiply(const Matrix& a, const Matrix& b) {
     validate(a, b);
     try {
@@ -234,7 +214,6 @@ class ShardedSpGemm {
 
     ShardStoreOptions store_opts;
     store_opts.memory_budget_bytes = budget;
-    store_opts.use_mmap = opts_.use_mmap;
     store_opts.spill_dir = opts_.spill_dir;
     // Shard I/O instants land on the engine's synchronous-caller trace
     // track, beside the block products this walk submits.
@@ -277,11 +256,7 @@ class ShardedSpGemm {
                                          b_grid_shape.col_block);
     c_blocks.blocks.resize(gr * gc);
 
-    if (opts_.mode == ShardMode::kPanel) {
-      run_panel(store, a->ncols, gr, gk, gc, a_cut);
-    } else {
-      run_split_k(store, gr, gk, gc);
-    }
+    run_panel(store, a->ncols, gr, gk, gc, a_cut);
 
     // Assemble C from the stored blocks, draining the store as we go.
     for (std::size_t i = 0; i < gr; ++i) {
@@ -386,7 +361,7 @@ class ShardedSpGemm {
     return panel;
   }
 
-  /// Panel mode: one engine request per C block, submitted through the
+  /// One engine request per C block, submitted through the
   /// engine's stream so block products batch under its admission policy.
   /// The A row panel is assembled once per block row and reused across the
   /// row's requests.
@@ -452,39 +427,6 @@ class ShardedSpGemm {
         typename Engine::Product product = fut.get();
         ++stats_.block_products;
         store.put(key(2, i, j), std::move(product.c));
-      }
-    }
-  }
-
-  /// Split-k mode: C(i, j) = sum over k of A(i, k) * B(k, j), accumulated
-  /// with add_into in ascending k (deterministic; regroups FP sums).
-  void run_split_k(Store& store, std::size_t gr, std::size_t gk,
-                   std::size_t gc) {
-    for (std::size_t i = 0; i < gr; ++i) {
-      for (std::size_t j = 0; j < gc; ++j) {
-        Matrix acc;
-        Matrix next;
-        bool have_acc = false;
-        for (std::size_t k = 0; k < gk; ++k) {
-          Pin pa = pin(store, key(0, i, k));
-          Pin pb = pin(store, key(1, k, j));
-          typename Engine::Request req;
-          req.a = pa.get();
-          req.b = pb.get();
-          req.priority = opts_.priority;
-          req.tenant = opts_.tenant;
-          auto fut = engine_.submit(req);
-          typename Engine::Product product = fut.get();
-          ++stats_.block_products;
-          if (!have_acc) {
-            acc = std::move(product.c);
-            have_acc = true;
-          } else {
-            add_into(acc, product.c, next);
-            std::swap(acc, next);
-          }
-        }
-        store.put(key(2, i, j), std::move(acc));
       }
     }
   }

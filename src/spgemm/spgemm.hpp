@@ -6,7 +6,9 @@
 // kernel machinery underneath:
 //
 //   1. One-shot: multiply(a, b, opts) / multiply_over<SR>(a, b, opts).
-//      Pick a kernel (or let the Table 4 recipe decide) and get C = A*B.
+//      Pick a kernel (or let the Table 4 recipe decide) and get C = A*B;
+//      these are the only one-shot entry points (kernels have none of
+//      their own — each two-phase kernel is an accumulator policy).
 //      Two-phase kernels run the row pipeline's one-shot pass
 //      (core/spgemm_twophase.hpp): symbolic and numeric back to back per
 //      tile of an ExecutionSchedule (parallel/execution_schedule.hpp), A/B
@@ -42,15 +44,16 @@
 //      budget) run as a 2D walk over block-CSR shards
 //      (shard/block_csr.hpp): each C block is served by the engine while
 //      a ShardStore (shard/shard_store.hpp) spills cold shards to disk
-//      and pins hot ones, the blocking chosen by the memory model.  The
-//      default panel mode is bit-identical to the monolithic product.
+//      and pins hot ones, the blocking chosen by the memory model.  Each
+//      C block is one engine request over assembled panels, bit-identical
+//      to the monolithic product.
 //
 //   5. Applications (apps/): AMG Galerkin products with handle-based
 //      re-assembly (GalerkinReassembler, optionally serving all levels
 //      through one shared engine), Markov clustering with replan-on-drift
 //      (optionally streaming its expansions through an engine), triangle
-//      counting, multi-source BFS, similarity joins — each built on
-//      tiers 1-4.
+//      counting (materialized or through the masked product), multi-source
+//      BFS, similarity joins — each built on tiers 1-4.
 //
 // Individual headers remain includable on their own for faster builds.
 #pragma once

@@ -5,8 +5,12 @@
 // monolithic gate rejects with a typed kOutOfMemory.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdint>
 #include <cstring>
+#include <filesystem>
+#include <fstream>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -134,7 +138,7 @@ TEST(ShardStore, SpillsUnderBudgetAndReloadsBitIdentical) {
   EXPECT_GT(store.stats().spills, 0u) << "budget should have forced a spill";
   EXPECT_LE(store.stats().resident_bytes, opts.memory_budget_bytes);
 
-  // Every shard reads back byte-for-byte, mmap or fread alike.
+  // Every shard reads back byte-for-byte.
   for (std::size_t i = 0; i < originals.size(); ++i) {
     auto pin = store.pin(i);
     expect_bitwise_equal(*pin, originals[i],
@@ -143,19 +147,52 @@ TEST(ShardStore, SpillsUnderBudgetAndReloadsBitIdentical) {
   EXPECT_GT(store.stats().loads, 0u);
 }
 
-TEST(ShardStore, FreadFallbackMatchesMmap) {
+TEST(ShardStore, TruncatedSpillFailsTyped) {
+  // A spill file shorter than its header declares must fail the read-back
+  // with kInternal, before anything is sized from the header: first a file
+  // cut in half, then a header that claims 2^40 entries (sizing from it
+  // would throw bad_alloc, a kOutOfMemory).
   const Matrix a = random_rmat(6, 5, 24);
-  for (const bool use_mmap : {true, false}) {
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() /
+      ("spgemm-truncated-spill-" + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  {
     shard::ShardStoreOptions opts;
     opts.memory_budget_bytes = 1;  // evict everything unpinned
-    opts.use_mmap = use_mmap;
+    opts.spill_dir = dir.string();
     Store store(opts);
     store.put(1, a);
-    store.put(2, a);  // pushes shard 1 out
-    auto pin = store.pin(1);
-    expect_bitwise_equal(*pin, a,
-                         use_mmap ? "mmap read-back" : "fread read-back");
+    store.put(2, a);
+    store.put(3, a);  // every shard is spilled now
+    std::vector<std::filesystem::path> spills;
+    for (const auto& e : std::filesystem::recursive_directory_iterator(dir)) {
+      if (e.is_regular_file()) spills.push_back(e.path());
+    }
+    ASSERT_EQ(spills.size(), 3u);
+    const auto expect_internal = [&](std::uint64_t key, const char* what) {
+      try {
+        auto pin = store.pin(key);
+        ADD_FAILURE() << what << ": read back a corrupt spill file";
+      } catch (const SpGemmError& e) {
+        EXPECT_EQ(e.code(), ErrorCode::kInternal) << what << ": " << e.what();
+      }
+    };
+    for (const auto& f : spills) {
+      std::filesystem::resize_file(f, std::filesystem::file_size(f) / 2);
+    }
+    expect_internal(1, "half file");
+    // The header is four uint64 fields: nrows, ncols, nnz, sorted.
+    const std::uint64_t huge_nnz = std::uint64_t{1} << 40;
+    for (const auto& f : spills) {
+      std::fstream io(f, std::ios::in | std::ios::out | std::ios::binary);
+      io.seekp(2 * sizeof(std::uint64_t));
+      io.write(reinterpret_cast<const char*>(&huge_nnz), sizeof(huge_nnz));
+    }
+    expect_internal(2, "oversized header");
   }
+  std::filesystem::remove_all(dir);
 }
 
 TEST(ShardStore, PinnedShardsAreNotEvicted) {
@@ -310,30 +347,6 @@ TEST(ShardedSpGemm, InCoreGateThrowsTypedUnderTheSameCap) {
   Sharded roomy(eng, {.memory_budget_bytes = std::size_t{1} << 40});
   expect_bitwise_equal(roomy.multiply_in_core(a, a), reference,
                        "roomy gate");
-}
-
-TEST(ShardedSpGemm, SplitKExactOnIntegerValues) {
-  // choose_block_grid floors the budget at 64 KiB, making the spill-granule
-  // target 8 KiB — an operand stripe only exceeds that (forcing
-  // grid_inner > 1) once the inner dimension's rpts alone pass 8 KiB,
-  // i.e. at 1024 inner rows.  Hence scale 10.
-  Matrix a = random_rmat(10, 6, 32);
-  for (std::size_t i = 0; i < a.vals.size(); ++i) {
-    a.vals[i] = static_cast<double>(1 + (i % 5));  // integer-valued: exact
-  }
-  engine::EngineOptions eopts;
-  eopts.plan.algorithm = Algorithm::kHash;
-  Engine eng(eopts);
-  const Matrix reference = monolithic(eng, a, a).c;
-
-  shard::ShardedOptions sopts;
-  sopts.mode = shard::ShardMode::kSplitK;
-  sopts.memory_budget_bytes = std::size_t{64} << 10;
-  Sharded driver(eng, sopts);
-  const Matrix c = driver.multiply(a, a);
-  expect_bitwise_equal(c, reference, "split-k integer");
-  EXPECT_GT(driver.stats().grid.grid_inner, 1u)
-      << "budget did not split the inner dimension — test is vacuous";
 }
 
 TEST(ShardedSpGemm, FaultSweepOverShardPoints) {

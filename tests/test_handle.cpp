@@ -25,12 +25,7 @@
 #include "apps/amg_galerkin.hpp"
 #include "apps/markov_cluster.hpp"
 #include "core/multiply.hpp"
-#include "core/spgemm_adaptive.hpp"
 #include "core/spgemm_handle.hpp"
-#include "core/spgemm_hash.hpp"
-#include "core/spgemm_hashvector.hpp"
-#include "core/spgemm_kkhash.hpp"
-#include "core/spgemm_spa.hpp"
 #include "core/structure_hash.hpp"
 #include "matrix/ops.hpp"
 #include "matrix/rmat.hpp"
@@ -86,25 +81,12 @@ std::string handle_name(const ::testing::TestParamInfo<HandleParam>& info) {
 
 class HandleSweep : public ::testing::TestWithParam<HandleParam> {};
 
-/// Independent oracle: the fused per-tile one-shot driver (or the direct
-/// adaptive kernel), which shares only the row-level primitives with the
-/// handle — not its plan/execute orchestration.
+/// Independent oracle: the fused per-tile one-shot driver, which shares
+/// only the row-level primitives with the handle — not its plan/execute
+/// orchestration.
 template <typename SR>
-Matrix fused_one_shot(const Matrix& a, const SpGemmOptions& opts, SR sr) {
-  switch (opts.algorithm) {
-    case Algorithm::kHash:
-      return spgemm_hash(a, a, opts, nullptr, sr);
-    case Algorithm::kHashVector:
-      return spgemm_hashvector(a, a, opts, nullptr, sr);
-    case Algorithm::kSpa:
-      return spgemm_spa(a, a, opts, nullptr, sr);
-    case Algorithm::kKkHash:
-      return spgemm_kkhash(a, a, opts, nullptr, sr);
-    case Algorithm::kAdaptive:
-      return spgemm_adaptive(a, a, opts, nullptr, AdaptiveThresholds{}, sr);
-    default:
-      throw std::logic_error("fused_one_shot: not a two-phase kernel");
-  }
+Matrix fused_one_shot(const Matrix& a, const SpGemmOptions& opts, SR /*sr*/) {
+  return multiply_over<SR>(a, a, opts);
 }
 
 TEST_P(HandleSweep, PlanExecuteBitIdenticalToOneShot) {

@@ -2,7 +2,6 @@
 // stats reporting, error paths.
 #include <gtest/gtest.h>
 
-#include "apps/triangle_count.hpp"
 #include "core/multiply.hpp"
 #include "core/recipe.hpp"
 #include "core/spgemm_handle.hpp"
@@ -111,8 +110,7 @@ TEST(MultiplyDispatch, NarrowAutoRunsSpa1pThroughMultiplyAndFusedEpilogue) {
   // multiply_with_epilogue(), whose one-phase driver runs the epilogue and
   // writes the explicit-kHash call's bytes.  The entry points that need a
   // symbolic phase or a semiring fold keep Hash: their statistics match an
-  // explicit kHash call's, probe for probe.  count_triangles_fused resolves
-  // its own kernel and keeps Hash too.
+  // explicit kHash call's, probe for probe.
   RmatParams params = RmatParams::g500(8, 8, 41);
   params.symmetric = true;
   const Matrix a = rmat_matrix<I, double>(params);
@@ -164,10 +162,6 @@ TEST(MultiplyDispatch, NarrowAutoRunsSpa1pThroughMultiplyAndFusedEpilogue) {
   EXPECT_EQ(fused.rpts, fused_hash.rpts);
   EXPECT_EQ(fused.cols, fused_hash.cols);
   EXPECT_EQ(fused.vals, fused_hash.vals);
-
-  expect_hash_stats(apps::count_triangles_fused(a, auto_opts).spgemm_stats,
-                    apps::count_triangles_fused(a, hash_opts).spgemm_stats,
-                    "count_triangles_fused");
 }
 
 }  // namespace

@@ -8,8 +8,9 @@
 #include <vector>
 
 #include "core/multiply.hpp"
-#include "core/spgemm_adaptive.hpp"
 #include "core/spgemm_handle.hpp"
+#include "core/spgemm_policies.hpp"
+#include "core/spgemm_twophase.hpp"
 #include "matrix/generators.hpp"
 #include "matrix/ops.hpp"
 #include "matrix/rmat.hpp"
@@ -151,6 +152,7 @@ TEST(Adaptive, MixedRegimeMatrixMatchesReference) {
 }
 
 TEST(Adaptive, ThresholdKnobsRespected) {
+  using Policy = detail::AdaptivePlanPolicy<I, double>;
   const Matrix a = rmat_matrix<I, double>(RmatParams::g500(7, 8, 15));
   const Matrix expected = spgemm_reference(a, a);
   for (const Offset tiny : {Offset{0}, Offset{16}, Offset{1000000}}) {
@@ -159,7 +161,9 @@ TEST(Adaptive, ThresholdKnobsRespected) {
       th.tiny_flop = tiny;
       th.dense_divisor = divisor;
       SpGemmOptions opts;
-      const Matrix c = spgemm_adaptive(a, a, opts, nullptr, th);
+      opts.algorithm = Algorithm::kAdaptive;
+      const Matrix c = detail::spgemm_two_phase<I, double>(
+          a, a, opts, Policy::for_product(a.ncols, th), nullptr);
       ASSERT_TRUE(approx_equal(c, expected, 1e-9))
           << "tiny=" << tiny << " divisor=" << divisor;
     }
@@ -168,15 +172,12 @@ TEST(Adaptive, ThresholdKnobsRespected) {
 
 TEST(Adaptive, RejectsDenseDivisorBelowOne) {
   // The dense cut is ncols / dense_divisor, so a divisor below one is
-  // rejected before it divides, by both consumers of the cut.
+  // rejected before it divides.
   using Policy = detail::AdaptivePlanPolicy<I, double>;
   const Matrix a = rmat_matrix<I, double>(RmatParams::er(6, 4, 29));
   for (const Offset divisor : {Offset{0}, Offset{-2}}) {
     AdaptiveThresholds th;
     th.dense_divisor = divisor;
-    EXPECT_THROW(spgemm_adaptive(a, a, SpGemmOptions{}, nullptr, th),
-                 std::invalid_argument)
-        << divisor;
     EXPECT_THROW(Policy::for_product(a.ncols, th), std::invalid_argument)
         << divisor;
   }

@@ -1,8 +1,8 @@
 // The row pipeline (core/spgemm_twophase.hpp KernelPlan) behind every
 // two-phase entry point: the one-shot multiply, SpGemmHandle's plan and
 // execute, multiply_with_epilogue and multiply_rap; and the one-phase
-// driver (core/spgemm_onephase.hpp) behind Heap, Merge, SPA-1p, IKJ,
-// multiply_masked and the direct Adaptive kernel.
+// driver (core/spgemm_onephase.hpp) behind Heap, Merge, SPA-1p, IKJ and
+// multiply_masked.
 //
 // Four contracts:
 //   * Short teams.  Every per-owner region must compute every row when
@@ -390,11 +390,10 @@ TEST(RowPipelineRap, BitIdenticalToTwoStepAtEveryThreadCount) {
 // The one-phase driver under every opts.schedule variant.
 // ---------------------------------------------------------------------------
 
-enum class OnePhase { kHeap, kMerge, kSpa1p, kIkj, kAdaptive, kMasked };
+enum class OnePhase { kHeap, kMerge, kSpa1p, kIkj, kMasked };
 
-constexpr OnePhase kOnePhaseKernels[] = {OnePhase::kHeap,  OnePhase::kMerge,
+constexpr OnePhase kOnePhaseKernels[] = {OnePhase::kHeap, OnePhase::kMerge,
                                          OnePhase::kSpa1p, OnePhase::kIkj,
-                                         OnePhase::kAdaptive,
                                          OnePhase::kMasked};
 
 constexpr parallel::SchedulePolicy kPolicies[] = {
@@ -403,8 +402,8 @@ constexpr parallel::SchedulePolicy kPolicies[] = {
     parallel::SchedulePolicy::kBalancedParallel};
 
 std::string one_phase_label(OnePhase k, const SpGemmOptions& opts) {
-  static const char* const kNames[] = {"heap", "merge",    "spa1p",
-                                       "ikj",  "adaptive", "masked"};
+  static const char* const kNames[] = {"heap", "merge", "spa1p", "ikj",
+                                       "masked"};
   return std::string(kNames[static_cast<int>(k)]) + " " +
          parallel::schedule_policy_name(opts.schedule) + " t" +
          std::to_string(opts.threads) +
@@ -426,8 +425,6 @@ Matrix one_phase(OnePhase k, const Matrix& a, SpGemmOptions opts) {
     case OnePhase::kIkj:
       opts.algorithm = Algorithm::kIkj;
       break;
-    case OnePhase::kAdaptive:
-      return spgemm_adaptive(a, a, opts);
     case OnePhase::kMasked:
       return multiply_masked(a, a, a, opts);
   }

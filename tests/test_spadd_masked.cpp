@@ -1,5 +1,5 @@
 // Tests for the companion primitives: sparse addition (add) and masked
-// SpGEMM (multiply_masked), including the fused masked triangle counter.
+// SpGEMM (multiply_masked), including the fused triangle count that runs it.
 #include <gtest/gtest.h>
 
 #include <tuple>
@@ -253,8 +253,8 @@ TEST(MaskedTriangleCount, MatchesUnfusedOnKnownGraphs) {
     coo.push_back(v, u, 1.0);
   }
   const Matrix k5 = csr_from_coo(std::move(coo));
-  EXPECT_EQ(apps::count_triangles_masked(k5).triangles, 10);
-  EXPECT_EQ(apps::count_triangles_masked(k5).triangles,
+  EXPECT_EQ(apps::count_triangles_fused(k5).triangles, 10);
+  EXPECT_EQ(apps::count_triangles_fused(k5).triangles,
             apps::count_triangles(k5).triangles);
 }
 
@@ -262,11 +262,13 @@ TEST(MaskedTriangleCount, MatchesUnfusedOnRandomGraph) {
   RmatParams p = RmatParams::er(7, 8, 41);
   p.symmetric = true;
   const auto g = rmat_matrix<I, double>(p);
-  const auto fused = apps::count_triangles_masked(g);
+  const auto fused = apps::count_triangles_fused(g);
   const auto plain = apps::count_triangles(g);
   EXPECT_EQ(fused.triangles, plain.triangles);
-  // The fused path materializes at most nnz(L) wedge entries.
-  EXPECT_LE(fused.wedges.nnz(), plain.wedges.nnz());
+  // The fused path keeps no wedge matrix and stages at most nnz(L) entries.
+  EXPECT_EQ(fused.wedges.nnz(), Offset{0});
+  EXPECT_LE(fused.spgemm_stats.nnz_out, g.nnz() / 2);
+  EXPECT_LE(fused.spgemm_stats.nnz_out, plain.wedges.nnz());
 }
 
 }  // namespace

@@ -19,7 +19,6 @@
 #include "common/random.hpp"
 #include "core/multiply.hpp"
 #include "core/spgemm_handle.hpp"
-#include "core/spgemm_hash.hpp"
 #include "matrix/ops.hpp"
 #include "matrix/rmat.hpp"
 #include "model/cost_model.hpp"
