@@ -22,7 +22,7 @@
 // compiled in under NDEBUG so release builds can run chaos suites too.
 //
 // Arming:
-//   * scoped C++ API:   fault::ScopedFault f("mem.aligned.alloc", 3);
+//   * scoped C++ API:   fault::ScopedFault f("mem.pool.carve", 3);
 //     (the 3rd pass through the point throws; optional count = how many
 //     consecutive passes after that also throw, default 1)
 //   * environment:      SPGEMM_FAULT=point:nth[:count] before first use,
@@ -51,9 +51,8 @@ class InjectedFault : public std::runtime_error {
 
 /// Every fault point compiled into the library, in one place.  A chaos
 /// suite or CI sweep iterates this; adding a fault point means adding its
-/// name here (enforced by test_resilience's registry-coverage check).
+/// name here (debug builds abort on an unregistered name).
 inline constexpr const char* kPoints[] = {
-    "mem.aligned.alloc",       // AlignedBuffer::allocate (mem/aligned.hpp)
     "mem.pool.carve",          // Arena::carve (mem/pool_allocator.cpp)
     "mem.pool.oversize",       // oversize operator new (mem/pool_allocator.cpp)
     "handle.plan.alloc",       // plan()'s aggregate allocations (spgemm_handle)

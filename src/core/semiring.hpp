@@ -10,7 +10,7 @@
 //
 // A semiring here supplies:
 //   mul(a, b)           the "multiply" combining A and B entries
-//   add_into(acc, v)    fold v into an accumulated value (the "add")
+//   fold(acc, v)        fold v into an accumulated value (the "add")
 // Absent entries are implicit zeros of the algebra; kernels never need an
 // explicit additive identity because the first contribution to an output
 // entry is stored, not folded.
@@ -27,7 +27,7 @@ namespace spgemm {
 template <typename SR, typename VT>
 concept SemiringFor = requires(VT a, VT b, VT& acc) {
   { SR::mul(a, b) } -> std::convertible_to<VT>;
-  SR::add_into(acc, b);
+  SR::fold(acc, b);
 };
 
 /// The ordinary arithmetic semiring (+, *): standard SpGEMM.
@@ -37,7 +37,7 @@ struct PlusTimes {
     return a * b;
   }
   template <ValueType VT>
-  static void add_into(VT& acc, VT v) {
+  static void fold(VT& acc, VT v) {
     acc += v;
   }
 };
@@ -50,7 +50,7 @@ struct MinPlus {
     return a + b;
   }
   template <ValueType VT>
-  static void add_into(VT& acc, VT v) {
+  static void fold(VT& acc, VT v) {
     acc = std::min(acc, v);
   }
 };
@@ -64,7 +64,7 @@ struct OrAnd {
     return (a != VT{0} && b != VT{0}) ? VT{1} : VT{0};
   }
   template <ValueType VT>
-  static void add_into(VT& acc, VT v) {
+  static void fold(VT& acc, VT v) {
     if (v != VT{0}) acc = VT{1};
   }
 };
@@ -76,7 +76,7 @@ struct MaxTimes {
     return a * b;
   }
   template <ValueType VT>
-  static void add_into(VT& acc, VT v) {
+  static void fold(VT& acc, VT v) {
     acc = std::max(acc, v);
   }
 };

@@ -409,12 +409,6 @@ class SpGemmHandle {
     return epilogue_result_;
   }
 
-  /// Fraction of rows whose slot stream was captured (replayable).
-  [[nodiscard]] double capture_rate() const {
-    const auto n = static_cast<double>(stats_.reuse_rows_total);
-    return n > 0.0 ? static_cast<double>(core_.rows_captured) / n : 0.0;
-  }
-
   /// Whether capture pays at the measured collision factor (cost model).
   [[nodiscard]] bool reuse_pays() const {
     const std::size_t budget = core_.opts.reuse_budget_bytes > 0

@@ -48,7 +48,7 @@ std::size_t heap_merge_row(const CsrMatrix<IT, VT>& a,
     const VT product =
         SR::mul(s.scale, b.vals[static_cast<std::size_t>(s.pos)]);
     if (open && s.col == cur_col) {
-      SR::add_into(cur_val, product);
+      SR::fold(cur_val, product);
     } else {
       if (open) {
         out_cols[count] = cur_col;

@@ -70,7 +70,7 @@ CsrMatrix<IT, VT> multiply_masked(const CsrMatrix<IT, VT>& a,
           if (in_mask[static_cast<std::size_t>(col)] != 0) {
             acc.accumulate(
                 col, SR::mul(av, b.vals[static_cast<std::size_t>(l)]),
-                [](VT& fold_acc, VT v) { SR::add_into(fold_acc, v); });
+                [](VT& fold_acc, VT v) { SR::fold(fold_acc, v); });
           }
         }
       }

@@ -109,17 +109,6 @@ enum class EpilogueKind : std::uint8_t {
                 ///< row (tricount's masked reduction, empty output C)
 };
 
-inline const char* epilogue_kind_name(EpilogueKind k) {
-  switch (k) {
-    case EpilogueKind::kPruneScale:
-      return "prune_scale";
-    case EpilogueKind::kMaskReduce:
-      return "mask_reduce";
-    default:
-      return "none";
-  }
-}
-
 /// Value-typed description of a fused epilogue.  Deliberately untemplated so
 /// it can ride in SpGemmOptions and engine Requests; typed operands (the
 /// mask matrix) travel beside it (detail::EpilogueContext /

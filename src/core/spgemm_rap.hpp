@@ -141,7 +141,7 @@ CsrMatrix<IT, VT> multiply_rap(const CsrMatrix<IT, VT>& r,
                 for (std::size_t t = 0; t < apn; ++t) {
                   outer.accumulate(apc[t], SR::mul(rv, apv[t]),
                                    [](VT& fold_acc, VT v) {
-                                     SR::add_into(fold_acc, v);
+                                     SR::fold(fold_acc, v);
                                    });
                 }
               }

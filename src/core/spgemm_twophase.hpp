@@ -240,7 +240,7 @@ inline void replay_stanza(VT* slot_vals, VT av, const VT* bvals,
     if (e >= 0) {
       slot_vals[static_cast<std::size_t>(e)] = v;
     } else {
-      SR::add_into(slot_vals[static_cast<std::size_t>(~e)], v);
+      SR::fold(slot_vals[static_cast<std::size_t>(~e)], v);
     }
   };
   std::size_t l = 0;
@@ -327,7 +327,7 @@ inline void probe_row(Acc& acc, const CsrMatrix<IT, VT>& a,
     for (Offset l = b.rpts[k]; l < b.rpts[k + 1]; ++l) {
       acc.accumulate(b.cols[static_cast<std::size_t>(l)],
                      SR::mul(av, b.vals[static_cast<std::size_t>(l)]),
-                     [](VT& fold_acc, VT v) { SR::add_into(fold_acc, v); });
+                     [](VT& fold_acc, VT v) { SR::fold(fold_acc, v); });
     }
   }
 }

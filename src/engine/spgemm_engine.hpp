@@ -16,7 +16,7 @@
 //   * orders admission within a batch by the cost model's exact flop
 //     count (model::estimate_flop, O(nnz(A)) per request) so the workers
 //     never idle behind one giant product:
-//       - LARGE products (flop > EngineOptions::small_flop_cutoff) run
+//       - LARGE products (flop > model::kLaneMinFlopPerWorker) run
 //         one at a time, largest first, on the calling thread (the
 //         dispatcher, or a run_batch/multiply caller), each fanning out
 //         through its handle's ExecutionSchedule on an EXECUTION LANE — a
@@ -298,16 +298,9 @@ struct EngineOptions {
   /// Serve repeated structures from the plan cache.  Off = every request
   /// plans fresh (the baseline bench_engine_throughput compares against).
   bool cache_enabled = true;
-  /// Byte budget for retained plans; 0 derives it from `cache_tier` via
-  /// model::derive_cache_budget_bytes.
+  /// Byte budget for retained plans; 0 derives it from the KNL DDR model
+  /// (plans live in ordinary DRAM) via model::derive_cache_budget_bytes.
   std::size_t cache_budget_bytes = 0;
-  /// The memory tier whose capacity backs the retained plans (used only
-  /// when cache_budget_bytes == 0).  Defaults to the KNL DDR model — plans
-  /// live in ordinary DRAM; pass a smaller tier to serve from MCDRAM/LLC.
-  model::TierParams cache_tier = model::knl_ddr();
-  /// Products at or below this many scalar multiplications are packed
-  /// whole onto one worker; larger ones fan out across a lane.
-  Offset small_flop_cutoff = Offset{1} << 15;
   /// Admission control: maximum submitted-but-undispatched requests in the
   /// submit queue.  0 = unbounded.  Over the bound, the lowest-priority
   /// queued request (or the arrival itself) is shed with kShed.
@@ -317,11 +310,6 @@ struct EngineOptions {
   /// whole budget is still admitted when the queue is empty — it could
   /// never run otherwise.
   Offset queue_flop_budget = 0;
-  /// Trace-span events retained per ring (bounded overwrite): one ring for
-  /// the dispatcher, one for the synchronous multiply/run_batch paths.
-  /// Recording only happens while telemetry::enabled(); the rings
-  /// themselves are cheap.
-  std::size_t trace_events = 4096;
 };
 
 /// Per-tenant attribution: requests carrying a non-negative Request::tenant
@@ -435,9 +423,9 @@ class SpGemmEngine {
         pool_threads_(parallel::resolve_threads(opts_.threads)),
         cache_(opts_.cache_budget_bytes > 0
                    ? opts_.cache_budget_bytes
-                   : model::derive_cache_budget_bytes(opts_.cache_tier)),
-        dispatch_trace_(opts_.trace_events),
-        sync_trace_(opts_.trace_events) {
+                   : model::derive_cache_budget_bytes(model::knl_ddr())),
+        dispatch_trace_(kTraceEvents),
+        sync_trace_(kTraceEvents) {
     if (opts_.pools != 0 && opts_.pools != 1) {
       throw SpGemmError(ErrorCode::kBadInput,
                         "SpGemmEngine: EngineOptions::pools must be 0 or 1 "
@@ -516,14 +504,6 @@ class SpGemmEngine {
   std::future<Product> submit(const CsrMatrix<IT, VT>& a,
                               const CsrMatrix<IT, VT>& b) {
     return submit(Request{&a, &b});
-  }
-
-  /// submit() for producers that maintain structure fingerprints
-  /// incrementally: skips the engine's O(nnz) hashing pass.
-  std::future<Product> submit_hashed(const CsrMatrix<IT, VT>& a,
-                                     const CsrMatrix<IT, VT>& b,
-                                     std::uint64_t fp_a, std::uint64_t fp_b) {
-    return submit(Request{&a, &b, fp_a, fp_b, /*has_fingerprints=*/true});
   }
 
   /// Admission: never throws and never silently drops.  The returned
@@ -742,6 +722,10 @@ class SpGemmEngine {
   /// request before a second admission thread is worth waking: ~0.1 ms of
   /// fingerprinting at ~1-2 ns per entry.
   static constexpr std::size_t kAdmissionSplitNnz = std::size_t{1} << 16;
+  /// Span events each trace ring retains (bounded overwrite).  Recording
+  /// only happens while telemetry::enabled(); the rings themselves are
+  /// cheap.
+  static constexpr std::size_t kTraceEvents = 4096;
 
   /// Entries the admission pass hashes outside the batch's largest request
   /// (the share a second admission thread could take off the first).
@@ -992,7 +976,7 @@ class SpGemmEngine {
     for (const std::size_t i : order) {
       if (errors[i]) continue;
       any_deadline = any_deadline || has_deadline(reqs[i]);
-      (products[i].flop > opts_.small_flop_cutoff ? large : small)
+      (products[i].flop > model::kLaneMinFlopPerWorker ? large : small)
           .push_back(i);
       scheduled[i] = 1;
     }

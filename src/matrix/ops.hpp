@@ -132,6 +132,7 @@ std::vector<IT> sample_columns(IT ncols, IT k, std::uint64_t seed) {
 /// Numeric equality of two matrices allowing unsorted rows and rounding.
 /// Rows are compared as (column, value) multisets with |a-b| <=
 /// tol * max(1, |a|, |b|) per entry; explicit zeros are NOT dropped.
+/// Non-finite entries compare exactly, NaN matching only NaN.
 template <IndexType IT, ValueType VT>
 bool approx_equal(const CsrMatrix<IT, VT>& a, const CsrMatrix<IT, VT>& b,
                   double tol = 1e-9) {
@@ -155,6 +156,10 @@ bool approx_equal(const CsrMatrix<IT, VT>& a, const CsrMatrix<IT, VT>& b,
       if (ra[j].first != rb[j].first) return false;
       const double va = static_cast<double>(ra[j].second);
       const double vb = static_cast<double>(rb[j].second);
+      if (!std::isfinite(va) || !std::isfinite(vb)) {
+        if (std::isnan(va) ? !std::isnan(vb) : va != vb) return false;
+        continue;
+      }
       const double scale =
           std::max({1.0, std::abs(va), std::abs(vb)});
       if (std::abs(va - vb) > tol * scale) return false;

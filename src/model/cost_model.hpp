@@ -131,9 +131,10 @@ bool reuse_pays(double collision_factor, std::size_t reuse_budget_bytes);
 int choose_lane_width(Offset flop, const TierParams& fast_tier,
                       int pool_width, std::size_t bytes_per_slot = 8);
 
-/// Flop floor per extra lane worker in choose_lane_width.  Matches the
-/// engine's default small-product cutoff: a product one grain over the
-/// cutoff gets a second worker, not the whole pool.
+/// Flop floor per extra lane worker in choose_lane_width.  Also the
+/// engine's small-product cutoff: products at or below it are packed whole
+/// onto one worker, and one a grain over it gets a second worker, not the
+/// whole pool.
 inline constexpr Offset kLaneMinFlopPerWorker = Offset{1} << 15;
 
 /// Byte budget for a fingerprint-keyed plan cache backed by the given

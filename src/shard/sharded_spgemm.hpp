@@ -63,10 +63,8 @@ namespace spgemm::shard {
 
 struct ShardedOptions {
   /// Working-state budget in bytes.  0 falls back to $SPGEMM_SHARD_BUDGET,
-  /// then to half the tier's capacity.
+  /// then to half the KNL DDR model's capacity.
   std::size_t memory_budget_bytes = 0;
-  /// The memory tier the budget defaults derive from.
-  model::TierParams tier = model::knl_ddr();
   /// ShardStore spill directory (see shard_store.hpp).
   std::string spill_dir;
   /// Forwarded to every engine request (per-tenant attribution).
@@ -118,7 +116,7 @@ class ShardedSpGemm {
     const auto env_budget = env::get_int("SPGEMM_SHARD_BUDGET", 0);
     if (env_budget > 0) return static_cast<std::size_t>(env_budget);
     return std::max<std::size_t>(
-        static_cast<std::size_t>(opts_.tier.capacity_gb * 0.5 * 1e9),
+        static_cast<std::size_t>(model::knl_ddr().capacity_gb * 0.5 * 1e9),
         std::size_t{64} << 10);
   }
 
@@ -204,7 +202,7 @@ class ShardedSpGemm {
     const model::BlockGrid grid = model::choose_block_grid(
         a->nnz(), b->nnz(), flop, static_cast<std::size_t>(a->nrows),
         static_cast<std::size_t>(b->ncols),
-        static_cast<std::size_t>(a->ncols), budget, opts_.tier,
+        static_cast<std::size_t>(a->ncols), budget, model::knl_ddr(),
         sizeof(IT) + sizeof(VT));
 
     stats_ = ShardedStats{};

@@ -52,8 +52,8 @@
 //      re-assembly (GalerkinReassembler, optionally serving all levels
 //      through one shared engine), Markov clustering with replan-on-drift
 //      (optionally streaming its expansions through an engine), triangle
-//      counting (materialized or through the masked product), multi-source
-//      BFS, similarity joins — each built on tiers 1-4.
+//      counting (materialized or through the masked product) and
+//      multi-source BFS — each built on tiers 1-4.
 //
 // Individual headers remain includable on their own for faster builds.
 #pragma once
@@ -64,10 +64,8 @@
 #include "core/multiply.hpp"
 #include "core/recipe.hpp"
 #include "core/semiring.hpp"
-#include "core/spadd.hpp"
 #include "core/spgemm_handle.hpp"
 #include "core/spgemm_masked.hpp"
-#include "core/symbolic.hpp"
 #include "engine/plan_cache.hpp"
 #include "engine/spgemm_engine.hpp"
 #include "matrix/csr.hpp"

@@ -664,7 +664,7 @@ TEST(EngineLanes, SmallsFollowFreeSeatsAndDeadlines) {
     eo.threads = c.threads;
     eo.work_conserving = c.work_conserving;
     Engine eng(eo);
-    ASSERT_GT(model::estimate_flop(big, big), eo.small_flop_cutoff);
+    ASSERT_GT(model::estimate_flop(big, big), model::kLaneMinFlopPerWorker);
     eng.pause();
     const auto t0 = Engine::Clock::now();
     std::vector<double> sent_ms;

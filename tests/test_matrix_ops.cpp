@@ -2,6 +2,7 @@
 // extraction, triangular splitting, masked reduction, comparison.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <tuple>
 #include <vector>
 
@@ -116,6 +117,20 @@ TEST(ApproxEqual, OrderInsensitiveWithinRows) {
   std::swap(b.vals[0], b.vals[1]);
   b.sortedness = Sortedness::kUnsorted;
   EXPECT_TRUE(approx_equal(a, b));
+}
+
+TEST(ApproxEqual, NonFiniteValuesCompareExactly) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  const auto one = [](double v) {
+    return csr_from_triplets<I, double>(1, 1, Triplets{{0, 0, v}});
+  };
+  EXPECT_FALSE(approx_equal(one(kInf), one(1.0)));
+  EXPECT_FALSE(approx_equal(one(kInf), one(-kInf)));
+  EXPECT_FALSE(approx_equal(one(kNan), one(1.0)));
+  EXPECT_FALSE(approx_equal(one(1.0), one(kNan)));
+  EXPECT_TRUE(approx_equal(one(kInf), one(kInf)));
+  EXPECT_TRUE(approx_equal(one(kNan), one(kNan)));
 }
 
 TEST(ApproxEqual, DimensionMismatch) {

@@ -1,4 +1,5 @@
-// Unit tests for the scalable pool allocator and aligned buffers.
+// Unit tests for the scalable pool allocator and the grow-only thread
+// scratch buffer.
 #include <gtest/gtest.h>
 #include <omp.h>
 
@@ -7,7 +8,6 @@
 #include <set>
 #include <vector>
 
-#include "mem/aligned.hpp"
 #include "mem/pool_allocator.hpp"
 #include "mem/workspace.hpp"
 
@@ -151,34 +151,6 @@ TEST(PoolStlAllocator, WorksWithVector) {
   std::vector<int, PoolStlAllocator<int>> v;
   for (int i = 0; i < 10000; ++i) v.push_back(i);
   for (int i = 0; i < 10000; ++i) ASSERT_EQ(v[static_cast<std::size_t>(i)], i);
-}
-
-TEST(AlignedBuffer, RespectsAlignment) {
-  AlignedBuffer<double> buf(100, 64);
-  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(buf.data()) % 64, 0u);
-  EXPECT_EQ(buf.size(), 100u);
-}
-
-TEST(AlignedBuffer, EnsureGrows) {
-  AlignedBuffer<int> buf(10);
-  int* before = buf.data();
-  buf.ensure(5);  // no-op: smaller
-  EXPECT_EQ(buf.data(), before);
-  buf.ensure(1000);
-  EXPECT_GE(buf.size(), 1000u);
-  buf[999] = 7;
-  EXPECT_EQ(buf[999], 7);
-}
-
-TEST(AlignedBuffer, MoveTransfersOwnership) {
-  AlignedBuffer<int> a(50);
-  a[0] = 42;
-  int* data = a.data();
-  AlignedBuffer<int> b(std::move(a));
-  EXPECT_EQ(b.data(), data);
-  EXPECT_EQ(b[0], 42);
-  EXPECT_EQ(a.data(), nullptr);
-  EXPECT_TRUE(a.empty());
 }
 
 TEST(ThreadScratch, GrowOnlyReuse) {

@@ -27,6 +27,7 @@
 #include <tuple>
 #include <vector>
 
+#include "common/env.hpp"
 #include "common/error.hpp"
 #include "common/fault_injection.hpp"
 #include "core/multiply.hpp"
@@ -34,7 +35,6 @@
 #include "engine/plan_cache.hpp"
 #include "engine/spgemm_engine.hpp"
 #include "matrix/rmat.hpp"
-#include "mem/aligned.hpp"
 #include "mem/pool_allocator.hpp"
 #include "shard/sharded_spgemm.hpp"
 
@@ -45,6 +45,10 @@ using I = std::int32_t;
 using Matrix = CsrMatrix<I, double>;
 using Engine = engine::SpGemmEngine<I, double>;
 using Cache = engine::PlanCache<I, double>;
+
+/// One byte past the pool's last size class: served by operator new
+/// through the "mem.pool.oversize" point.
+constexpr std::size_t kOversize = (64u << 20) + 1;
 
 /// Unit values make summation order irrelevant (sums of 1.0 are exact), so
 /// a degraded / retried / single-threaded execution must be bit-identical
@@ -109,18 +113,18 @@ TEST(Resilience, FaultRegistryIsWellFormed) {
 }
 
 TEST(Resilience, FaultSpecParsing) {
-  EXPECT_TRUE(fault::arm_spec("mem.aligned.alloc:3"));
-  EXPECT_TRUE(fault::arm_spec("mem.aligned.alloc:3:2"));
+  EXPECT_TRUE(fault::arm_spec("mem.pool.oversize:3"));
+  EXPECT_TRUE(fault::arm_spec("mem.pool.oversize:3:2"));
   EXPECT_FALSE(fault::arm_spec(""));
-  EXPECT_FALSE(fault::arm_spec("mem.aligned.alloc"));       // missing nth
-  EXPECT_FALSE(fault::arm_spec("mem.aligned.alloc:zero"));  // not a number
+  EXPECT_FALSE(fault::arm_spec("mem.pool.oversize"));       // missing nth
+  EXPECT_FALSE(fault::arm_spec("mem.pool.oversize:zero"));  // not a number
   EXPECT_FALSE(fault::arm_spec("unknown.point:1"));
   EXPECT_FALSE(fault::arm_spec(":1"));
   fault::disarm_all();
 }
 
 TEST(Resilience, FaultArmsFromEnvironment) {
-  ASSERT_EQ(::setenv("SPGEMM_FAULT", "mem.aligned.alloc:2", 1), 0);
+  ASSERT_EQ(::setenv("SPGEMM_FAULT", "mem.pool.oversize:2", 1), 0);
   EXPECT_TRUE(fault::arm_from_env());
   fault::disarm_all();
   ASSERT_EQ(::setenv("SPGEMM_FAULT", "bogus-spec", 1), 0);
@@ -131,24 +135,25 @@ TEST(Resilience, FaultArmsFromEnvironment) {
 }
 
 TEST(Resilience, FaultTriggersOnExactPassWindow) {
-  // Nothing but this test touches AlignedBuffer, so the pass counter is
-  // fully under our control: pass 2 and 3 throw, 1 and 4 succeed.
+  // Only a serial allocation past the last size class passes this point,
+  // and nothing else here makes one, so the pass counter is fully under
+  // our control: pass 2 and 3 throw, 1 and 4 succeed.
   fault::disarm_all();
-  ASSERT_TRUE(fault::arm("mem.aligned.alloc", 2, 2));
-  EXPECT_NO_THROW(mem::AlignedBuffer<double>(16));         // pass 1
-  EXPECT_THROW(mem::AlignedBuffer<double>(16), std::bad_alloc);  // pass 2
-  EXPECT_THROW(mem::AlignedBuffer<double>(16), std::bad_alloc);  // pass 3
-  EXPECT_NO_THROW(mem::AlignedBuffer<double>(16));         // pass 4
-  EXPECT_EQ(fault::passes("mem.aligned.alloc"), 4u);
-  EXPECT_EQ(fault::triggered("mem.aligned.alloc"), 2u);
-  fault::disarm("mem.aligned.alloc");
-  EXPECT_NO_THROW(mem::AlignedBuffer<double>(16));  // disarmed = silent
+  const auto alloc_free = [] { mem::pool_free(mem::pool_malloc(kOversize)); };
+  ASSERT_TRUE(fault::arm("mem.pool.oversize", 2, 2));
+  EXPECT_NO_THROW(alloc_free());               // pass 1
+  EXPECT_THROW(alloc_free(), std::bad_alloc);  // pass 2
+  EXPECT_THROW(alloc_free(), std::bad_alloc);  // pass 3
+  EXPECT_NO_THROW(alloc_free());               // pass 4
+  EXPECT_EQ(fault::passes("mem.pool.oversize"), 4u);
+  EXPECT_EQ(fault::triggered("mem.pool.oversize"), 2u);
+  fault::disarm("mem.pool.oversize");
+  EXPECT_NO_THROW(alloc_free());  // disarmed = silent
   fault::disarm_all();
 }
 
 TEST(Resilience, PoolOversizeFaultFiresSerially) {
   fault::disarm_all();
-  constexpr std::size_t kOversize = (64u << 20) + 1;  // past the last class
   {
     fault::ScopedFault f("mem.pool.oversize", 1);
     EXPECT_THROW(mem::pool_malloc(kOversize), std::bad_alloc);
@@ -359,6 +364,11 @@ TEST(Resilience, EveryFaultPointIsSurvivableDuringEngineWork) {
 TEST(Resilience, EnvDrivenFaultSweepWorkload) {
   fault::disarm_all();
   const bool armed = fault::arm_from_env();
+  // A spec that arms nothing (a typo, or a point no longer registered)
+  // would run the workload unarmed and pass; fail the sweep instead.
+  const std::string spec = env::get_string("SPGEMM_FAULT", "");
+  ASSERT_TRUE(armed || spec.empty())
+      << "SPGEMM_FAULT=" << spec << " arms no registered fault point";
   const Matrix big = unit_valued_rmat(8, 8, 46);
   const Matrix small = unit_valued_rmat(5, 4, 47);
   const Matrix oracle_big = spgemm_reference(big, big);

@@ -379,7 +379,7 @@ TEST_F(TelemetryTest, DumpTraceEmitsWellFormedChromeJsonWithDistinctTracks) {
   opts.plan.sort_output = SortOutput::kNo;
   Engine eng(opts);
 
-  // One large (above the default small_flop_cutoff) plus several smalls:
+  // One large (above the small-product cutoff) plus several smalls:
   // the work-conserving batch path runs a lane on track 0 and packs the
   // smalls on worker tracks 1+w.
   const Matrix big = rmat_matrix<I, double>(RmatParams::g500(9, 8, 41));
