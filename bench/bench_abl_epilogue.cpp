@@ -3,7 +3,8 @@
 // Three pipelines, each measured fused and unfused:
 //   * MCL expansion round: M^2 with inflation+pruning fused as a
 //     kPruneScale epilogue vs materialize-then-inflate_and_prune;
-//   * triangle counting: L*U with the mask+reduce fused as kMaskReduce vs
+//   * triangle counting: count_triangles_fused's masked L*U product
+//     (multiply_masked, which computes only the closed wedges) vs
 //     materialize-the-wedges-then-masked_sum;
 //   * Galerkin RAP: multiply_rap vs R*(A*P) with the AP intermediate.
 //

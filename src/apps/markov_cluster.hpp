@@ -319,8 +319,7 @@ MclResult<IT> markov_cluster(const CsrMatrix<IT, VT>& graph,
         last_hash = m_hash;
         if (!repeat) {
           e.c = params.fuse_epilogue
-                    ? multiply_with_epilogue(m, m, once, nullptr, nullptr,
-                                             &e.stats)
+                    ? multiply_with_epilogue(m, m, once, &e.stats)
                     : multiply(m, m, once, &e.stats);
           return e;
         }

@@ -9,7 +9,10 @@
 // multiply() and multiply_with_epilogue() take the rule; the fused one runs
 // its epilogue in the one-phase driver, so its bytes stay Hash's fused
 // bytes.  multiply_over, SpGemmHandle and multiply_rap cannot run SPA-1p
-// and keep Hash.
+// and keep Hash.  A fused epilogue (opts.epilogue) runs only through
+// multiply_with_epilogue (and the handle and engine): multiply(),
+// multiply_over() and multiply_rap() throw std::invalid_argument on one,
+// since only some of their kernels could honour it.
 //
 // Every TWO-PHASE kernel (hash, hashvec, SPA, kkhash, adaptive) is one
 // accumulator policy (core/spgemm_policies.hpp) and has no entry point of
@@ -26,7 +29,6 @@
 #pragma once
 
 #include <stdexcept>
-#include <type_traits>
 
 #include "core/recipe.hpp"
 #include "core/spgemm_handle.hpp"
@@ -56,16 +58,16 @@ constexpr bool runs_epilogue(Algorithm algo) {
 /// One-shot multiply for any two-phase kernel: the row pipeline with the
 /// kernel's planning policy (with_plan_policy — the same mapping
 /// SpGemmHandle plans with).  The adaptive kernel flows through it via its
-/// dual accumulator.  `epi` carries a fused epilogue's operands.
+/// dual accumulator.
 template <typename SR, IndexType IT, ValueType VT>
 CsrMatrix<IT, VT> multiply_fused(const CsrMatrix<IT, VT>& a,
                                  const CsrMatrix<IT, VT>& b,
-                                 const SpGemmOptions& opts, SpGemmStats* stats,
-                                 const EpilogueContext<IT, VT>* epi = nullptr) {
+                                 const SpGemmOptions& opts,
+                                 SpGemmStats* stats) {
   return with_plan_policy<IT, VT>(
       opts.algorithm, opts.probe, b.ncols, [&](auto policy) {
         return spgemm_two_phase<IT, VT>(a, b, opts, std::move(policy), stats,
-                                        SR{}, epi);
+                                        SR{});
       });
 }
 
@@ -83,6 +85,7 @@ CsrMatrix<IT, VT> multiply_over(const CsrMatrix<IT, VT>& a,
   if (a.ncols != b.nrows) {
     throw std::invalid_argument("multiply_over: inner dimensions disagree");
   }
+  detail::reject_epilogue(opts, "multiply_over");
   // Same recipe as multiply(); kernels that cannot fold through a custom
   // semiring (merge, ikj, spa1p, reference) fall back to Hash.
   opts.algorithm =
@@ -108,17 +111,13 @@ CsrMatrix<IT, VT> multiply_over(const CsrMatrix<IT, VT>& a,
 /// row is cache-hot, and only the kept entries are ever staged — the full
 /// intermediate never materializes.  Two-phase kernels and SPA-1p only;
 /// kAuto resolves as multiply()'s does (SPA-1p when a dense output row fits
-/// recipe::kDenseRowMaxBytes), falling back to kHash.  `mask` is the
-/// kMaskReduce operand; `result` receives the scalar outputs (reduction,
-/// column sums).  Triple products R*(A*P) go through multiply_rap()
-/// (core/spgemm_rap.hpp) instead.
+/// recipe::kDenseRowMaxBytes), falling back to kHash.  Triple products
+/// R*(A*P) go through multiply_rap() (core/spgemm_rap.hpp) instead.
 template <IndexType IT, ValueType VT>
-CsrMatrix<IT, VT> multiply_with_epilogue(
-    const CsrMatrix<IT, VT>& a, const CsrMatrix<IT, VT>& b,
-    SpGemmOptions opts, EpilogueResult* result = nullptr,
-    const CsrMatrix<std::type_identity_t<IT>, std::type_identity_t<VT>>*
-        mask = nullptr,
-    SpGemmStats* stats = nullptr) {
+CsrMatrix<IT, VT> multiply_with_epilogue(const CsrMatrix<IT, VT>& a,
+                                         const CsrMatrix<IT, VT>& b,
+                                         SpGemmOptions opts,
+                                         SpGemmStats* stats = nullptr) {
   if (a.ncols != b.nrows) {
     throw std::invalid_argument(
         "multiply_with_epilogue: inner dimensions disagree");
@@ -131,11 +130,10 @@ CsrMatrix<IT, VT> multiply_with_epilogue(
         "multiply_with_epilogue: fused epilogues need a two-phase kernel or "
         "kSpa1p");
   }
-  const detail::EpilogueContext<IT, VT> ectx{mask, result};
   if (opts.algorithm == Algorithm::kSpa1p) {
-    return spgemm_spa1p(a, b, opts, stats, &ectx);
+    return spgemm_spa1p(a, b, opts, stats);
   }
-  return detail::multiply_fused<PlusTimes>(a, b, opts, stats, &ectx);
+  return detail::multiply_fused<PlusTimes>(a, b, opts, stats);
 }
 
 template <IndexType IT, ValueType VT>
@@ -146,6 +144,7 @@ CsrMatrix<IT, VT> multiply(const CsrMatrix<IT, VT>& a,
   if (a.ncols != b.nrows) {
     throw std::invalid_argument("multiply: inner dimensions disagree");
   }
+  detail::reject_epilogue(opts, "multiply");
 
   opts.algorithm = recipe::resolve(opts.algorithm, a, b, opts.sort_output);
   if (requires_sorted_input(opts.algorithm) && !a.claims_sorted()) {

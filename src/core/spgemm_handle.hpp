@@ -376,11 +376,6 @@ class SpGemmHandle {
     return f > 0.0 ? rounds / f : 1.0;
   }
 
-  /// Tile size (row cap) the plan settled on.
-  [[nodiscard]] std::size_t planned_tile_rows() const {
-    return core_.tile_rows;
-  }
-
   /// Engine lanes hook: count the seats this handle's plan/execute passes
   /// hold in `sink`, so the serving engine can pack small products onto the
   /// rest as the pass workers drain (ExecutionSchedule::set_seat_sink).
@@ -390,32 +385,6 @@ class SpGemmHandle {
   /// lock.
   void set_seat_sink(std::atomic<int>* sink) {
     core_.schedule.set_seat_sink(sink);
-  }
-
-  // ---- Fused epilogues ----------------------------------------------------
-
-  /// Mask operand for kMaskReduce executes (the spec itself rides in
-  /// SpGemmOptions::epilogue).  The pointed-to matrix must outlive every
-  /// execute() run while attached and must match the mask_fp the spec was
-  /// keyed with; detach with nullptr.
-  void set_epilogue_mask(const CsrMatrix<IT, VT>* mask) {
-    epilogue_mask_ = mask;
-  }
-
-  /// Scalar outputs of the last fused execute (kMaskReduce's reduction,
-  /// kPruneScale's optional column sums).  Overwritten by every fused
-  /// execute on this handle.
-  [[nodiscard]] const EpilogueResult& epilogue_result() const {
-    return epilogue_result_;
-  }
-
-  /// Whether capture pays at the measured collision factor (cost model).
-  [[nodiscard]] bool reuse_pays() const {
-    const std::size_t budget = core_.opts.reuse_budget_bytes > 0
-                                   ? core_.opts.reuse_budget_bytes
-                                   : model::kDefaultPlanBudgetBytes;
-    return core_.opts.reuse != StructureReuse::kOff &&
-           model::reuse_pays(collision_factor(), budget);
   }
 
   /// Full O(nnz) structure comparison against the plan; never throws.
@@ -507,14 +476,11 @@ class SpGemmHandle {
     Timer exec_timer;
     parallel::ScopedNumThreads scoped(core_.opts.threads);
 
-    // Structural epilogues bypass the skeleton fill entirely: the kept
+    // A fused execute bypasses the skeleton fill entirely: the kept
     // structure depends on this execute's VALUES (pruning), and the full
     // intermediate must never be allocated — the fused execute sizes c to
     // the kept nnz only.
-    const bool fused = detail::epilogue_fuses_rows(core_.opts.epilogue);
-    const detail::EpilogueContext<IT, VT> ectx{epilogue_mask_,
-                                               &epilogue_result_};
-    if (fused) detail::validate_epilogue(core_.opts.epilogue, ectx, a, b);
+    const bool fused = core_.opts.epilogue.enabled();
 
     c.nrows = core_.nrows;
     c.ncols = core_.ncols;
@@ -529,9 +495,8 @@ class SpGemmHandle {
         c.vals.resize(static_cast<std::size_t>(core_.rpts.back()));
       }
       TELEM_SPAN("handle.numeric");
-      work = kernel.template execute<SR>(core_, a, b, c,
-                                         fused ? &ectx : nullptr);
-      if (fused) kernel.fold_epilogue(core_, &epilogue_result_, stats_);
+      work = kernel.template execute<SR>(core_, a, b, c);
+      if (fused) kernel.fold_epilogue(stats_);
     });
 
     c.sortedness = core_.opts.sort_output == SortOutput::kYes
@@ -562,8 +527,6 @@ class SpGemmHandle {
   detail::StructureId<IT, VT> id_b_;
   CsrMatrix<IT, VT> pooled_;
   SpGemmOptions requested_opts_;  ///< as passed to plan(), pre-resolution
-  const CsrMatrix<IT, VT>* epilogue_mask_ = nullptr;
-  EpilogueResult epilogue_result_;
   bool pooled_cols_ready_ = false;
   bool planned_ = false;
   std::uint64_t executions_ = 0;

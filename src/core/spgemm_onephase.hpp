@@ -130,32 +130,28 @@ inline std::vector<Offset> staging_prefix(const Offset* bounds,
 /// `max_bound` is the largest bound among the rows that row function may
 /// see.  `bound_prefix` (size nrows+1, exclusive) bounds each row's nnz; null
 /// bounds every row by its flop, which is also what the row function sees.
-/// A non-null `epi` with a row-fused opts.epilogue (kPruneScale,
-/// kMaskReduce) runs the epilogue on each row in its staging, keeps only
-/// what it keeps, and folds its partials into epi->result.  The result
-/// claims sortedness per opts.sort_output; kernels that always sort
-/// override the claim.
+/// A fused opts.epilogue runs on each row in its staging, and only what it
+/// keeps stays staged.  The result claims sortedness per opts.sort_output;
+/// kernels that always sort override the claim.
 template <IndexType IT, ValueType VT, typename MakeRow>
-CsrMatrix<IT, VT> one_phase_product(
-    const CsrMatrix<IT, VT>& a, const CsrMatrix<IT, VT>& b,
-    const SpGemmOptions& opts, SpGemmStats* stats, MakeRow&& make_row,
-    const Offset* bound_prefix = nullptr,
-    const EpilogueContext<IT, VT>* epi = nullptr) {
+CsrMatrix<IT, VT> one_phase_product(const CsrMatrix<IT, VT>& a,
+                                    const CsrMatrix<IT, VT>& b,
+                                    const SpGemmOptions& opts,
+                                    SpGemmStats* stats, MakeRow&& make_row,
+                                    const Offset* bound_prefix = nullptr) {
   TELEM_SPAN("oneshot.multiply");
   const int nthreads = parallel::resolve_threads(opts.threads);
   parallel::ScopedNumThreads scoped(opts.threads);
 
   Timer timer;
   const auto nrows = static_cast<std::size_t>(a.nrows);
-  const auto ncols = static_cast<std::size_t>(b.ncols);
   const parallel::RowPartition part =
       partition_rows(a, b, opts.schedule, nthreads);
   const Offset* bounds =
       bound_prefix != nullptr ? bound_prefix : part.flop_prefix.data();
   const std::vector<Offset> room =
       staging_prefix(bounds, nrows, static_cast<Offset>(b.ncols));
-  const bool fused = epi != nullptr && epilogue_fuses_rows(opts.epilogue);
-  if (fused) validate_epilogue(opts.epilogue, *epi, a, b);
+  const bool fused = opts.epilogue.enabled();
   const double setup_s = timer.seconds();
   const auto max_bound = [bounds](std::size_t begin, std::size_t end) {
     Offset best = 0;
@@ -197,19 +193,19 @@ CsrMatrix<IT, VT> one_phase_product(
       fused ? static_cast<std::size_t>(balanced ? owners : nthreads) : 0);
   // The row's kept count: all of it unfused (null state), else what the
   // epilogue keeps after compacting the row in place.
-  const auto finish_row = [&](EpilogueState* st, std::size_t i, IT* cols,
-                              VT* vals, std::size_t nnz) {
+  const auto finish_row = [&](EpilogueState* st, IT* cols, VT* vals,
+                              std::size_t nnz) {
     if (st == nullptr) return nnz;
     const std::uint64_t t0 = monotonic_ns();
-    const std::size_t kept = apply_row_epilogue(opts.epilogue, *epi, *st, i,
-                                                cols, vals, nnz, cols, vals);
+    const std::size_t kept =
+        apply_row_epilogue(*st, cols, vals, nnz, cols, vals);
     st->seconds += static_cast<double>(monotonic_ns() - t0) * 1e-9;
     return kept;
   };
   const auto begin_state = [&](int t) -> EpilogueState* {
     if (!fused) return nullptr;
     EpilogueState* st = &epi_states[static_cast<std::size_t>(t)];
-    st->begin_pass(opts.epilogue, ncols);
+    st->begin_pass(opts.epilogue);
     return st;
   };
 
@@ -235,7 +231,7 @@ CsrMatrix<IT, VT> one_phase_product(
       for (std::size_t i = begin; i < end; ++i) {
         const std::size_t nnz = stage_row(row, i, bounds[i + 1] - bounds[i],
                                           cols + at, vals + at);
-        const std::size_t kept = finish_row(st, i, cols + at, vals + at, nnz);
+        const std::size_t kept = finish_row(st, cols + at, vals + at, nnz);
         c.rpts[i] = static_cast<Offset>(kept);
         at += kept;
       }
@@ -253,7 +249,7 @@ CsrMatrix<IT, VT> one_phase_product(
         VT* vals = stage_vals[0] + room[i];
         const std::size_t nnz =
             stage_row(row, i, bounds[i + 1] - bounds[i], cols, vals);
-        c.rpts[i] = static_cast<Offset>(finish_row(st, i, cols, vals, nnz));
+        c.rpts[i] = static_cast<Offset>(finish_row(st, cols, vals, nnz));
       }
     }
   }
@@ -300,9 +296,9 @@ CsrMatrix<IT, VT> one_phase_product(
   SpGemmStats epi_stats;
   if (fused) {
     fold_epilogue(
-        opts.epilogue, ncols, epi_states,
+        epi_states,
         [](const EpilogueState& st) -> const EpilogueState& { return st; },
-        epi->result, epi_stats);
+        epi_stats);
   }
   if (stats != nullptr) {
     stats->setup_ms = setup_s * 1e3;

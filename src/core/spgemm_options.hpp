@@ -6,11 +6,9 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
-#include <vector>
 
 #include "accumulator/hash_vec.hpp"
 #include "common/types.hpp"
-#include "model/memory_model.hpp"
 #include "parallel/schedule.hpp"
 
 namespace spgemm {
@@ -57,12 +55,11 @@ constexpr bool requires_sorted_input(Algorithm algo) {
          algo == Algorithm::kIkj;
 }
 
-/// Whether the two-phase driver may capture the symbolic structure (per-row
-/// accumulator slots) and replay it in the numeric phase instead of
-/// re-probing.  kAuto defers to the cost model (on whenever a per-thread
-/// staging budget is available).
+/// Whether the two-phase driver captures the symbolic structure (per-row
+/// accumulator slots) and replays it in the numeric phase instead of
+/// re-probing.  Rows whose capture would overflow the budget re-probe
+/// either way.
 enum class StructureReuse : std::uint8_t {
-  kAuto,
   kOn,
   kOff,
 };
@@ -80,22 +77,6 @@ enum class ProbeBatch : std::uint8_t {
   kOff,
 };
 
-/// Where the ExecutionSchedule's tile and capture budgets come from.
-enum class BudgetSource : std::uint8_t {
-  /// The fixed cache-resident target (model::kTileCaptureTargetBytes) and
-  /// the per-path default reuse budgets — the pre-memory-model behaviour.
-  kFixed,
-  /// Derived from SpGemmOptions::fast_tier via
-  /// model::derive_schedule_budgets: tiles sized so the working set stays
-  /// resident in the modeled fast tier (MCDRAM / LLC) under its stanza
-  /// bandwidth curve.
-  kMemoryModel,
-};
-
-inline const char* budget_source_name(BudgetSource s) {
-  return s == BudgetSource::kFixed ? "fixed" : "memory-model";
-}
-
 // ---- Fused epilogues --------------------------------------------------------
 
 /// What runs over each output row while it is still cache-hot, before (or
@@ -105,14 +86,10 @@ enum class EpilogueKind : std::uint8_t {
   kNone,        ///< plain SpGEMM, rows emitted verbatim
   kPruneScale,  ///< elementwise pow(v, inflation), drop below prune_below
                 ///< (MCL's inflate+prune fused into the expansion product)
-  kMaskReduce,  ///< keep nothing; sum entries whose column is in the mask
-                ///< row (tricount's masked reduction, empty output C)
 };
 
-/// Value-typed description of a fused epilogue.  Deliberately untemplated so
-/// it can ride in SpGemmOptions and engine Requests; typed operands (the
-/// mask matrix) travel beside it (detail::EpilogueContext /
-/// SpGemmHandle::set_epilogue_mask).  The defaulted operator== keeps
+/// Value-typed description of a fused epilogue, so it can ride in
+/// SpGemmOptions and engine Requests.  The defaulted operator== keeps
 /// ensure_planned()'s options-equality check honest: changing any epilogue
 /// field forces a replan.
 struct EpilogueSpec {
@@ -124,14 +101,6 @@ struct EpilogueSpec {
   /// then narrow).  Entries that cannot survive skip the pow() (see
   /// detail::PruneRule), with the same result as if every entry took it.
   double prune_below = 0.0;
-  /// kPruneScale: also accumulate per-column sums of the kept entries into
-  /// EpilogueResult::col_sums.  Per-thread partials are folded in thread
-  /// order, which is NOT bitwise-identical to a sequential column scan
-  /// under floating point — see README "Fused epilogues" for the caveat.
-  bool collect_column_sums = false;
-  /// kMaskReduce: structure fingerprint of the mask matrix, folded into the
-  /// plan identity so cached plans never mix masks.  0 = unset.
-  std::uint64_t mask_fp = 0;
 
   bool operator==(const EpilogueSpec&) const = default;
 
@@ -154,26 +123,7 @@ struct EpilogueSpec {
     mix(bits);
     std::memcpy(&bits, &prune_below, sizeof(bits));
     mix(bits);
-    mix(collect_column_sums ? 1u : 0u);
-    mix(mask_fp);
     return h == 0 ? 1 : h;
-  }
-};
-
-/// Scalar outputs of a fused epilogue, filled by the driver/handle that ran
-/// it.  Untemplated (doubles) so it can live in engine Products.
-struct EpilogueResult {
-  /// kMaskReduce: sum of intermediate entries landing on mask positions.
-  double reduce = 0.0;
-  /// kPruneScale with collect_column_sums: per-column sums of kept entries.
-  std::vector<double> col_sums;
-  /// Rows that ran the epilogue (mirrors spgemm_epilogue_rows_total).
-  std::uint64_t rows = 0;
-
-  void reset(std::size_t ncols_hint = 0) {
-    reduce = 0.0;
-    rows = 0;
-    col_sums.assign(ncols_hint, 0.0);
   }
 };
 
@@ -194,32 +144,22 @@ struct SpGemmOptions {
   ProbeBatch probe_batching = ProbeBatch::kAuto;
 
   // ---- ExecutionSchedule (parallel/execution_schedule.hpp) ---------------
-  /// Rows per tile processed symbolic-then-numeric back to back.
-  /// 0 = derive from the budget source.  An explicit value is honoured as a
-  /// pure row cut (exactly ceil(rows/tile_rows) tiles per thread range).
-  std::size_t tile_rows = 0;
   /// Symbolic-structure capture toggle (see StructureReuse).
-  StructureReuse reuse = StructureReuse::kAuto;
-  /// Per-thread byte budget for the captured slot streams.  Rows whose
-  /// capture would overflow the budget fall back to classic re-probing.
-  /// 0 = "use the path's default budget" (model::kDefaultReuseBudgetBytes
-  /// for one-shot multiplies, model::kDefaultPlanBudgetBytes for persistent
-  /// SpGemmHandle plans, the memory-model share under kMemoryModel) — it
-  /// does NOT disable capture.  Only at the model layer does a literal zero
-  /// budget read as reuse-off (model::reuse_pays(c, 0) == false), which is
-  /// why the defaults are substituted before the model is consulted; to
-  /// turn capture off, set reuse = StructureReuse::kOff.
+  StructureReuse reuse = StructureReuse::kOn;
+  /// Per-thread byte budget for the captured slot streams; it also sizes
+  /// the tiles (model::choose_tile_rows).  Rows whose capture would
+  /// overflow the budget fall back to classic re-probing.  0 = "use the
+  /// path's default budget" (model::kDefaultReuseBudgetBytes for one-shot
+  /// multiplies, model::kDefaultPlanBudgetBytes for persistent SpGemmHandle
+  /// plans) — it does NOT disable capture; to turn capture off, set
+  /// reuse = StructureReuse::kOff.
   std::size_t reuse_budget_bytes = 0;
-  /// Where tile and capture budgets come from (see BudgetSource).
-  BudgetSource budget_source = BudgetSource::kFixed;
-  /// The modeled fast tier budgets target under BudgetSource::kMemoryModel
-  /// (ignored under kFixed).  Defaults to the host LLC model; pass
-  /// model::knl_mcdram_cache() to size tiles for MCDRAM.
-  model::TierParams fast_tier = model::host_fast_tier();
   /// Fused per-row epilogue applied while each output row is cache-hot (see
-  /// EpilogueSpec).  Part of plan identity: the defaulted == below means
-  /// ensure_planned() replans when the epilogue changes, and the engine
-  /// folds EpilogueSpec::fingerprint() into its PlanCache key.
+  /// EpilogueSpec).  multiply_with_epilogue, SpGemmHandle and the engine
+  /// run it; multiply, multiply_over and multiply_rap reject it with
+  /// std::invalid_argument.  Part of plan identity: the defaulted == below
+  /// means ensure_planned() replans when the epilogue changes, and the
+  /// engine folds EpilogueSpec::fingerprint() into its PlanCache key.
   EpilogueSpec epilogue;
 
   bool operator==(const SpGemmOptions&) const = default;

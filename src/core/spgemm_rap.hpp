@@ -57,6 +57,7 @@ namespace spgemm {
 /// intermediate.  Two-phase kernels only (kAuto resolves to kHash); the
 /// output honours opts.sort_output, the per-row A*P expansions are always
 /// extracted sorted (matching the two-step pipeline's sorted intermediate).
+/// An opts.epilogue is rejected with std::invalid_argument.
 template <IndexType IT, ValueType VT, typename SR = PlusTimes>
   requires SemiringFor<SR, VT>
 CsrMatrix<IT, VT> multiply_rap(const CsrMatrix<IT, VT>& r,
@@ -67,6 +68,7 @@ CsrMatrix<IT, VT> multiply_rap(const CsrMatrix<IT, VT>& r,
   if (r.ncols != a.nrows || a.ncols != p.nrows) {
     throw std::invalid_argument("multiply_rap: dimensions disagree");
   }
+  detail::reject_epilogue(opts, "multiply_rap");
   TELEM_SPAN("rap.multiply");
   if (opts.algorithm == Algorithm::kAuto) opts.algorithm = Algorithm::kHash;
   if (!is_two_phase(opts.algorithm)) {

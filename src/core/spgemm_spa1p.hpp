@@ -9,8 +9,9 @@
 // where Table 4 picks Hash and a dense output row fits
 // recipe::kDenseRowMaxBytes: the SPA folds each row in Hash's order and
 // emits Hash's row order, so the output bytes are Hash's.  A fused
-// epilogue (`epi`, from multiply_with_epilogue) runs on each emitted row in
-// the driver, so a fused product's bytes are Hash's fused bytes too.
+// epilogue (opts.epilogue, from multiply_with_epilogue) runs on each
+// emitted row in the driver, so a fused product's bytes are Hash's fused
+// bytes too.
 #pragma once
 
 #include <cstddef>
@@ -27,9 +28,7 @@ template <IndexType IT, ValueType VT>
 CsrMatrix<IT, VT> spgemm_spa1p(const CsrMatrix<IT, VT>& a,
                                const CsrMatrix<IT, VT>& b,
                                const SpGemmOptions& opts = {},
-                               SpGemmStats* stats = nullptr,
-                               const detail::EpilogueContext<IT, VT>* epi =
-                                   nullptr) {
+                               SpGemmStats* stats = nullptr) {
   const bool sorted = opts.sort_output == SortOutput::kYes;
   const auto make_row = [&](Offset /*max_flop*/) {
     SpaAccumulator<IT, VT> spa;
@@ -48,8 +47,7 @@ CsrMatrix<IT, VT> spgemm_spa1p(const CsrMatrix<IT, VT>& a,
       return detail::emit_row(acc, sorted, cols, vals);
     };
   };
-  return detail::one_phase_product(a, b, opts, stats, make_row,
-                                   /*bound_prefix=*/nullptr, epi);
+  return detail::one_phase_product(a, b, opts, stats, make_row);
 }
 
 }  // namespace spgemm

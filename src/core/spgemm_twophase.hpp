@@ -344,7 +344,6 @@ struct PlanCore {
   IT ncols = 0;
   parallel::RowPartition part;
   parallel::ExecutionSchedule schedule;  ///< persisted tile plan + policy
-  std::size_t tile_rows = 0;
   bool capture_enabled = false;
   std::size_t budget_entries = 0;  ///< capture slots per owner
   /// Resolved execution tier of the vectorized numeric replay.
@@ -358,11 +357,12 @@ struct PlanCore {
   /// Adopt `partition` for a product into `ncols_out` columns, resolve the
   /// tiling and capture budget, and cut the schedule.  The one resolution
   /// every entry point shares, so they can never disagree on tile cuts or
-  /// capture gating.  `default_budget_bytes` distinguishes the one-shot
-  /// (cache-resident) from the persistent-plan capture economics; an
-  /// explicit opts.reuse_budget_bytes overrides either, and
-  /// BudgetSource::kMemoryModel derives both the budget and the tile size
-  /// from the modeled fast tier.
+  /// capture gating.  The budget is opts.reuse_budget_bytes, or
+  /// `default_budget_bytes` when that is 0: the one-shot (cache-resident)
+  /// and the persistent-plan capture economics differ.  Tiles hold
+  /// model::choose_tile_rows rows, cut again by flop so one dense row
+  /// cannot stall a tile's runner for long (the row cap still bounds the
+  /// bookkeeping of tiles full of empty rows).
   void configure(parallel::RowPartition partition, IT ncols_out,
                  const SpGemmOptions& o, std::size_t default_budget_bytes) {
     opts = o;
@@ -371,41 +371,20 @@ struct PlanCore {
     const std::size_t rows = part.flop_prefix.size() - 1;
     nrows = static_cast<IT>(rows);
     ncols = ncols_out;
-    std::size_t budget_bytes = opts.reuse_budget_bytes;
-    if (opts.budget_source == BudgetSource::kMemoryModel) {
-      const model::ScheduleBudgets budgets = model::derive_schedule_budgets(
-          opts.fast_tier, nthreads, part.total_flop(), rows, sizeof(IT));
-      if (budget_bytes == 0) budget_bytes = budgets.capture_budget_bytes;
-      tile_rows = budgets.tile_rows;
-    } else {
-      if (budget_bytes == 0) budget_bytes = default_budget_bytes;
-      tile_rows = model::choose_tile_rows(part.total_flop(), rows,
-                                          budget_bytes, sizeof(IT));
-    }
-    // kAuto decides before any symbolic pass has run, so it uses the model's
-    // a-priori collision factor; plan-driven callers (SpGemmHandle::
-    // reuse_pays) substitute the measured value instead.
-    capture_enabled =
-        opts.reuse == StructureReuse::kOn ||
-        (opts.reuse == StructureReuse::kAuto &&
-         model::reuse_pays(model::kDefaultCollisionFactor, budget_bytes));
+    const std::size_t budget_bytes = opts.reuse_budget_bytes > 0
+                                         ? opts.reuse_budget_bytes
+                                         : default_budget_bytes;
+    const std::size_t tile_rows = model::choose_tile_rows(
+        part.total_flop(), rows, budget_bytes, sizeof(IT));
+    capture_enabled = opts.reuse == StructureReuse::kOn;
     budget_entries = budget_bytes / sizeof(IT);
     replay_kind = resolve_probe_kind(opts.probe);
-    Offset tile_flop = 0;  // 0 = row cap only
-    if (opts.tile_rows > 0) {
-      // An explicit tile_rows is a user contract: exact row cuts, no flop cut.
-      tile_rows = opts.tile_rows;
-    } else {
-      // Budget-derived tiles are additionally flop-balanced so one dense row
-      // cannot stall a tile's runner for long (the row cap still bounds the
-      // bookkeeping of tiles full of empty rows).
-      const double avg_row_flop =
-          rows > 0 ? static_cast<double>(part.total_flop()) /
-                         static_cast<double>(rows)
-                   : 0.0;
-      tile_flop = static_cast<Offset>(
-          std::max(1.0, avg_row_flop * static_cast<double>(tile_rows)));
-    }
+    const double avg_row_flop =
+        rows > 0 ? static_cast<double>(part.total_flop()) /
+                       static_cast<double>(rows)
+                 : 0.0;
+    const auto tile_flop = static_cast<Offset>(
+        std::max(1.0, avg_row_flop * static_cast<double>(tile_rows)));
     schedule.build(part, tile_rows, tile_flop);
   }
 
@@ -629,7 +608,7 @@ struct KernelPlan {
   /// past the tile.  With `in_place`, values (and re-probed columns) land at
   /// their final offsets core.rpts[i] in c.  Otherwise each row is computed
   /// at `out` in the owner's staging, compacted there by the fused epilogue
-  /// `epi` if any, and its kept count goes to c.rpts[i].
+  /// of core.opts, if any, and its kept count goes to c.rpts[i].
   template <typename SR>
   void numeric_tile(const PlanCore<IT, VT>& core, Thread& tp, Acc& acc,
                     const IT* cap, const CsrMatrix<IT, VT>& a,
@@ -637,7 +616,8 @@ struct KernelPlan {
                     const parallel::TileRange& tile,
                     const PlannedRow<IT>*& rows, const mem::Buffer<IT>& cols,
                     std::size_t& stage, CsrMatrix<IT, VT>& c, bool in_place,
-                    const EpilogueContext<IT, VT>* epi, std::size_t out) {
+                    std::size_t out) {
+    const bool fused = core.opts.epilogue.enabled();
     const Timer timer;
     const std::uint64_t probes0 = acc.probes();
     const std::uint64_t keys0 = keys_resolved_of(acc);
@@ -660,14 +640,13 @@ struct KernelPlan {
         numeric_row<SR>(acc, a, b, i, row, stream, core.replay_kind, dst_cols,
                         dst_vals);
         std::size_t kept = nnz;
-        if (epi != nullptr) {
+        if (fused) {
           // Forward compaction in place: `out` never passes the row's
           // staged columns, so only read entries are overwritten.
           const std::uint64_t t0 = monotonic_ns();
           kept = apply_row_epilogue(
-              core.opts.epilogue, *epi, tp.epi, i,
-              row.captured ? cols.data() + stage : dst_cols, dst_vals, nnz,
-              dst_cols, dst_vals);
+              tp.epi, row.captured ? cols.data() + stage : dst_cols, dst_vals,
+              nnz, dst_cols, dst_vals);
           tp.epi.seconds += static_cast<double>(monotonic_ns() - t0) * 1e-9;
         }
         c.rpts[i] = static_cast<Offset>(kept);
@@ -739,14 +718,13 @@ struct KernelPlan {
     return sum;
   }
 
-  /// Fold the owners' epilogue partials (detail::fold_epilogue, in
-  /// ascending owner order) into `result` and `stats`.
-  void fold_epilogue(const PlanCore<IT, VT>& core, EpilogueResult* result,
-                     SpGemmStats& stats) const {
+  /// Fold the owners' epilogue tallies (detail::fold_epilogue) into
+  /// `stats`.
+  void fold_epilogue(SpGemmStats& stats) const {
     detail::fold_epilogue(
-        core.opts.epilogue, static_cast<std::size_t>(core.ncols), threads,
+        threads,
         [](const Thread& tp) -> const EpilogueState& { return tp.epi; },
-        result, stats);
+        stats);
   }
 
   /// Plan: the symbolic pass over every tile, capturing slot streams and
@@ -779,21 +757,20 @@ struct KernelPlan {
     core.rows_captured = t.captured;
   }
 
-  /// Execute the plan's numeric phase.  Unfused (`epi` null), values and
-  /// re-probed columns land straight at their final offsets in c, whose
-  /// skeleton the caller placed.  With a fused epilogue, each row is
+  /// Execute the plan's numeric phase.  Unfused, values and re-probed
+  /// columns land straight at their final offsets in c, whose skeleton the
+  /// caller placed.  With a fused epilogue (core.opts.epilogue), each row is
   /// computed into its owner's staging and compacted there while cache-hot;
   /// c is sized to the kept entries only, so the intermediate product never
   /// materializes (c.rpts doubles as the kept-count scratch).
   template <typename SR>
   PassTally execute(const PlanCore<IT, VT>& core, const CsrMatrix<IT, VT>& a,
-                    const CsrMatrix<IT, VT>& b, CsrMatrix<IT, VT>& c,
-                    const EpilogueContext<IT, VT>* epi) {
-    if (epi != nullptr) c.rpts.resize(static_cast<std::size_t>(core.nrows) + 1);
+                    const CsrMatrix<IT, VT>& b, CsrMatrix<IT, VT>& c) {
+    const bool fused = core.opts.epilogue.enabled();
+    if (fused) c.rpts.resize(static_cast<std::size_t>(core.nrows) + 1);
     run_owners(core, [&](Thread& tp, int owner) {
-      if (epi != nullptr) {
-        tp.epi.begin_pass(core.opts.epilogue,
-                          static_cast<std::size_t>(core.ncols));
+      if (fused) {
+        tp.epi.begin_pass(core.opts.epilogue);
         tp.out_cols.clear();
         tp.out_vals.clear();
       }
@@ -801,26 +778,26 @@ struct KernelPlan {
       std::size_t stage = 0;
       core.schedule.for_each_tile(owner, [&](const parallel::TileRange& tile) {
         numeric_tile<SR>(core, tp, tp.acc, tp.capture.data(), a, b, tile,
-                         rows, tp.staged_cols, stage, c, epi == nullptr, epi,
+                         rows, tp.staged_cols, stage, c, !fused,
                          tp.out_cols.size());
       });
     });
-    if (epi != nullptr) place_output(core, c, /*adopt=*/false);
+    if (fused) place_output(core, c, /*adopt=*/false);
     return tally();
   }
 
   /// The one-shot product: each owner runs symbolic then numeric per tile
   /// while the tile's rows are cache-hot, capturing into a buffer rewound
-  /// per tile and staging its rows (compacted by the fused epilogue `epi`,
-  /// if any) for place_output().  The accumulator and scratch live inside
-  /// the owner's share of the pass, so the pool takes them back on the
-  /// thread that allocated them.
+  /// per tile and staging its rows (compacted by the fused epilogue of
+  /// core.opts, if any) for place_output().  The accumulator and scratch
+  /// live inside the owner's share of the pass, so the pool takes them back
+  /// on the thread that allocated them.
   template <typename SR>
   CsrMatrix<IT, VT> multiply_once(PlanCore<IT, VT>& core,
                                   const CsrMatrix<IT, VT>& a,
-                                  const CsrMatrix<IT, VT>& b,
-                                  const EpilogueContext<IT, VT>* epi) {
+                                  const CsrMatrix<IT, VT>& b) {
     CsrMatrix<IT, VT> c(a.nrows, b.ncols);
+    const bool fused = core.opts.epilogue.enabled();
     ensure_threads(core.nthreads);
     run_owners(core, [&](Thread& tp, int owner) {
       Acc acc = policy.make();
@@ -829,10 +806,7 @@ struct KernelPlan {
       const std::size_t cap_entries = core.capture_entries(owner);
       mem::ThreadScratch<IT> capture;
       IT* cap = cap_entries > 0 ? capture.ensure(cap_entries) : nullptr;
-      if (epi != nullptr) {
-        tp.epi.begin_pass(core.opts.epilogue,
-                          static_cast<std::size_t>(core.ncols));
-      }
+      if (fused) tp.epi.begin_pass(core.opts.epilogue);
       // Reserve at an optimistic compression ratio to limit regrowth.
       const auto flop =
           static_cast<std::size_t>(core.schedule.capture_flop_bound(owner));
@@ -850,7 +824,7 @@ struct KernelPlan {
         tp.out_vals.resize(tp.out_cols.size());
         const PlannedRow<IT>* rows = tp.rows.data();
         numeric_tile<SR>(core, tp, acc, cap, a, b, tile, rows, tp.out_cols,
-                         stage, c, /*in_place=*/false, epi, out);
+                         stage, c, /*in_place=*/false, out);
       });
     });
     return c;
@@ -861,16 +835,15 @@ struct KernelPlan {
 
 /// The one-shot two-phase product with an explicit accumulator policy.
 /// SR: the semiring policy (core/semiring.hpp); PlusTimes is ordinary
-/// SpGEMM.  The symbolic phase is algebra-independent.
+/// SpGEMM.  The symbolic phase is algebra-independent.  Runs
+/// opts.epilogue, if any, on every row.
 template <IndexType IT, ValueType VT, typename Policy,
           typename SR = PlusTimes>
   requires SemiringFor<SR, VT>
 CsrMatrix<IT, VT> spgemm_two_phase(const CsrMatrix<IT, VT>& a,
                                    const CsrMatrix<IT, VT>& b,
                                    const SpGemmOptions& opts, Policy policy,
-                                   SpGemmStats* stats, SR /*semiring*/ = {},
-                                   const EpilogueContext<IT, VT>* epi =
-                                       nullptr) {
+                                   SpGemmStats* stats, SR /*semiring*/ = {}) {
   TELEM_SPAN("oneshot.multiply");
   const int nthreads = parallel::resolve_threads(opts.threads);
   parallel::ScopedNumThreads scoped(opts.threads);
@@ -879,22 +852,17 @@ CsrMatrix<IT, VT> spgemm_two_phase(const CsrMatrix<IT, VT>& a,
   PlanCore<IT, VT> core;
   core.configure(partition_rows(a, b, opts.schedule, nthreads), b.ncols, opts,
                  model::kDefaultReuseBudgetBytes);
-  const bool fused = epilogue_fuses_rows(opts.epilogue);
-  const EpilogueContext<IT, VT> ectx =
-      epi != nullptr ? *epi : EpilogueContext<IT, VT>{};
-  if (fused) validate_epilogue(opts.epilogue, ectx, a, b);
   const double setup_s = timer.seconds();
 
   KernelPlan<IT, VT, Policy> plan(std::move(policy));
-  CsrMatrix<IT, VT> c =
-      plan.template multiply_once<SR>(core, a, b, fused ? &ectx : nullptr);
+  CsrMatrix<IT, VT> c = plan.template multiply_once<SR>(core, a, b);
   timer.reset();
   plan.place_output(core, c, /*adopt=*/true);
   const double place_s = timer.seconds();
 
   const PassTally t = plan.tally();
   SpGemmStats epi_stats;
-  if (fused) plan.fold_epilogue(core, ectx.result, epi_stats);
+  if (opts.epilogue.enabled()) plan.fold_epilogue(epi_stats);
   if (telemetry::enabled()) {
     // The symbolic/numeric phases were timed per tile — feed the measured
     // spans rather than re-timing (capture shows up as the reuse_rows

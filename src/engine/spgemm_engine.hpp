@@ -3,7 +3,7 @@
 //
 // PR 2/3 built the per-product machinery (SpGemmHandle, structure
 // fingerprints, the shared ExecutionSchedule); this engine is the layer
-// that turns those kernels into a multi-tenant system.  Callers hand it
+// that turns those kernels into a serving system.  Callers hand it
 // independent products — synchronously one at a time (multiply), as a
 // whole batch (run_batch), or as an asynchronous stream from any number of
 // producer threads (submit -> std::future<Product>) — and the engine:
@@ -73,11 +73,11 @@
 //     accepted future resolves;
 //   * graceful degradation: a std::bad_alloc during plan/execute walks a
 //     bounded retry ladder — (1) evict every cold plan from the cache and
-//     retry, (2) re-plan with reuse capture off and tile/capture budgets
-//     derived from a quartered memory-model tier, (3) the same plus a
-//     single thread — before giving up with kOutOfMemory.  Degraded runs
-//     bypass the plan cache (a crippled plan must not be re-served after
-//     the pressure passes) and are counted in degraded_execs;
+//     retry, (2) re-plan with reuse capture off, so the plan keeps no slot
+//     streams, (3) the same on a single thread — before giving up with
+//     kOutOfMemory.  Degraded runs bypass the plan cache (a crippled plan
+//     must not be re-served after the pressure passes) and are counted in
+//     degraded_execs;
 //   * a plan whose plan/execute throws is QUARANTINED: the PlanCache lease
 //     unwinds into an eviction, the possibly half-built plan is never
 //     served again, and pin accounting stays exact (debug builds assert
@@ -101,7 +101,6 @@
 #pragma once
 
 #include <algorithm>
-#include <array>
 #include <atomic>
 #include <cassert>
 #include <chrono>
@@ -112,7 +111,6 @@
 #include <functional>
 #include <future>
 #include <limits>
-#include <map>
 #include <mutex>
 #include <numeric>
 #include <optional>
@@ -312,17 +310,6 @@ struct EngineOptions {
   Offset queue_flop_budget = 0;
 };
 
-/// Per-tenant attribution: requests carrying a non-negative Request::tenant
-/// id are accounted here, so a multi-tenant caller can see who consumed the
-/// workers and who was shed — the budget question the aggregate counters
-/// cannot answer.
-struct TenantEngineStats {
-  std::uint64_t shed = 0;             ///< this tenant's shed requests
-  std::uint64_t deadline_misses = 0;  ///< failed-before-run plus late
-  std::uint64_t products = 0;         ///< products delivered
-  Offset flop = 0;                    ///< estimated flop of delivered products
-};
-
 /// Resilience + scheduler counters of one engine; engine_stats() snapshots
 /// them.
 struct EngineStats {
@@ -331,8 +318,8 @@ struct EngineStats {
   /// kDeadlineExceeded) plus products delivered after their deadline.
   std::uint64_t deadline_misses = 0;
   std::uint64_t retries = 0;  ///< memory-pressure ladder retry attempts
-  /// Products served by a degraded configuration (reuse off, shrunken
-  /// budgets, possibly single-threaded).
+  /// Products served by a degraded configuration (capture off, possibly
+  /// single-threaded).
   std::uint64_t degraded_execs = 0;
   // ---- Work-conserving scheduler ------------------------------------------
   /// Large products run on an execution lane (work_conserving engines).
@@ -347,8 +334,6 @@ struct EngineStats {
   /// overlay_busy_ms / lane_busy_ms (average overlay workers kept busy
   /// per lane-second).
   double overlay_busy_ms = 0.0;
-  /// Attribution by Request::tenant for requests that set one (id >= 0).
-  std::map<int, TenantEngineStats> tenants;
 };
 
 template <IndexType IT, ValueType VT>
@@ -371,20 +356,11 @@ class SpGemmEngine {
     /// Admission-control weight: under backpressure the lowest-priority
     /// queued request is shed first.  Ignored when no bound is configured.
     int priority = 0;
-    /// Optional tenant id for per-tenant budget attribution (ids are
-    /// caller-assigned).  Negative (the default) = unattributed: the
-    /// request only moves the aggregate counters.
-    int tenant = -1;
     /// Fused per-row epilogue applied while each output row is cache-hot
-    /// (kPruneScale / kMaskReduce; triple products go through
-    /// multiply_rap()).  The epilogue id is folded into the
-    /// plan-cache key, so fused and unfused requests over the same
-    /// structure never share a plan.
+    /// (kPruneScale; triple products go through multiply_rap()).  The
+    /// epilogue id is folded into the plan-cache key, so fused and unfused
+    /// requests over the same structure never share a plan.
     EpilogueSpec epilogue;
-    /// kMaskReduce operand; must outlive delivery like `a`/`b`.  When the
-    /// spec's mask_fp is 0 the engine fingerprints the mask per attempt —
-    /// steady-state callers should precompute it.
-    const CsrMatrix<IT, VT>* epilogue_mask = nullptr;
     /// Precomputed model::estimate_flop(a, b); 0 = unknown (the engine
     /// derives it).  Lets producers that reuse matrices across many
     /// requests skip the O(nnz(A)) pass on every submit.
@@ -402,8 +378,8 @@ class SpGemmEngine {
     /// (implies packed_small; only set by work-conserving engines).
     bool overlay = false;
     /// Served by the memory-pressure ladder's degraded configuration
-    /// (reuse capture off, memory-model-shrunken budgets, possibly a
-    /// single thread).  Bit-identical to the normal result regardless.
+    /// (reuse capture off at rung 2, and one thread at rung 3).
+    /// Bit-identical to the normal result regardless.
     bool degraded = false;
     /// Thread count the product planned/executed with: 1 for packed
     /// smalls, the lane width for larges (full width in drain mode).
@@ -412,9 +388,6 @@ class SpGemmEngine {
     /// Service time for batch products; enqueue-to-delivery (queue wait
     /// included) for submitted ones.
     double latency_ms = 0.0;
-    /// Scalar outputs of the request's fused epilogue (reduction, column
-    /// sums); default-empty when the request carried none.
-    EpilogueResult epilogue;
   };
 
   /// Throws SpGemmError(kBadInput) when `opts.pools` is neither 0 nor 1.
@@ -609,7 +582,7 @@ class SpGemmEngine {
     if (!opts_.work_conserving) return width;
     const int cap = std::max(1, width - overlay_reserve(width));
     return std::min(
-        model::choose_lane_width(flop, opts_.plan.fast_tier, width,
+        model::choose_lane_width(flop, model::host_fast_tier(), width,
                                  sizeof(IT)),
         cap);
   }
@@ -630,25 +603,6 @@ class SpGemmEngine {
         static_cast<double>(
             overlay_busy_us_.load(std::memory_order_relaxed)) /
         1000.0;
-    // Point-in-time-consistent tenant fold: hold ALL shard locks (acquired
-    // in fixed index order — note_tenant only ever takes one, so this
-    // cannot deadlock) while folding.  Locking one shard at a time could
-    // tear a tenant's (products, flop) pair across two attribution sites
-    // running mid-fold; with every shard held, the snapshot is a single
-    // consistent cut of the attribution state.
-    std::array<std::unique_lock<std::mutex>, kTenantShards> locks;
-    for (std::size_t i = 0; i < kTenantShards; ++i) {
-      locks[i] = std::unique_lock<std::mutex>(tenant_shards_[i].mu);
-    }
-    for (const TenantShard& shard : tenant_shards_) {
-      for (const auto& [id, t] : shard.stats) {
-        TenantEngineStats& agg = s.tenants[id];
-        agg.shed += t.shed;
-        agg.deadline_misses += t.deadline_misses;
-        agg.products += t.products;
-        agg.flop += t.flop;
-      }
-    }
     return s;
   }
 
@@ -717,7 +671,6 @@ class SpGemmEngine {
   /// Ladder depth: attempt 0 is the normal config, 1 retries it after a
   /// cache purge, 2 re-plans degraded, 3 adds the single-thread fallback.
   static constexpr int kMaxAttempts = 3;
-  static constexpr std::size_t kTenantShards = 16;
   /// Stored entries the admission pass must hash outside a batch's largest
   /// request before a second admission thread is worth waking: ~0.1 ms of
   /// fingerprinting at ~1-2 ns per entry.
@@ -788,35 +741,16 @@ class SpGemmEngine {
     return lowest_priority < incoming_priority ? lowest : kNoVictim;
   }
 
-  /// Per-tenant attribution sink: runs `fn` on the tenant's stats record
-  /// when the request names one.  Sharded by the calling thread's id —
-  /// attribution sites run on producer threads, the dispatcher and
-  /// helper threads alike, and a single global mutex here measurably
-  /// serialized the packed-small phase.  engine_stats() folds the shards.
-  template <class Fn>
-  void note_tenant(int tenant, Fn&& fn) {
-    if (tenant < 0) return;
-    const std::size_t shard =
-        std::hash<std::thread::id>{}(std::this_thread::get_id()) &
-        (kTenantShards - 1);
-    TenantShard& s = tenant_shards_[shard];
-    std::lock_guard<std::mutex> lk(s.mu);
-    fn(s.stats[tenant]);
-  }
-
   /// Fail one shed request's future: kDeadlineExceeded when its deadline
   /// had already passed (also a deadline miss), kShed otherwise.
   void shed_one(Pending&& p, Clock::time_point now) {
     const TraceCtx tc{&dispatch_trace_, p.trace_id, 0, 0};
     shed_.fetch_add(1, std::memory_order_relaxed);
     detail::EngineTelemetry::get().shed.add(1);
-    note_tenant(p.req.tenant, [](TenantEngineStats& t) { ++t.shed; });
     if (has_deadline(p.req) && now > p.req.deadline) {
       deadline_misses_.fetch_add(1, std::memory_order_relaxed);
       detail::EngineTelemetry::get().deadline_misses.add(1);
       trace_instant(tc, "deadline-shed", "shed");
-      note_tenant(p.req.tenant,
-                  [](TenantEngineStats& t) { ++t.deadline_misses; });
       p.promise.set_exception(std::make_exception_ptr(SpGemmError(
           ErrorCode::kDeadlineExceeded,
           "SpGemmEngine: shed under backpressure past its deadline")));
@@ -928,12 +862,6 @@ class SpGemmEngine {
             throw SpGemmError(ErrorCode::kBadInput,
                               "SpGemmEngine: inner dimensions disagree");
           }
-          if (r.epilogue.kind == EpilogueKind::kMaskReduce &&
-              r.epilogue_mask == nullptr) {
-            throw SpGemmError(ErrorCode::kBadInput,
-                              "SpGemmEngine: kMaskReduce request without a "
-                              "mask");
-          }
           products[i].flop = r.flop_hint > 0
                                  ? r.flop_hint
                                  : model::estimate_flop(*r.a, *r.b);
@@ -1000,7 +928,7 @@ class SpGemmEngine {
 
     // Serve request i on `threads` seats and trace track `track` (0 is the
     // lane's): deadline gate, plan-or-replay, its span, `account` (only on
-    // success), deadline and tenant accounting, then settle.
+    // success), deadline accounting, then settle.
     const auto serve = [&](std::size_t i, int threads,
                            std::atomic<int>* sink, std::uint32_t track,
                            const char* span, auto&& account) {
@@ -1013,7 +941,6 @@ class SpGemmEngine {
                    static_cast<std::uint64_t>(products[i].flop));
         if (!errors[i]) account();
         finish_deadline(reqs[i], errors[i], tc);
-        finish_tenant(reqs[i], products[i], errors[i]);
       }
       settle(i);
     };
@@ -1131,8 +1058,6 @@ class SpGemmEngine {
       deadline_misses_.fetch_add(1, std::memory_order_relaxed);
       detail::EngineTelemetry::get().deadline_misses.add(1);
       trace_instant(tc, "deadline", "deadline");
-      note_tenant(r.tenant,
-                  [](TenantEngineStats& t) { ++t.deadline_misses; });
       error = std::make_exception_ptr(SpGemmError(
           ErrorCode::kDeadlineExceeded,
           "SpGemmEngine: deadline passed before the request could run"));
@@ -1148,19 +1073,7 @@ class SpGemmEngine {
       deadline_misses_.fetch_add(1, std::memory_order_relaxed);
       detail::EngineTelemetry::get().deadline_misses.add(1);
       trace_instant(tc, "deadline-late", "deadline");
-      note_tenant(r.tenant,
-                  [](TenantEngineStats& t) { ++t.deadline_misses; });
     }
-  }
-
-  /// Successful delivery: charge the product's estimated flop to its tenant.
-  void finish_tenant(const Request& r, const Product& p,
-                     const std::exception_ptr& error) {
-    if (error) return;
-    note_tenant(r.tenant, [&](TenantEngineStats& t) {
-      ++t.products;
-      t.flop += p.flop;
-    });
   }
 
   /// Plan-or-replay one product, walking the memory-pressure ladder on
@@ -1215,10 +1128,10 @@ class SpGemmEngine {
 
   /// One rung of the ladder.  Attempts 0/1 run the normal configuration
   /// (1 = after the cache purge); attempt 2 re-plans with reuse capture
-  /// off and budgets derived from a quartered memory-model tier; attempt 3
-  /// quarters again and falls back to a single thread.  Degraded rungs
-  /// bypass the plan cache — a crippled plan cached under the structure's
-  /// key would keep being re-served long after the pressure passed.
+  /// off, so the plan keeps no slot streams; attempt 3 also falls back to a
+  /// single thread.  Degraded rungs bypass the plan cache — a crippled plan
+  /// cached under the structure's key would keep being re-served long
+  /// after the pressure passed.
   void execute_attempt(const Request& r, std::uint64_t fp_a,
                        std::uint64_t fp_b, int threads, int attempt,
                        Product& out, std::atomic<int>* seats,
@@ -1226,15 +1139,9 @@ class SpGemmEngine {
     SpGemmOptions opts = opts_.plan;
     opts.threads = threads;
     opts.epilogue = r.epilogue;
-    if (opts.epilogue.kind == EpilogueKind::kMaskReduce &&
-        opts.epilogue.mask_fp == 0 && r.epilogue_mask != nullptr) {
-      opts.epilogue.mask_fp = structure_fingerprint(*r.epilogue_mask);
-    }
     const bool degraded = attempt >= 2;
     if (degraded) {
       opts.reuse = StructureReuse::kOff;
-      opts.budget_source = BudgetSource::kMemoryModel;
-      opts.fast_tier = model::degraded_tier(opts_.plan.fast_tier, attempt - 1);
       if (attempt >= kMaxAttempts) opts.threads = 1;
     }
     // Publish this attempt's true seat count (the ladder may have dropped
@@ -1250,11 +1157,9 @@ class SpGemmEngine {
     // detach, when this run carries no sink) the seat sink BEFORE any pass:
     // a cached handle may still point at a dead batch's counter from its
     // previous serving.  Detach again after — the sink dies with this
-    // batch, the handle does not.  Same discipline for the epilogue mask:
-    // it belongs to this request, not to the retained plan.
+    // batch, the handle does not.
     const auto serve = [&](SpGemmHandle<IT, VT>& handle) {
       handle.set_seat_sink(seats);
-      handle.set_epilogue_mask(r.epilogue_mask);
       {
         const std::uint64_t t0 = trace_now(tc);
         out.cache_hit =
@@ -1280,9 +1185,7 @@ class SpGemmEngine {
         out.stats.plan_ms = 0.0;
         out.stats.probes = out.stats.numeric_probes;
       }
-      if (opts.epilogue.enabled()) out.epilogue = handle.epilogue_result();
       handle.set_seat_sink(nullptr);
-      handle.set_epilogue_mask(nullptr);
     };
     if (!opts_.cache_enabled || degraded) {
       SpGemmHandle<IT, VT> handle;
@@ -1380,12 +1283,6 @@ class SpGemmEngine {
   std::atomic<std::uint64_t> lane_busy_us_{0};
   std::atomic<std::uint64_t> overlay_execs_{0};
   std::atomic<std::uint64_t> overlay_busy_us_{0};
-
-  struct TenantShard {
-    mutable std::mutex mu;
-    std::map<int, TenantEngineStats> stats;  ///< guarded by mu
-  };
-  std::array<TenantShard, kTenantShards> tenant_shards_;
 
   std::mutex batch_mu_;
   int inflight_batches_ = 0;  ///< guarded by batch_mu_

@@ -19,30 +19,11 @@ double hash_cost(const CostInputs& in, bool sorted) {
   return cost;
 }
 
-namespace {
-
-/// Rows whose expected capture footprint (~2 * avg row flop slots per row)
-/// fills `target_bytes`, clamped to [lo, hi].  The lower clamp is applied
-/// last so no budget, however tiny, can produce a 0-row tile.
-std::size_t tile_rows_for_target(double target_bytes, Offset total_flop,
-                                 std::size_t nrows,
-                                 std::size_t bytes_per_slot, double lo,
-                                 double hi) {
-  if (nrows == 0) return 1;
-  if (bytes_per_slot == 0) bytes_per_slot = sizeof(std::int32_t);
-  const double avg_row_flop =
-      std::max(1.0, static_cast<double>(total_flop) /
-                        static_cast<double>(nrows));
-  const double rows =
-      target_bytes / (2.0 * avg_row_flop * static_cast<double>(bytes_per_slot));
-  return static_cast<std::size_t>(std::clamp(rows, std::max(1.0, lo), hi));
-}
-
-}  // namespace
-
 std::size_t choose_tile_rows(Offset total_flop, std::size_t nrows,
                              std::size_t reuse_budget_bytes,
                              std::size_t bytes_per_slot) {
+  if (nrows == 0) return 1;
+  if (bytes_per_slot == 0) bytes_per_slot = sizeof(std::int32_t);
   // A captured row needs ~(flop + nnz) slots <= 2*flop slots; target the
   // tile's capture footprint, never exceeding half the budget so at least
   // one full tile can always be captured.
@@ -51,46 +32,13 @@ std::size_t choose_tile_rows(Offset total_flop, std::size_t nrows,
     target_bytes =
         std::min(target_bytes, static_cast<double>(reuse_budget_bytes) / 2.0);
   }
-  return tile_rows_for_target(target_bytes, total_flop, nrows, bytes_per_slot,
-                              16.0, 65536.0);
-}
-
-ScheduleBudgets derive_schedule_budgets(const TierParams& fast_tier,
-                                        int threads, Offset total_flop,
-                                        std::size_t nrows,
-                                        std::size_t bytes_per_slot) {
-  ScheduleBudgets out;
-  if (threads < 1) threads = 1;
-  const double share_bytes =
-      fast_tier.capacity_gb * 1e9 / static_cast<double>(threads);
-
-  // Bandwidth floor: time per stanza is latency + s/bw, so a stream of s
-  // bytes runs at s/(latency*bw + s) of the thread's peak; s = 49*latency*bw
-  // reaches 98%.  Cutting tiles below this floor would spend the pass in
-  // stanza latency instead of streaming.
-  const double floor_bytes =
-      49.0 * fast_tier.latency_ns * fast_tier.thread_bw_gbps;
-
-  // Capacity target: 1/8 of the thread's tier share, so the capture stream,
-  // the accumulator, the staged output and the touched B rows fit together.
-  const double target_bytes = std::max(floor_bytes, share_bytes / 8.0);
-  out.tile_target_bytes = static_cast<std::size_t>(target_bytes);
-  out.tile_rows = tile_rows_for_target(target_bytes, total_flop, nrows,
-                                       bytes_per_slot, 1.0, 1 << 20);
-
-  // The whole per-thread slot-stream store may take half the tier share —
-  // beyond that the streams themselves evict what they feed.
-  out.capture_budget_bytes = static_cast<std::size_t>(
-      std::max(1.0, share_bytes / 2.0));
-  return out;
-}
-
-bool reuse_pays(double collision_factor, std::size_t reuse_budget_bytes) {
-  if (reuse_budget_bytes == 0) return false;
-  // One saved probe per flop already beats the slot-stream traffic; only a
-  // collision factor below ~0.5 (impossible for probing accumulators, and
-  // the SPA's direct indexing still skips its flag branch) would lose.
-  return collision_factor >= 0.5;
+  const double avg_row_flop =
+      std::max(1.0, static_cast<double>(total_flop) /
+                        static_cast<double>(nrows));
+  const double rows =
+      target_bytes / (2.0 * avg_row_flop * static_cast<double>(bytes_per_slot));
+  // The clamp keeps any budget, however tiny, from producing a 0-row tile.
+  return static_cast<std::size_t>(std::clamp(rows, 16.0, 65536.0));
 }
 
 int choose_lane_width(Offset flop, const TierParams& fast_tier,

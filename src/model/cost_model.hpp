@@ -20,9 +20,9 @@
 namespace spgemm::model {
 
 /// A-priori hash collision factor (probes per scalar multiplication) used
-/// wherever no measurement exists yet — the tiled driver's kAuto decision
-/// and the CostInputs default.  SpGemmHandle::collision_factor() supplies the
-/// measured value once a symbolic pass has run.
+/// wherever no measurement exists yet — the CostInputs default.
+/// SpGemmHandle::collision_factor() supplies the measured value once a
+/// symbolic pass has run.
 inline constexpr double kDefaultCollisionFactor = 1.2;
 
 /// Inputs the closed-form estimates need; obtainable from a symbolic pass
@@ -60,10 +60,8 @@ inline constexpr std::size_t kDefaultReuseBudgetBytes = std::size_t{8} << 20;
 /// still bounded by 2x the planned flop, so small products never pay it.
 inline constexpr std::size_t kDefaultPlanBudgetBytes = std::size_t{64} << 20;
 
-/// Capture-stream bytes a tile targets under BudgetSource::kFixed: small
-/// enough to stay cache-resident between the symbolic and numeric passes of
-/// the same tile.  Under BudgetSource::kMemoryModel the target is derived
-/// from the modeled fast tier instead (derive_schedule_budgets).
+/// Capture-stream bytes a tile targets: small enough to stay cache-resident
+/// between the symbolic and numeric passes of the same tile.
 inline constexpr std::size_t kTileCaptureTargetBytes = std::size_t{256} << 10;
 
 /// Pick the rows-per-tile for the tiled two-phase driver: the expected
@@ -75,44 +73,6 @@ inline constexpr std::size_t kTileCaptureTargetBytes = std::size_t{256} << 10;
 std::size_t choose_tile_rows(Offset total_flop, std::size_t nrows,
                              std::size_t reuse_budget_bytes,
                              std::size_t bytes_per_slot);
-
-// ---- Memory-tier-derived schedule budgets (ExecutionSchedule) -------------
-
-/// Tile and capture budgets for one ExecutionSchedule, derived from a
-/// modeled memory tier rather than the fixed kTileCaptureTargetBytes
-/// constant (the MCDRAM-aware sizing of paper Figs. 5/10: size the working
-/// set to the fast tier, not to a cache constant).
-struct ScheduleBudgets {
-  /// Row cap per tile (>= 1).
-  std::size_t tile_rows = 0;
-  /// Per-tile capture-stream byte target the tile_rows figure aims at.
-  std::size_t tile_target_bytes = 0;
-  /// Per-thread capture budget for the whole slot-stream store.
-  std::size_t capture_budget_bytes = 0;
-};
-
-/// Derive schedule budgets from the fast tier's capacity and its stanza
-/// bandwidth curve:
-///   * capacity: each thread gets an equal share of the tier; a tile's
-///     capture stream targets 1/8 of that share so stream + accumulator +
-///     staged output + touched B rows all stay resident together;
-///   * bandwidth: a tile is never cut so small that the per-stanza latency
-///     dominates its streaming time — the floor is the transfer size at
-///     which a single stanza reaches ~98% of the thread's streaming
-///     bandwidth (49 * latency * thread_bw).
-/// Monotone in capacity_gb: a smaller modeled fast tier can never yield
-/// more tile rows.  tile_rows >= 1 always.
-ScheduleBudgets derive_schedule_budgets(const TierParams& fast_tier,
-                                        int threads, Offset total_flop,
-                                        std::size_t nrows,
-                                        std::size_t bytes_per_slot);
-
-/// Whether capturing the symbolic structure pays for a product with the
-/// given collision factor: replay saves ~c probes per flop in the numeric
-/// phase at the price of streaming one slot per flop through memory.  With
-/// any realistic collision factor (>= 1) and a non-zero budget it pays; the
-/// function exists so the planner's decision is explicit and testable.
-bool reuse_pays(double collision_factor, std::size_t reuse_budget_bytes);
 
 // ---- Serving-engine sizing (engine/plan_cache.hpp) ------------------------
 

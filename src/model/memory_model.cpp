@@ -36,13 +36,6 @@ TierParams host_fast_tier() {
   return t;
 }
 
-TierParams degraded_tier(const TierParams& base, int step) {
-  TierParams t = base;
-  for (int i = 0; i < step; ++i) t.capacity_gb /= 4.0;
-  t.capacity_gb = std::max(t.capacity_gb, 1e-3);  // 1 MB floor
-  return t;
-}
-
 double stanza_bandwidth_gbps(const TierParams& tier, double stanza_bytes,
                              int threads) {
   const double s = std::max(1.0, stanza_bytes);

@@ -37,19 +37,10 @@ TierParams knl_ddr();
 /// KNL MCDRAM in cache mode: 3.4x DDR peak, higher latency, 16 GB.
 TierParams knl_mcdram_cache();
 /// The fast tier of a generic multicore host: a shared last-level cache
-/// (~32 MB, low latency, high bandwidth).  This is the default fast tier
-/// the ExecutionSchedule budgets target when SpGemmOptions::budget_source
-/// is kMemoryModel and no explicit tier is given — on KNL one would pass
+/// (~32 MB, low latency, high bandwidth).  The serving engine sizes its
+/// lanes against it (choose_lane_width); on KNL one would model
 /// knl_mcdram_cache() instead.
 TierParams host_fast_tier();
-
-/// Progressively smaller fast-tier model for the serving engine's
-/// memory-pressure degradation ladder (engine/spgemm_engine.hpp): step k
-/// models the same tier with 1/4^k the capacity, floored at 1 MB, so
-/// derive_schedule_budgets yields smaller tiles and capture budgets on each
-/// retry.  Latency and bandwidth are unchanged — under memory pressure the
-/// tier is not slower, there is just less of it to claim.
-TierParams degraded_tier(const TierParams& base, int step);
 
 /// Aggregate bandwidth for stanza transfers of `stanza_bytes`.
 double stanza_bandwidth_gbps(const TierParams& tier, double stanza_bytes,

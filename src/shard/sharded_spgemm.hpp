@@ -67,10 +67,6 @@ struct ShardedOptions {
   std::size_t memory_budget_bytes = 0;
   /// ShardStore spill directory (see shard_store.hpp).
   std::string spill_dir;
-  /// Forwarded to every engine request (per-tenant attribution).
-  int tenant = -1;
-  /// Forwarded to every engine request (admission weight).
-  int priority = 0;
 };
 
 /// One multiply()'s observability record.
@@ -419,8 +415,6 @@ class ShardedSpGemm {
         req.fp_a = fp_a;
         req.fp_b = b_panel_fp[j];
         req.has_fingerprints = true;
-        req.priority = opts_.priority;
-        req.tenant = opts_.tenant;
         auto fut = engine_.submit(req);
         typename Engine::Product product = fut.get();
         ++stats_.block_products;

@@ -5,14 +5,13 @@
 //   1. Disabled cost: one relaxed atomic load + branch per event (same idiom
 //      as the fault-injection gate).  No clock reads, no hashing.
 //   2. Enabled cost: one thread-hashed relaxed fetch_add on a cache-line
-//      aligned shard — no locks on the hot path, mirroring the engine's
-//      16-way tenant-shard trick.
+//      aligned shard — no locks on the hot path.
 //   3. Scrape is exact for counters/histogram totals: folding sums every
 //      shard; concurrent writers only ever make the fold a valid
 //      point-in-time-or-later value.
 //
 // Metric identity is (name, optional single label pair).  That is all the
-// engine stack needs ("phase", "point", "tenant"-style breakdowns) and keeps
+// engine stack needs ("phase", "point", "kind"-style breakdowns) and keeps
 // the registry far away from a full label-set implementation.
 #pragma once
 

@@ -253,7 +253,7 @@ TEST(ShardStore, UnknownKeyAndFaultsSurfaceTyped) {
 }
 
 // ---------------------------------------------------------------------------
-// ShardedSpGemm: bit-identity, budget gate, spill, faults, tenants.
+// ShardedSpGemm: bit-identity, budget gate, spill, faults, shedding.
 // ---------------------------------------------------------------------------
 
 Engine::Product monolithic(Engine& eng, const Matrix& a, const Matrix& b) {
@@ -444,39 +444,8 @@ TEST(ShardedSpGemm, MismatchedInnerDimensionsThrowTyped) {
   }
 }
 
-TEST(ShardedSpGemm, TenantAttributionFlowsThroughEngineStats) {
-  const Matrix a = random_rmat(6, 5, 36);
-  engine::EngineOptions eopts;
-  eopts.plan.algorithm = Algorithm::kHash;
-  Engine eng(eopts);
-
-  shard::ShardedOptions t7;
-  t7.memory_budget_bytes = std::size_t{96} << 10;
-  t7.tenant = 7;
-  Sharded driver7(eng, t7);
-  driver7.multiply(a, a);
-
-  shard::ShardedOptions t9 = t7;
-  t9.tenant = 9;
-  Sharded driver9(eng, t9);
-  driver9.multiply(a, a);
-  driver9.multiply(a, a);
-
-  const engine::EngineStats stats = eng.engine_stats();
-  ASSERT_TRUE(stats.tenants.count(7));
-  ASSERT_TRUE(stats.tenants.count(9));
-  const auto& s7 = stats.tenants.at(7);
-  const auto& s9 = stats.tenants.at(9);
-  EXPECT_EQ(s7.products, driver7.stats().block_products);
-  EXPECT_GT(s7.flop, 0);
-  // Tenant 9 ran the same product twice: twice the deliveries and flop.
-  EXPECT_EQ(s9.products, 2 * s7.products);
-  EXPECT_EQ(s9.flop, 2 * s7.flop);
-  EXPECT_EQ(s7.shed, 0u);
-  EXPECT_EQ(s7.deadline_misses, 0u);
-}
-
-// Direct engine-level attribution (shed accounting) without the driver.
+// Engine-level shed accounting without the driver: the shed arrival is
+// counted, the kept request delivers.
 TEST(ShardedSpGemm, TenantShedAccounting) {
   const Matrix a = random_rmat(5, 4, 37);
   engine::EngineOptions opts;
@@ -488,12 +457,10 @@ TEST(ShardedSpGemm, TenantShedAccounting) {
   keeper.a = &a;
   keeper.b = &a;
   keeper.priority = 5;
-  keeper.tenant = 1;
   auto kept = eng.submit(keeper);
 
   Engine::Request loser = keeper;
   loser.priority = 0;
-  loser.tenant = 2;
   auto shed_fut = eng.submit(loser);  // queue full, lower priority: shed
   eng.resume();
 
@@ -503,14 +470,10 @@ TEST(ShardedSpGemm, TenantShedAccounting) {
   } catch (const SpGemmError& e) {
     EXPECT_EQ(e.code(), ErrorCode::kShed);
   }
-  kept.get();
+  EXPECT_GT(kept.get().c.nnz(), 0);
   const engine::EngineStats stats = eng.engine_stats();
-  ASSERT_TRUE(stats.tenants.count(2));
-  EXPECT_EQ(stats.tenants.at(2).shed, 1u);
-  EXPECT_EQ(stats.tenants.at(2).products, 0u);
-  ASSERT_TRUE(stats.tenants.count(1));
-  EXPECT_EQ(stats.tenants.at(1).products, 1u);
-  EXPECT_EQ(stats.tenants.at(1).shed, 0u);
+  EXPECT_EQ(stats.shed, 1u);
+  EXPECT_EQ(stats.deadline_misses, 0u);
 }
 
 // choose_block_grid: monotone under budget, clamped to dimensions.

@@ -535,19 +535,20 @@ TEST(EngineDispatcher, PoolsAcceptsOnlyOneDispatcher) {
   } catch (const SpGemmError& e) {
     EXPECT_EQ(e.code(), ErrorCode::kBadInput);
   }
-  // pools = 1 is the one dispatcher, over every worker.  A 1 MB fast tier
-  // sizes lanes by kLaneMinFlopPerWorker on any host, so this large takes
-  // a lane wider than one seat, and the dispatcher replays the plan
-  // multiply built at that width (a dispatcher with fewer workers would
-  // pick a narrower lane and replan).
+  // pools = 1 is the one dispatcher, over every worker.  This scale-12,
+  // edge-factor-16 large has several million flop, so it takes a lane
+  // wider than one seat, and the dispatcher replays the plan multiply
+  // built at that width (a dispatcher with fewer workers would pick a
+  // narrower lane and replan).
   eo.pools = 1;
-  eo.plan.fast_tier.capacity_gb = 1e-3;
   Engine eng(eo);
-  const Matrix big = unit_valued_rmat(9, 8, 615);
+  const Matrix big = unit_valued_rmat(12, 16, 615);
   const Engine::Product planned = eng.multiply(big, big);
   EXPECT_GT(planned.threads_used, 1);
   const Engine::Product served = eng.submit(big, big).get();
-  expect_bitwise_equal(served.c, spgemm_reference(big, big), "pools = 1");
+  SpGemmOptions heap;
+  heap.algorithm = Algorithm::kHeap;
+  expect_bitwise_equal(served.c, multiply(big, big, heap), "pools = 1");
   EXPECT_TRUE(served.cache_hit);
   EXPECT_EQ(served.threads_used, planned.threads_used);
 }

@@ -6,12 +6,14 @@
 // EXACTLY the bytes of the unfused multiply followed by the equivalent
 // postprocess, across kernels, thread counts, and the one-shot /
 // planned-replay / engine-served paths — fusion changes where the work
-// runs, never what it computes.  Inputs are unit-valued so every reduction
-// is integer-valued and the scalar outputs are exact at any fold order.
+// runs, never what it computes.  Inputs are unit-valued so every product
+// entry is an exact integer at any fold order.
 //
 // Plus the cache-poisoning hazard: fused and unfused plans over the same
 // structure must occupy distinct PlanCache entries — a fused plan served
-// to an unfused caller would silently return pruned rows.
+// to an unfused caller would silently return pruned rows.  And the plain
+// entry points (multiply, multiply_over, multiply_rap) refuse a spec on
+// every kernel instead of honouring it on some.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -20,6 +22,7 @@
 #include <iomanip>
 #include <limits>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -63,28 +66,6 @@ void expect_bitwise_equal(const Matrix& x, const Matrix& y,
   }
 }
 
-/// Sequential sum of C's entries that fall on mask's structure — the
-/// oracle for kMaskReduce (matrix/ops.hpp masked_sum, minus the OpenMP).
-double masked_sum_ref(const Matrix& c, const Matrix& mask) {
-  std::vector<double> dense(static_cast<std::size_t>(c.ncols), 0.0);
-  double total = 0.0;
-  for (I i = 0; i < c.nrows; ++i) {
-    for (Offset j = c.row_begin(i); j < c.row_end(i); ++j) {
-      dense[static_cast<std::size_t>(c.cols[static_cast<std::size_t>(j)])] =
-          c.vals[static_cast<std::size_t>(j)];
-    }
-    for (Offset j = mask.row_begin(i); j < mask.row_end(i); ++j) {
-      total += dense[static_cast<std::size_t>(
-          mask.cols[static_cast<std::size_t>(j)])];
-    }
-    for (Offset j = c.row_begin(i); j < c.row_end(i); ++j) {
-      dense[static_cast<std::size_t>(c.cols[static_cast<std::size_t>(j)])] =
-          0.0;
-    }
-  }
-  return total;
-}
-
 SpGemmOptions base_opts(Algorithm algo, int threads) {
   SpGemmOptions opts;
   opts.algorithm = algo;
@@ -118,8 +99,7 @@ TEST(EpiloguePruneScale, BitIdenticalAcrossKernelsAndThreads) {
       fused.epilogue.prune_below = prune_below;
 
       SpGemmStats stats;
-      const Matrix got =
-          multiply_with_epilogue(a, a, fused, nullptr, nullptr, &stats);
+      const Matrix got = multiply_with_epilogue(a, a, fused, &stats);
       expect_bitwise_equal(got, expected, label + " one-shot");
       EXPECT_EQ(stats.epilogue_rows, static_cast<std::uint64_t>(a.nrows))
           << label;
@@ -141,16 +121,14 @@ TEST(EpiloguePruneScale, HandleReplayBitIdentical) {
 
       SpGemmHandle<I, double> handle(a, a, fused);
       const Matrix first = handle.execute(a, a);
-      const Matrix oracle =
-          multiply_with_epilogue(a, a, fused, nullptr, nullptr);
+      const Matrix oracle = multiply_with_epilogue(a, a, fused);
       expect_bitwise_equal(first, oracle, label + " plan+execute");
 
       // Numeric-only replay over the same values, then over updated ones.
       expect_bitwise_equal(handle.execute(a, a), oracle, label + " replay");
       for (auto& v : a.vals) v = 2.0;
       const Matrix updated = handle.execute(a, a);
-      const Matrix updated_oracle =
-          multiply_with_epilogue(a, a, fused, nullptr, nullptr);
+      const Matrix updated_oracle = multiply_with_epilogue(a, a, fused);
       expect_bitwise_equal(updated, updated_oracle,
                            label + " values-update replay");
       for (auto& v : a.vals) v = 1.0;
@@ -158,24 +136,44 @@ TEST(EpiloguePruneScale, HandleReplayBitIdentical) {
   }
 }
 
-TEST(EpiloguePruneScale, CollectsExactColumnSums) {
-  const Matrix a = unit_valued_rmat(6, 8, 31);
-  SpGemmOptions fused = base_opts(Algorithm::kHash, 4);
+TEST(EpiloguePruneScale, PlainEntryPointsRejectTheSpec) {
+  // The plain entry points run no epilogue, so each refuses a spec on
+  // one-phase and two-phase kernels alike (kAuto resolves to SPA-1p here)
+  // and names the fused entry point, which gives one pruned product under
+  // every kernel it runs.
+  const Matrix a = unit_valued_rmat(9, 8, 33);
+  SpGemmOptions fused = base_opts(Algorithm::kHash, 2);
   fused.epilogue.kind = EpilogueKind::kPruneScale;
   fused.epilogue.inflation = 2.0;
-  fused.epilogue.prune_below = 2.5;
-  fused.epilogue.collect_column_sums = true;
-
-  EpilogueResult result;
-  const Matrix kept = multiply_with_epilogue(a, a, fused, &result);
-  ASSERT_EQ(result.col_sums.size(), static_cast<std::size_t>(a.ncols));
-  EXPECT_EQ(result.rows, static_cast<std::uint64_t>(a.nrows));
-  std::vector<double> expected(static_cast<std::size_t>(a.ncols), 0.0);
-  for (std::size_t j = 0; j < kept.cols.size(); ++j) {
-    expected[static_cast<std::size_t>(kept.cols[j])] += kept.vals[j];
+  fused.epilogue.prune_below = 9.0;  // keeps the entries >= 3
+  const Matrix expected = multiply_with_epilogue(a, a, fused);
+  ASSERT_LT(expected.nnz(), multiply(a, a, base_opts(Algorithm::kHash, 2))
+                                .nnz());
+  const auto expect_refused = [](const auto& call, const std::string& label) {
+    try {
+      call();
+      ADD_FAILURE() << label << " ran with an epilogue set";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("multiply_with_epilogue"),
+                std::string::npos)
+          << label << ": " << e.what();
+    }
+  };
+  for (const Algorithm algo :
+       {Algorithm::kAuto, Algorithm::kHash, Algorithm::kHashVector,
+        Algorithm::kSpa, Algorithm::kSpa1p, Algorithm::kHeap}) {
+    const std::string label = algorithm_name(algo);
+    fused.algorithm = algo;
+    expect_refused([&] { multiply(a, a, fused); }, label + " multiply");
+    expect_refused([&] { multiply_over<PlusTimes>(a, a, fused); },
+                   label + " multiply_over");
+    expect_refused([&] { multiply_rap(a, a, a, fused); },
+                   label + " multiply_rap");
+    if (algo != Algorithm::kHeap) {
+      expect_bitwise_equal(multiply_with_epilogue(a, a, fused), expected,
+                           label + " multiply_with_epilogue");
+    }
   }
-  // Integer-valued sums: exact at every fold order.
-  EXPECT_EQ(result.col_sums, expected);
 }
 
 // ---------------------------------------------------------------------------
@@ -362,44 +360,6 @@ TEST(EpiloguePruneScale, FloatThresholdsBeforeNarrowing) {
 }
 
 // ---------------------------------------------------------------------------
-// kMaskReduce: reduce == masked_sum of the unfused product; no output rows.
-// ---------------------------------------------------------------------------
-
-TEST(EpilogueMaskReduce, MatchesMaskedSumOracle) {
-  const Matrix a = unit_valued_rmat(7, 8, 37);
-  const TriangularSplit<I, double> split = prepare_triangle_split(a);
-  for (const Algorithm algo : kKernels) {
-    for (const int threads : kThreadCounts) {
-      const std::string label =
-          std::string(algorithm_name(algo)) + " t" + std::to_string(threads);
-      SpGemmOptions plain = base_opts(algo, threads);
-      const Matrix wedges = multiply(split.lower, split.upper, plain);
-      const double expected = masked_sum_ref(wedges, split.lower);
-
-      SpGemmOptions fused = plain;
-      fused.epilogue.kind = EpilogueKind::kMaskReduce;
-      EpilogueResult result;
-      SpGemmStats stats;
-      const Matrix empty = multiply_with_epilogue(
-          split.lower, split.upper, fused, &result, &split.lower, &stats);
-      EXPECT_EQ(result.reduce, expected) << label;
-      EXPECT_EQ(empty.nnz(), std::size_t{0}) << label;
-      EXPECT_EQ(stats.nnz_out, Offset{0}) << label;
-    }
-  }
-}
-
-TEST(EpilogueMaskReduce, RejectsMissingOrMisshapenMask) {
-  const Matrix a = unit_valued_rmat(5, 4, 41);
-  SpGemmOptions fused = base_opts(Algorithm::kHash, 2);
-  fused.epilogue.kind = EpilogueKind::kMaskReduce;
-  EXPECT_THROW(multiply_with_epilogue(a, a, fused), std::invalid_argument);
-  const Matrix wrong(a.nrows / 2, a.ncols);
-  EXPECT_THROW(multiply_with_epilogue(a, a, fused, nullptr, &wrong),
-               std::invalid_argument);
-}
-
-// ---------------------------------------------------------------------------
 // multiply_rap == R * (A * P) with a sorted intermediate.
 // ---------------------------------------------------------------------------
 
@@ -478,14 +438,13 @@ TEST(EpiloguePlanCache, SpecFingerprintsDistinguishEpilogues) {
   prune.kind = EpilogueKind::kPruneScale;
   prune.inflation = 2.0;
   prune.prune_below = 1e-4;
-  EpilogueSpec mask;
-  mask.kind = EpilogueKind::kMaskReduce;
   EXPECT_NE(prune.fingerprint(), std::uint64_t{0});
-  EXPECT_NE(mask.fingerprint(), std::uint64_t{0});
-  EXPECT_NE(prune.fingerprint(), mask.fingerprint());
   EpilogueSpec prune_other = prune;
   prune_other.prune_below = 1e-3;
   EXPECT_NE(prune.fingerprint(), prune_other.fingerprint());
+  EpilogueSpec inflate_other = prune;
+  inflate_other.inflation = 3.0;
+  EXPECT_NE(prune.fingerprint(), inflate_other.fingerprint());
 }
 
 TEST(EpiloguePlanCache, FusedAndUnfusedOccupyDistinctEntries) {
@@ -520,43 +479,38 @@ TEST(EpiloguePlanCache, FusedAndUnfusedOccupyDistinctEntries) {
   SpGemmOptions fused_opts = opts;
   fused_opts.threads = fused_first.threads_used;
   fused_opts.epilogue = fused_req.epilogue;
-  expect_bitwise_equal(
-      fused_first.c,
-      multiply_with_epilogue(a, a, fused_opts, nullptr, nullptr),
-      "fused product");
+  expect_bitwise_equal(fused_first.c, multiply_with_epilogue(a, a, fused_opts),
+                       "fused product");
 }
 
-TEST(EpilogueEngine, MaskReduceServedThroughEngine) {
+TEST(EpilogueEngine, PruneScaleServedThroughEngine) {
   const Matrix a = unit_valued_rmat(6, 8, 61);
-  const TriangularSplit<I, double> split = prepare_triangle_split(a);
 
   Engine::Request req;
-  req.a = &split.lower;
-  req.b = &split.upper;
-  req.epilogue.kind = EpilogueKind::kMaskReduce;
-  req.epilogue_mask = &split.lower;
+  req.a = &a;
+  req.b = &a;
+  req.epilogue.kind = EpilogueKind::kPruneScale;
+  req.epilogue.inflation = 2.0;
+  req.epilogue.prune_below = 2.5;
 
-  SpGemmOptions oracle_opts;
-  oracle_opts.sort_output = SortOutput::kYes;
-  const double expected = masked_sum_ref(
-      multiply(split.lower, split.upper, oracle_opts), split.lower);
-  // With the plan cache off every request plans on a fresh handle, so the
-  // repeat is not a hit but must reduce to the same value.
+  // With the plan cache off every request plans a fused product on a fresh
+  // handle, so the repeat is not a hit but must give the same bytes.
   for (const bool cache : {true, false}) {
     engine::EngineOptions eo;
     eo.cache_enabled = cache;
     Engine eng(eo);
     const std::string label = cache ? "cache on" : "cache off";
     const Engine::Product first = eng.submit(req).get();
-    EXPECT_EQ(first.epilogue.reduce, expected) << label;
+    SpGemmOptions opts = eo.plan;
+    opts.threads = first.threads_used;
+    opts.epilogue = req.epilogue;
+    const Matrix expected = multiply_with_epilogue(a, a, opts);
+    expect_bitwise_equal(first.c, expected, label);
+    EXPECT_EQ(first.stats.epilogue_rows, static_cast<std::uint64_t>(a.nrows))
+        << label;
     const Engine::Product again = eng.submit(req).get();
     EXPECT_EQ(again.cache_hit, cache) << label;
-    EXPECT_EQ(again.epilogue.reduce, expected) << label;
-
-    // A kMaskReduce request without its mask is a typed admission error.
-    Engine::Request bad = req;
-    bad.epilogue_mask = nullptr;
-    EXPECT_THROW(eng.submit(bad).get(), SpGemmError) << label;
+    expect_bitwise_equal(again.c, expected, label + " repeat");
   }
 }
 

@@ -1,5 +1,5 @@
 // ExecutionSchedule contracts (parallel/execution_schedule.hpp) and the
-// memory-model budget derivation behind it (model::derive_schedule_budgets).
+// tile size behind it (model::choose_tile_rows).
 //
 // The schedule-level tests drive for_each_tile() one simulated thread at a
 // time: every row is covered exactly once, each thread walks its own range
@@ -18,7 +18,6 @@
 #include "core/spgemm_handle.hpp"
 #include "matrix/rmat.hpp"
 #include "model/cost_model.hpp"
-#include "model/memory_model.hpp"
 #include "parallel/execution_schedule.hpp"
 #include "parallel/rows_to_threads.hpp"
 
@@ -119,79 +118,15 @@ TEST(ExecutionSchedule, SizingCoversEachOwnersWidestRow) {
 }
 
 // ---------------------------------------------------------------------------
-// Budget derivation from the memory model.
+// Tile size from the capture budget.
 // ---------------------------------------------------------------------------
 
-TEST(ScheduleBudgets, TileRowsMonotoneInFastTierCapacity) {
-  const Offset total_flop = Offset{1} << 24;
-  const std::size_t nrows = std::size_t{1} << 16;
-  model::TierParams tier = model::host_fast_tier();
-
-  std::size_t prev_rows = 0;
-  std::size_t prev_budget = 0;
-  // Sweep capacities upward: tile rows and capture budgets may never shrink
-  // as the modeled fast tier grows (and so, read backwards, a smaller tier
-  // always means fewer tile rows).
-  for (const double capacity_gb :
-       {1e-4, 1e-3, 4e-3, 16e-3, 64e-3, 0.5, 16.0}) {
-    tier.capacity_gb = capacity_gb;
-    const model::ScheduleBudgets budgets = model::derive_schedule_budgets(
-        tier, /*threads=*/8, total_flop, nrows, sizeof(I));
-    EXPECT_GE(budgets.tile_rows, 1u) << "never 0-row tiles";
-    EXPECT_GE(budgets.tile_rows, prev_rows)
-        << "capacity " << capacity_gb << " GB";
-    EXPECT_GE(budgets.capture_budget_bytes, prev_budget);
-    prev_rows = budgets.tile_rows;
-    prev_budget = budgets.capture_budget_bytes;
-  }
-
-  // And strictly responsive across the decades (not clamped flat).
-  tier.capacity_gb = 1e-3;
-  const auto small = model::derive_schedule_budgets(tier, 8, total_flop,
-                                                    nrows, sizeof(I));
-  tier.capacity_gb = 16.0;
-  const auto large = model::derive_schedule_budgets(tier, 8, total_flop,
-                                                    nrows, sizeof(I));
-  EXPECT_LT(small.tile_rows, large.tile_rows);
-  EXPECT_LT(small.capture_budget_bytes, large.capture_budget_bytes);
-}
-
-TEST(ScheduleBudgets, BandwidthFloorKeepsTilesStreamable) {
-  // With a near-zero capacity the latency/bandwidth floor takes over: the
-  // tile target never drops below the ~98%-efficiency transfer size.
-  model::TierParams tier = model::host_fast_tier();
-  tier.capacity_gb = 1e-9;
-  const model::ScheduleBudgets budgets = model::derive_schedule_budgets(
-      tier, 8, Offset{1} << 20, std::size_t{1} << 12, sizeof(I));
-  const double floor_bytes = 49.0 * tier.latency_ns * tier.thread_bw_gbps;
-  EXPECT_GE(static_cast<double>(budgets.tile_target_bytes), floor_bytes);
-  EXPECT_GE(budgets.tile_rows, 1u);
-}
-
-TEST(ScheduleBudgets, ChooseTileRowsNeverZeroOnTinyBudget) {
+TEST(ExecutionSchedule, ChooseTileRowsNeverZeroOnTinyBudget) {
   for (const std::size_t budget : {std::size_t{1}, std::size_t{4},
                                    std::size_t{100}}) {
     const std::size_t rows = model::choose_tile_rows(
         /*total_flop=*/Offset{1} << 26, /*nrows=*/256, budget, sizeof(I));
     EXPECT_GE(rows, 1u) << "budget " << budget;
-  }
-}
-
-TEST(ScheduleBudgets, HandleTileRowsRespondToModeledTier) {
-  // End to end through the options surface: a handle planned against a
-  // smaller modeled fast tier settles on fewer tile rows, monotonically.
-  const Matrix a = rmat_matrix<I, double>(RmatParams::g500(10, 8, 5));
-  SpGemmOptions opts;
-  opts.algorithm = Algorithm::kHash;
-  opts.budget_source = BudgetSource::kMemoryModel;
-
-  std::size_t prev_rows = 0;
-  for (const double capacity_gb : {1e-4, 4e-3, 0.5}) {
-    opts.fast_tier.capacity_gb = capacity_gb;
-    SpGemmHandle<I, double> handle(a, a, opts);
-    EXPECT_GE(handle.planned_tile_rows(), 1u);
-    EXPECT_GE(handle.planned_tile_rows(), prev_rows);
-    prev_rows = handle.planned_tile_rows();
   }
 }
 

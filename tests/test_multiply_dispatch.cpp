@@ -150,10 +150,8 @@ TEST(MultiplyDispatch, NarrowAutoRunsSpa1pThroughMultiplyAndFusedEpilogue) {
   SpGemmOptions prune_hash = prune;
   prune_hash.algorithm = Algorithm::kHash;
   got = want = SpGemmStats{};
-  const Matrix fused = multiply_with_epilogue(a, a, prune, nullptr, nullptr,
-                                              &got);
-  const Matrix fused_hash =
-      multiply_with_epilogue(a, a, prune_hash, nullptr, nullptr, &want);
+  const Matrix fused = multiply_with_epilogue(a, a, prune, &got);
+  const Matrix fused_hash = multiply_with_epilogue(a, a, prune_hash, &want);
   EXPECT_EQ(got.symbolic_ms, 0.0);  // the one-phase SPA ran
   EXPECT_EQ(got.tile_count, 0u);
   EXPECT_GT(want.tile_count, 0u);

@@ -22,6 +22,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <future>
+#include <new>
 #include <set>
 #include <string>
 #include <tuple>
@@ -36,6 +37,7 @@
 #include "engine/spgemm_engine.hpp"
 #include "matrix/rmat.hpp"
 #include "mem/pool_allocator.hpp"
+#include "model/cost_model.hpp"
 #include "shard/sharded_spgemm.hpp"
 
 namespace spgemm {
@@ -264,14 +266,15 @@ TEST(Resilience, LadderRetriesTransientAllocFailure) {
 TEST(Resilience, LadderDegradesAfterRepeatedAllocFailure) {
   // Every plan attempt passes handle.plan.alloc exactly once, so a
   // two-trigger window fails attempts 0 and 1 deterministically; attempt 2
-  // re-plans degraded (reuse off, quartered memory-model budgets) outside
-  // the cache and must still be bit-identical.
+  // re-plans degraded (capture off: the plan keeps no slot streams)
+  // outside the cache and must still be bit-identical.
   Engine eng;
   const Matrix a = unit_valued_rmat(7, 6, 43);
   fault::ScopedFault f("handle.plan.alloc", 1, 2);
   const Engine::Product p = eng.multiply(a, a);
   EXPECT_TRUE(p.degraded);
   EXPECT_FALSE(p.cache_hit);
+  EXPECT_EQ(p.stats.reuse_rows_captured, 0u);
   expect_bitwise_equal(p.c, spgemm_reference(a, a), "degraded execution");
   const auto es = eng.engine_stats();
   EXPECT_EQ(es.retries, 2u);
@@ -298,6 +301,25 @@ TEST(Resilience, LadderDegradesAfterRepeatedAllocFailure) {
                        "degraded fused execution");
   EXPECT_EQ(eng.engine_stats().degraded_execs, 2u);
   EXPECT_EQ(eng.cache().total_pins(), 0);
+
+  // A three-failure window reaches rung 3: the same degraded plan on one
+  // thread, for a large whose lane would otherwise be wider than one seat.
+  engine::EngineOptions eo;
+  eo.threads = 4;
+  Engine wide(eo);
+  const Matrix big = unit_valued_rmat(11, 16, 49);
+  ASSERT_GT(wide.lane_width_for(model::estimate_flop(big, big)), 1);
+  SpGemmOptions heap;
+  heap.algorithm = Algorithm::kHeap;
+  heap.threads = 1;
+  const fault::ScopedFault thrice("handle.plan.alloc", 1, 3);
+  const Engine::Product r = wide.multiply(big, big);
+  EXPECT_TRUE(r.degraded);
+  EXPECT_EQ(r.threads_used, 1);
+  EXPECT_EQ(r.stats.reuse_rows_captured, 0u);
+  expect_bitwise_equal(r.c, multiply(big, big, heap), "single-thread rung");
+  EXPECT_EQ(wide.engine_stats().retries, 3u);
+  EXPECT_EQ(wide.cache().total_pins(), 0);
 }
 
 TEST(Resilience, LadderExhaustsToOutOfMemory) {
@@ -359,8 +381,9 @@ TEST(Resilience, EveryFaultPointIsSurvivableDuringEngineWork) {
 }
 
 /// The CI fault-injection smoke job reruns exactly this test once per
-/// registry entry with SPGEMM_FAULT=<point>:1 in the environment.  With the
-/// variable unset it is a plain mixed-workload smoke test.
+/// registry entry with SPGEMM_FAULT=<point>:1 in the environment, and each
+/// run must trigger its point.  With the variable unset it is a plain
+/// mixed-workload smoke test.
 TEST(Resilience, EnvDrivenFaultSweepWorkload) {
   fault::disarm_all();
   const bool armed = fault::arm_from_env();
@@ -413,7 +436,46 @@ TEST(Resilience, EnvDrivenFaultSweepWorkload) {
           << error_code_name(e.code());
     }
   }
-  if (armed) fault::disarm_all();
+
+  // A one-byte cache budget evicts every plan handed back to it: the
+  // eviction path (cache.evict).
+  {
+    engine::EngineOptions eo;
+    eo.cache_budget_bytes = 1;
+    Engine eng(eo);
+    for (const auto* m : {&big, &small}) {
+      auto fut = eng.submit(*m, *m);
+      Settled s = settle(fut);
+      if (s.ok) {
+        expect_bitwise_equal(s.product.c,
+                             m == &big ? oracle_big : oracle_small,
+                             "env sweep evicting cache");
+      } else {
+        EXPECT_TRUE(s.code == ErrorCode::kInternal ||
+                    s.code == ErrorCode::kOutOfMemory)
+            << error_code_name(s.code);
+      }
+      EXPECT_EQ(eng.cache().total_pins(), 0);
+    }
+  }
+
+  // The pool's serial allocation points fire only outside OpenMP regions:
+  // one block past the largest size class (mem.pool.oversize), then one of
+  // the 48 MB class, which a fresh process has to carve (mem.pool.carve).
+  for (const std::size_t bytes : {kOversize, std::size_t{48} << 20}) {
+    try {
+      mem::pool_free(mem::pool_malloc(bytes));
+    } catch (const std::bad_alloc&) {
+      // The armed fault: nothing was allocated, so nothing leaks.
+    }
+  }
+
+  if (armed) {
+    const std::string point = spec.substr(0, spec.find(':'));
+    EXPECT_GT(fault::triggered(point), 0u)
+        << "SPGEMM_FAULT=" << spec << " never triggered during the workload";
+    fault::disarm_all();
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -203,7 +203,6 @@ TEST_F(RowPipelineShortTeam, HandleUnfusedAndFused) {
 TEST_F(RowPipelineShortTeam, MultiplyWithEpilogue) {
   const EpilogueSpec spec = prune_spec();
   const Matrix pruned = prune_scale_ref(expected, spec);
-  const double masked = masked_sum(expected, a);
   for (const Algorithm algo : kAllAlgorithms) {
     if (!planable(algo)) continue;
     SpGemmOptions opts = short_team_opts(algo);
@@ -211,15 +210,6 @@ TEST_F(RowPipelineShortTeam, MultiplyWithEpilogue) {
     const Matrix f = in_short_team(
         [&] { return multiply_with_epilogue(a, a, opts); });
     EXPECT_TRUE(approx_equal(f, pruned)) << algorithm_name(algo) << " prune";
-
-    opts.epilogue = EpilogueSpec{};
-    opts.epilogue.kind = EpilogueKind::kMaskReduce;
-    const double reduce = in_short_team([&] {
-      EpilogueResult result;
-      multiply_with_epilogue(a, a, opts, &result, &a);
-      return result.reduce;
-    });
-    EXPECT_EQ(reduce, masked) << algorithm_name(algo) << " mask-reduce";
   }
 }
 
@@ -266,43 +256,27 @@ struct LatticePoint {
       opts.epilogue.kind = EpilogueKind::kPruneScale;
       opts.epilogue.inflation = 2.0;
       opts.epilogue.prune_below = 0.05;
-      opts.epilogue.collect_column_sums = true;
-    } else if (epilogue == EpilogueKind::kMaskReduce) {
-      opts.epilogue.kind = EpilogueKind::kMaskReduce;
     }
     return opts;
   }
-};
 
-/// Per-owner partial sums fold in owner order; the scalars are compared to
-/// rounding, so the check does not pin that fold order.
-void expect_results_close(const EpilogueResult& x, const EpilogueResult& y,
-                          const std::string& label) {
-  EXPECT_EQ(x.rows, y.rows) << label;
-  EXPECT_NEAR(x.reduce, y.reduce, 1e-9 * std::abs(x.reduce) + 1e-12)
-      << label;
-  ASSERT_EQ(x.col_sums.size(), y.col_sums.size()) << label;
-  for (std::size_t j = 0; j < x.col_sums.size(); ++j) {
-    EXPECT_NEAR(x.col_sums[j], y.col_sums[j],
-                1e-9 * std::abs(x.col_sums[j]) + 1e-12)
-        << label << " col " << j;
+  /// The point's one-shot product: multiply_with_epilogue when fused.
+  Matrix once(const Matrix& a, SpGemmStats* stats) const {
+    return epilogue == EpilogueKind::kNone
+               ? multiply(a, a, options(), stats)
+               : multiply_with_epilogue(a, a, options(), stats);
   }
-}
+};
 
 void check_lattice_point(const Matrix& a, const LatticePoint& pt) {
   const std::string label = pt.label();
   const SpGemmOptions opts = pt.options();
   const bool fused = pt.epilogue != EpilogueKind::kNone;
 
-  EpilogueResult once_result;
   SpGemmStats once_stats;
-  const Matrix once =
-      fused ? multiply_with_epilogue(a, a, opts, &once_result, &a,
-                                     &once_stats)
-            : multiply(a, a, opts, &once_stats);
+  const Matrix once = pt.once(a, &once_stats);
 
   SpGemmHandle<I, double> handle(a, a, opts);
-  handle.set_epilogue_mask(&a);
   // Two executes: the first fills the pooled skeleton, the second replays
   // over it; both must reproduce the one-shot bytes.
   for (int rep = 0; rep < 2; ++rep) {
@@ -310,7 +284,8 @@ void check_lattice_point(const Matrix& a, const LatticePoint& pt) {
     expect_bitwise_equal(planned, once,
                          label + " execute " + std::to_string(rep));
     if (fused) {
-      expect_results_close(handle.epilogue_result(), once_result, label);
+      EXPECT_EQ(handle.stats().epilogue_rows, once_stats.epilogue_rows)
+          << label;
     }
   }
   Matrix into;
@@ -327,8 +302,7 @@ TEST(RowPipelineLattice, OneShotMatchesPlannedExecute) {
   const Matrix a = rmat(8, 8, 83);
   for (const Algorithm algo : {Algorithm::kHash, Algorithm::kAdaptive}) {
     for (const EpilogueKind epi :
-         {EpilogueKind::kNone, EpilogueKind::kPruneScale,
-          EpilogueKind::kMaskReduce}) {
+         {EpilogueKind::kNone, EpilogueKind::kPruneScale}) {
       for (const int capture : {0, 1, 2}) {
         for (const SortOutput sorted : {SortOutput::kYes, SortOutput::kNo}) {
           for (const int threads : {1, 2, 4}) {
@@ -351,7 +325,7 @@ TEST(RowPipelineLattice, EveryTwoPhaseKernelOverflowsCapture) {
       const LatticePoint pt{algo, epi, 1, SortOutput::kNo, 2};
       check_lattice_point(a, pt);
       SpGemmStats stats;
-      multiply(a, a, pt.options(), &stats);
+      pt.once(a, &stats);
       EXPECT_LT(stats.reuse_rows_captured, stats.reuse_rows_total)
           << pt.label();
     }
@@ -371,13 +345,13 @@ TEST(RowPipelineRap, BitIdenticalToTwoStepAtEveryThreadCount) {
     opts.algorithm = Algorithm::kHash;
     opts.threads = threads;
     opts.sort_output = SortOutput::kYes;
-    opts.tile_rows = 16;
+    opts.reuse_budget_bytes = 64;  // clamps tiles to 16 rows
     const std::string label = "t" + std::to_string(threads);
     SpGemmStats stats;
     const Matrix fused = multiply_rap(r, a, p, opts, &stats);
     expect_bitwise_equal(fused, multiply(r, multiply(a, p, opts), opts),
                          label);
-    // tile_rows caps every tile at 16 rows of an owner's range.
+    // The 64 B budget caps every tile at 16 rows of an owner's range.
     EXPECT_GE(stats.tile_count,
               static_cast<std::uint64_t>((r.nrows + 15) / 16))
         << label;
@@ -563,91 +537,47 @@ TEST(DenseRowRule, AutoMatchesHashBitwiseUnderEveryScheduleAndThreadCount) {
 // Fused epilogues in the one-phase driver: SPA-1p gives Hash's fused bytes.
 // ---------------------------------------------------------------------------
 
-/// The one-phase epilogues under test: prune-and-scale with and without
-/// column sums, and the masked reduction (mask = A).
-std::vector<EpilogueSpec> one_phase_epilogues() {
-  EpilogueSpec sums = prune_spec();
-  sums.collect_column_sums = true;
-  EpilogueSpec mask;
-  mask.kind = EpilogueKind::kMaskReduce;
-  return {prune_spec(), sums, mask};
-}
-
-std::string epilogue_label(const EpilogueSpec& spec) {
-  if (spec.kind == EpilogueKind::kMaskReduce) return "mask_reduce";
-  return spec.collect_column_sums ? "prune_scale+sums" : "prune_scale";
-}
-
-/// Column sums of a matrix's entries, in row order.
-std::vector<double> column_sums(const Matrix& m) {
-  std::vector<double> sums(static_cast<std::size_t>(m.ncols), 0.0);
-  for (std::size_t j = 0; j < m.cols.size(); ++j) {
-    sums[static_cast<std::size_t>(m.cols[j])] += m.vals[j];
-  }
-  return sums;
-}
-
 TEST(OnePhaseEpilogue, Spa1pMatchesHashFusedUnderEveryScheduleAndTeam) {
-  // Unit values: every product entry, power, reduction and column sum is
-  // an exact integer, so the scalars must be exact under any fold order.
+  // Unit values: every product entry and its power is an exact integer, so
+  // the kept entries cannot depend on the fold order.
   const Matrix a = unit_rmat(8, 8, 131);
-  const Matrix full = spgemm_reference(a, a);
-  const double mask_oracle = masked_sum(full, a);
-  for (const EpilogueSpec& spec : one_phase_epilogues()) {
-    const bool masked = spec.kind == EpilogueKind::kMaskReduce;
-    const Matrix kept_oracle = prune_scale_ref(full, spec);
-    for (const SortOutput sorted : {SortOutput::kYes, SortOutput::kNo}) {
-      SpGemmOptions hash_opts;
-      hash_opts.algorithm = Algorithm::kHash;
-      hash_opts.threads = 1;
-      hash_opts.sort_output = sorted;
-      hash_opts.epilogue = spec;
-      EpilogueResult hash_result;
-      const Matrix expected =
-          multiply_with_epilogue(a, a, hash_opts, &hash_result, &a);
-      const auto check = [&](const SpGemmOptions& opts, bool short_team) {
-        const std::string label =
-            epilogue_label(spec) + " " + one_phase_label(OnePhase::kSpa1p, opts) +
-            (short_team ? " short team" : "");
-        EpilogueResult result;
-        SpGemmStats stats;
-        const auto run = [&] {
-          return multiply_with_epilogue(a, a, opts, &result, &a, &stats);
-        };
-        const Matrix c = short_team ? in_short_team(run) : run();
-        expect_bitwise_equal(c, expected, label);
-        EXPECT_EQ(c.sortedness, expected.sortedness) << label;
-        EXPECT_EQ(stats.symbolic_ms, 0.0) << label;  // one-phase SPA ran
-        EXPECT_EQ(stats.epilogue_rows, static_cast<std::uint64_t>(a.nrows))
-            << label;
-        EXPECT_EQ(result.rows, static_cast<std::uint64_t>(a.nrows)) << label;
-        EXPECT_EQ(stats.nnz_out, static_cast<Offset>(c.nnz())) << label;
-        if (masked) {
-          EXPECT_EQ(c.nnz(), std::size_t{0}) << label;
-          EXPECT_EQ(result.reduce, mask_oracle) << label;
-          EXPECT_EQ(result.reduce, hash_result.reduce) << label;
-        } else {
-          EXPECT_EQ(c.nnz(), kept_oracle.nnz()) << label;
-          const std::vector<double> sums =
-              spec.collect_column_sums ? column_sums(kept_oracle)
-                                       : std::vector<double>{};
-          EXPECT_EQ(result.col_sums, sums) << label;
-          EXPECT_EQ(result.col_sums, hash_result.col_sums) << label;
-        }
+  const EpilogueSpec spec = prune_spec();
+  const Matrix kept_oracle = prune_scale_ref(spgemm_reference(a, a), spec);
+  for (const SortOutput sorted : {SortOutput::kYes, SortOutput::kNo}) {
+    SpGemmOptions hash_opts;
+    hash_opts.algorithm = Algorithm::kHash;
+    hash_opts.threads = 1;
+    hash_opts.sort_output = sorted;
+    hash_opts.epilogue = spec;
+    const Matrix expected = multiply_with_epilogue(a, a, hash_opts);
+    const auto check = [&](const SpGemmOptions& opts, bool short_team) {
+      const std::string label = one_phase_label(OnePhase::kSpa1p, opts) +
+                                (short_team ? " short team" : "");
+      SpGemmStats stats;
+      const auto run = [&] {
+        return multiply_with_epilogue(a, a, opts, &stats);
       };
-      for (const parallel::SchedulePolicy policy : kPolicies) {
-        SpGemmOptions opts;
-        opts.algorithm = Algorithm::kSpa1p;
-        opts.schedule = policy;
-        opts.sort_output = sorted;
-        opts.epilogue = spec;
-        for (const int threads : {1, 2, 3}) {
-          opts.threads = threads;
-          check(opts, /*short_team=*/false);
-        }
-        opts.threads = kRequestedThreads;
-        check(opts, /*short_team=*/true);
+      const Matrix c = short_team ? in_short_team(run) : run();
+      expect_bitwise_equal(c, expected, label);
+      EXPECT_EQ(c.sortedness, expected.sortedness) << label;
+      EXPECT_EQ(stats.symbolic_ms, 0.0) << label;  // one-phase SPA ran
+      EXPECT_EQ(stats.epilogue_rows, static_cast<std::uint64_t>(a.nrows))
+          << label;
+      EXPECT_EQ(stats.nnz_out, static_cast<Offset>(c.nnz())) << label;
+      EXPECT_EQ(c.nnz(), kept_oracle.nnz()) << label;
+    };
+    for (const parallel::SchedulePolicy policy : kPolicies) {
+      SpGemmOptions opts;
+      opts.algorithm = Algorithm::kSpa1p;
+      opts.schedule = policy;
+      opts.sort_output = sorted;
+      opts.epilogue = spec;
+      for (const int threads : {1, 2, 3}) {
+        opts.threads = threads;
+        check(opts, /*short_team=*/false);
       }
+      opts.threads = kRequestedThreads;
+      check(opts, /*short_team=*/true);
     }
   }
 }

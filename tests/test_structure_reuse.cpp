@@ -259,7 +259,6 @@ TEST(ReuseBudget, DenseRowsFallBackAndStayExact) {
   SpGemmOptions opts;
   opts.algorithm = Algorithm::kHash;
   opts.threads = 2;
-  opts.tile_rows = 8;
   // Row 0 is fully dense: its A*A flop is 256 * nnz-per-B-row; a budget of
   // 1 KiB (256 int32 slots) cannot capture it, while many sparse rows fit.
   opts.reuse = StructureReuse::kOn;
@@ -295,15 +294,15 @@ TEST(ReuseBudget, ZeroRowBudgetCapturesNothing) {
 }
 
 // ---------------------------------------------------------------------------
-// Edge cases: empty matrix, empty rows, tile size 1, tile larger than the
-// matrix.
+// Edge cases: empty matrix, empty rows, the smallest tiles (a 64 B budget
+// clamps them to 16 rows) and tiles larger than the matrix.
 // ---------------------------------------------------------------------------
 
 TEST(ReuseEdgeCases, EmptyAndTinyMatrices) {
-  for (const std::size_t tile_rows : {std::size_t{1}, std::size_t{100000}}) {
+  for (const std::size_t budget : {std::size_t{64}, std::size_t{0}}) {
     SpGemmOptions opts;
     opts.algorithm = Algorithm::kHash;
-    opts.tile_rows = tile_rows;
+    opts.reuse_budget_bytes = budget;
     opts.reuse = StructureReuse::kOn;
 
     const Matrix empty(4, 4);
@@ -354,14 +353,16 @@ TEST(ReuseStats, SymbolicProbesReported) {
 }
 
 TEST(ReuseStats, TileCountMatchesTileSize) {
-  const Matrix a = unit_valued_rmat(7, 4, 3);  // 128 rows
+  // One flop per row, so the flop cut falls on the row cap: a 64 B budget
+  // clamps tiles to 16 rows, 8 tiles over 128 rows.
+  const auto a = csr_identity<I, double>(128);
   SpGemmOptions opts;
   opts.algorithm = Algorithm::kHash;
   opts.threads = 1;
-  opts.tile_rows = 32;
+  opts.reuse_budget_bytes = 64;
   SpGemmStats stats;
   multiply(a, a, opts, &stats);
-  EXPECT_EQ(stats.tile_count, 4u);
+  EXPECT_EQ(stats.tile_count, 8u);
   EXPECT_EQ(stats.reuse_rows_total, 128u);
 }
 
@@ -376,8 +377,8 @@ TEST(ReusePlanner, PlanMeasuresCollisionFactorAndTiles) {
   EXPECT_GT(plan.symbolic_probes(), 0u);
   EXPECT_EQ(stats.symbolic_probes, plan.symbolic_probes());
   EXPECT_GE(plan.collision_factor(), 1.0);  // >= one probe per insert
-  EXPECT_GE(plan.planned_tile_rows(), 16u);
-  EXPECT_TRUE(plan.reuse_pays());
+  EXPECT_GT(stats.tile_count, 0u);
+  EXPECT_GT(stats.reuse_rows_captured, 0u);  // capture is on by default
   EXPECT_EQ(stats.nnz_out, plan.nnz_out());
   EXPECT_GT(stats.plan_ms, 0.0);
 }
@@ -386,8 +387,8 @@ TEST(ReusePlanner, CollisionFactorFlooredUnderBatchedProbing) {
   // Every row shares the same few columns, so most keys in a 16-lane batch
   // window duplicate an earlier lane and retire WITHOUT a probe round.
   // The cost model's c is defined against per-key probing (>= one round
-  // per key); collision_factor() must floor the batched round count so
-  // reuse_pays() is not skewed on exactly these duplicate-heavy inputs.
+  // per key); collision_factor() must floor the batched round count so c
+  // is not skewed on exactly these duplicate-heavy inputs.
   std::vector<std::tuple<I, I, double>> trips;
   for (I i = 0; i < 512; ++i) {
     for (I j = 0; j < 8; ++j) trips.emplace_back(i, j, 1.0);
@@ -398,7 +399,6 @@ TEST(ReusePlanner, CollisionFactorFlooredUnderBatchedProbing) {
   opts.probe_batching = ProbeBatch::kOn;
   SpGemmHandle<I, double> plan(a, a, opts);
   EXPECT_GE(plan.collision_factor(), 1.0);
-  EXPECT_TRUE(plan.reuse_pays());
 }
 
 TEST(ReusePlanner, CostModelTileChoiceScalesWithDensity) {
@@ -410,8 +410,6 @@ TEST(ReusePlanner, CostModelTileChoiceScalesWithDensity) {
       model::choose_tile_rows(/*flop=*/1 << 24, /*nrows=*/1 << 10, budget, 4);
   EXPECT_GE(sparse_tiles, dense_tiles);
   EXPECT_GE(dense_tiles, 16u);
-  EXPECT_FALSE(model::reuse_pays(1.2, 0));
-  EXPECT_TRUE(model::reuse_pays(1.2, budget));
 }
 
 }  // namespace
